@@ -22,8 +22,8 @@ let label_union_test =
          let a = Taint.Label.base tbl "a" in
          let b = Taint.Label.base tbl "b" in
          let c = Taint.Label.base tbl "c" in
-         let ab = Taint.Label.union tbl a b in
-         ignore (Taint.Label.union tbl ab c)))
+         let ab = Taint.Label.union a b in
+         ignore (Taint.Label.union ab c)))
 
 let tainted_run_test =
   Test.make ~name:"tainted-run-iterate"

@@ -15,7 +15,6 @@ type target = {
   args : Ir.Types.value list;
   world : Mpi_sim.Runtime.world;
   model_params : string list;
-  spec : Measure.Spec.app option;
   aliases : (string * string list) list;
 }
 
@@ -41,14 +40,13 @@ let target_of_app ?ranks ?params name =
   let entry_params (p : Ir.Types.program) =
     (Ir.Types.find_func p p.Ir.Types.entry).Ir.Types.fparams
   in
-  let with_defaults program defaults w mp spec aliases =
+  let with_defaults program defaults w mp aliases =
     let named = List.combine (entry_params program) defaults in
     {
       program;
       args = override_args named;
       world = world w;
       model_params = mp;
-      spec;
       aliases;
     }
   in
@@ -56,37 +54,35 @@ let target_of_app ?ranks ?params name =
   | "lulesh" ->
     Ok
       (with_defaults Apps.Lulesh.program Apps.Lulesh.taint_args
-         Apps.Lulesh.taint_world Apps.Lulesh.model_params
-         (Some Apps.Lulesh_spec.app) [])
+         Apps.Lulesh.taint_world Apps.Lulesh.model_params [])
   | "milc" ->
     Ok
       (with_defaults Apps.Milc.program Apps.Milc.taint_args
-         Apps.Milc.taint_world Apps.Milc.model_params (Some Apps.Milc_spec.app)
+         Apps.Milc.taint_world Apps.Milc.model_params
          [ ("size", [ "nx"; "ny"; "nz"; "nt" ]) ])
   | "minicg" ->
     Ok
       (with_defaults Apps.Minicg.program Apps.Minicg.taint_args
-         Apps.Minicg.taint_world Apps.Minicg.model_params
-         (Some Apps.Minicg_spec.app) [])
+         Apps.Minicg.taint_world Apps.Minicg.model_params [])
   | "iterate" ->
     Ok
       (with_defaults Apps.Didactic.iterate_example
          [ VInt 10; VInt 2 ] Mpi_sim.Runtime.default_world [ "size"; "step" ]
-         None [])
+         [])
   | "foo" ->
     Ok
       (with_defaults Apps.Didactic.foo_example
          [ VInt 3; VInt 1; VInt 0 ] Mpi_sim.Runtime.default_world
-         [ "a"; "b"; "c" ] None [])
+         [ "a"; "b"; "c" ] [])
   | "matrix" ->
     Ok
       (with_defaults Apps.Didactic.matrix_init
          [ VInt 6; VInt 8 ] Mpi_sim.Runtime.default_world [ "rows"; "cols" ]
-         None [])
+         [])
   | "select" ->
     Ok
       (with_defaults Apps.Didactic.algorithm_selection
-         [ VInt 2 ] Mpi_sim.Runtime.default_world [ "a" ] None [])
+         [ VInt 2 ] Mpi_sim.Runtime.default_world [ "a" ] [])
   | other ->
     if Sys.file_exists other && Sys.is_directory other then
       Error (Printf.sprintf "%s is a directory, not a .pir file" other)
@@ -97,7 +93,7 @@ let target_of_app ?ranks ?params name =
       let defaults = List.map (fun _ -> Ir.Types.VInt 4) formals in
       Ok
         (with_defaults program defaults Mpi_sim.Runtime.default_world formals
-           None [])
+           [])
     end
     else
       Error
@@ -127,6 +123,15 @@ let resolve name ranks params =
   | Ok t -> t
   | Error msg ->
     Fmt.epr "error: %s@." msg;
+    exit 2
+
+(* The measurement spec and default campaign grid of a simulated app. *)
+let measured_app name =
+  match Serve.Registry.find name with
+  | Some app -> app
+  | None ->
+    Fmt.epr "error: %s has no measurement spec (use %s)@." name
+      (String.concat ", " Serve.Registry.names);
     exit 2
 
 let trace_arg =
@@ -274,11 +279,8 @@ let analyze_cmd =
     else begin
     let ov = Perf_taint.Report.overview a ~model_params:t.model_params in
     Fmt.pr "%a@.@." Perf_taint.Report.pp_overview ov;
-    let ls = Taint.Label.table_stats a.labels in
     Fmt.pr "tainted run: %d instructions, %d taint labels@." a.steps
-      ls.Taint.Label.labels;
-    Fmt.pr "label table: %d union calls, %d dedup hits@."
-      ls.Taint.Label.unions ls.Taint.Label.dedup_hits;
+      (List.length (Taint.Label.sources a.labels));
     List.iter
       (fun w -> Fmt.pr "warning: %s@." w)
       a.static.Static_an.Classify.warnings;
@@ -517,13 +519,9 @@ let model_cmd =
     with_jobs jobs @@ fun pool ->
     with_events events @@ fun events ->
     let t = resolve name ranks params in
-    let spec =
-      match t.spec with
-      | Some s -> s
-      | None ->
-        Fmt.epr "error: %s has no measurement spec (use lulesh or milc)@." name;
-        exit 2
-    in
+    let app = measured_app name in
+    let spec = app.Serve.Registry.r_app in
+    let fit_params = spec.Measure.Spec.model_params in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     let machine = Mpi_sim.Machine.skylake_cluster in
     let selective =
@@ -531,16 +529,8 @@ let model_cmd =
         (Perf_taint.Pipeline.relevant_functions a ~model_params:t.model_params
         @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used a))
     in
-    let grid =
-      if name = "milc" then
-        [ ("p", Apps.Milc_spec.p_values); ("size", Apps.Milc_spec.size_values);
-          ("r", [ 8. ]) ]
-      else
-        [ ("p", Apps.Lulesh_spec.p_values);
-          ("size", Apps.Lulesh_spec.size_values); ("r", [ 8. ]) ]
-    in
     let design =
-      { Measure.Experiment.grid; reps = 5;
+      { Measure.Experiment.grid = app.Serve.Registry.r_grid; reps = 5;
         mode = Measure.Instrument.Selective selective; sigma = 0.02; seed = 42 }
     in
     let runs = Measure.Experiment.run_design ?pool spec machine design in
@@ -553,7 +543,7 @@ let model_cmd =
     in
     let fit fname =
       let data =
-        Measure.Experiment.kernel_dataset runs ~params:t.model_params
+        Measure.Experiment.kernel_dataset runs ~params:fit_params
           ~kernel:fname
       in
       if data.Model.Dataset.points = [] then
@@ -561,7 +551,7 @@ let model_cmd =
       else begin
         let c =
           Perf_taint.Modeling.constraints_aliased a mode
-            ~model_params:t.model_params ~aliases:t.aliases fname
+            ~model_params:fit_params ~aliases:t.aliases fname
         in
         let r = Model.Search.multi ~config ~constraints:c data in
         Fmt.pr "  %-36s %s  (SMAPE %.1f%%)@." fname
@@ -677,18 +667,16 @@ let stats_cmd =
       List.iter
         (fun (phase, s) -> Fmt.pr "  %-12s %12.6f s@." phase s)
         (Perf_taint.Pipeline.phases a);
-      let ls = Taint.Label.table_stats a.labels in
       Fmt.pr "@.label table:@.";
-      Fmt.pr "  %-12s %12d@." "labels" ls.Taint.Label.labels;
-      Fmt.pr "  %-12s %12d@." "unions" ls.Taint.Label.unions;
-      Fmt.pr "  %-12s %12d@." "dedup hits" ls.Taint.Label.dedup_hits;
+      Fmt.pr "  %-12s %12d@." "labels"
+        (List.length (Taint.Label.sources a.labels));
       Fmt.pr "@.metrics:@.%a" Obs_metrics.pp_summary a.snapshot
     end
   in
   let doc =
     "Self-profile of the analysis: phase timings (static / tainted run / \
      post-processing), instruction counts by opcode class, memory and \
-     shadow traffic, label-table statistics.  The overhead the paper \
+     shadow traffic, label-table size.  The overhead the paper \
      amortizes against the measurement campaign, measured on our own \
      pipeline."
   in
@@ -702,13 +690,7 @@ let contention_cmd =
   let run name ranks params trace max_steps =
     error_guard @@ fun () ->
     let t = resolve name ranks params in
-    let spec =
-      match t.spec with
-      | Some s -> s
-      | None ->
-        Fmt.epr "error: %s has no measurement spec@." name;
-        exit 2
-    in
+    let spec = (measured_app name).Serve.Registry.r_app in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     let selective =
       Measure.Instrument.SSet.of_list
@@ -926,22 +908,11 @@ let campaign_cmd =
   in
   let run name ranks params faults retries backoff journal resume max_runs
       dump reps sigma seed shards shard_spec shard_timeout shard_restarts
-      kill_shards events trace max_steps jobs (_engine : Interp.Engine.tier) =
+      kill_shards events trace max_steps jobs =
     error_guard @@ fun () ->
-    (* Campaigns measure through the analytic simulator, which executes
-       no PIR; --engine is accepted so scripted invocations can pass one
-       tier everywhere, and the output is trivially identical either
-       way.  (Program-replaying campaigns go through
-       [Measure.Experiment.replay_runs], which honours the tier.) *)
-    let t = resolve name ranks params in
-    let spec =
-      match t.spec with
-      | Some s -> s
-      | None ->
-        Fmt.epr "error: %s has no measurement spec (use lulesh, milc or \
-                 minicg)@." name;
-        exit 2
-    in
+    let app = measured_app name in
+    let spec = app.Serve.Registry.r_app in
+    let grid = app.Serve.Registry.r_grid in
     let plan =
       match Measure.Fault.of_spec faults with
       | Ok p -> p
@@ -970,18 +941,6 @@ let campaign_cmd =
                 with --shards (use --kill-shard to inject one)";
     if kill_shards <> [] && shards = None then
       failwith "--kill-shard requires --shards";
-    let grid =
-      match name with
-      | "milc" ->
-        [ ("p", Apps.Milc_spec.p_values); ("size", Apps.Milc_spec.size_values);
-          ("r", [ 8. ]) ]
-      | "minicg" ->
-        [ ("p", Apps.Minicg_spec.p_values); ("n", Apps.Minicg_spec.n_values);
-          ("r", [ 8. ]) ]
-      | _ ->
-        [ ("p", Apps.Lulesh_spec.p_values);
-          ("size", Apps.Lulesh_spec.size_values); ("r", [ 8. ]) ]
-    in
     let design =
       { Measure.Experiment.grid; reps; mode = Measure.Instrument.Full; sigma;
         seed }
@@ -1160,7 +1119,7 @@ let campaign_cmd =
         $ retries_arg $ backoff_arg $ journal_arg $ resume_arg $ max_runs_arg
         $ dump_arg $ reps_arg $ sigma_arg $ seed_arg $ shards_arg $ shard_arg
         $ shard_timeout_arg $ shard_restarts_arg $ kill_shard_arg $ events_arg
-        $ trace_arg $ max_steps_arg $ jobs_arg $ engine_arg))
+        $ trace_arg $ max_steps_arg $ jobs_arg))
 
 let fuzz_cmd =
   let seed_arg =

@@ -15,22 +15,6 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* NaN and the infinities have no JSON representation — "%g" would print
    "nan"/"inf" and corrupt the document — so they all become null. *)
 let float_repr f =
@@ -44,11 +28,11 @@ let rec pp ppf = function
   | Bool b -> Fmt.bool ppf b
   | Int i -> Fmt.int ppf i
   | Float f -> Fmt.string ppf (float_repr f)
-  | String s -> Fmt.pf ppf "\"%s\"" (escape s)
+  | String s -> Fmt.pf ppf "\"%s\"" (Obs_json.escape s)
   | List items ->
     Fmt.pf ppf "@[<hv 2>[%a]@]" Fmt.(list ~sep:(any ",@ ") pp) items
   | Obj fields ->
-    let pfield ppf (k, v) = Fmt.pf ppf "\"%s\": %a" (escape k) pp v in
+    let pfield ppf (k, v) = Fmt.pf ppf "\"%s\": %a" (Obs_json.escape k) pp v in
     Fmt.pf ppf "@[<hv 2>{%a}@]" Fmt.(list ~sep:(any ",@ ") pfield) fields
 
 let to_string j = Fmt.str "%a" pp j
@@ -236,10 +220,10 @@ let snapshot_json (s : Obs_metrics.snapshot) =
     ]
 
 (** Self-profile of one analysis: phase durations, instruction counts by
-    opcode class, label-table statistics, and the raw metrics snapshot. *)
+    opcode class, label-table size, and the raw metrics snapshot. *)
 let stats_json (t : Pipeline.t) =
   let s = t.Pipeline.snapshot in
-  let lstats = Taint.Label.table_stats t.Pipeline.labels in
+  let labels = List.length (Taint.Label.sources t.Pipeline.labels) in
   Obj
     [
       ("program", String t.Pipeline.program.Ir.Types.pname);
@@ -251,13 +235,7 @@ let stats_json (t : Pipeline.t) =
           :: List.map
                (fun (cls, v) -> (cls, Int v))
                (Obs_metrics.counters_with_prefix s "interp.instr.")) );
-      ( "label_table",
-        Obj
-          [
-            ("labels", Int lstats.Taint.Label.labels);
-            ("unions", Int lstats.Taint.Label.unions);
-            ("dedup_hits", Int lstats.Taint.Label.dedup_hits);
-          ] );
+      ("label_table", Obj [ ("labels", Int labels) ]);
       ("metrics", snapshot_json s);
     ]
 

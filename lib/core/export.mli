@@ -26,7 +26,7 @@ val snapshot_json : Obs_metrics.snapshot -> json
 
 val stats_json : Pipeline.t -> json
 (** Self-profile of one analysis: phase durations, instruction counts by
-    class, label-table statistics, full metrics snapshot. *)
+    class, label-table size, full metrics snapshot. *)
 
 val models_json :
   (string * Model.Search.result * Model.Dataset.t) list -> json

@@ -21,7 +21,7 @@ type t = {
   steps : int;  (** instructions interpreted during the tainted run *)
   snapshot : Obs_metrics.snapshot;
       (** self-profile of this analysis: phase durations, label-table
-          traffic, and (when a registry was supplied) per-instruction
+          size, and (when a registry was supplied) per-instruction
           accounting *)
 }
 
@@ -89,12 +89,9 @@ let analyze_via (type a) (module E : Interp.Engine.S with type t = a) ~config
         in
         (static, m, entry, obs, labels, deps, mpi_params))
   in
-  let lstats = Taint.Label.table_stats labels in
-  Obs_metrics.add (Obs_metrics.counter reg "taint.labels") lstats.Taint.Label.labels;
-  Obs_metrics.add (Obs_metrics.counter reg "taint.unions") lstats.Taint.Label.unions;
   Obs_metrics.add
-    (Obs_metrics.counter reg "taint.dedup_hits")
-    lstats.Taint.Label.dedup_hits;
+    (Obs_metrics.counter reg "taint.labels")
+    (List.length (Taint.Label.sources labels));
   Obs_metrics.add
     (Obs_metrics.counter reg "interp.steps")
     (E.steps_executed m);
@@ -143,7 +140,7 @@ let analyze_via (type a) (module E : Interp.Engine.S with type t = a) ~config
     bit-identical, checked continuously by the [compile-identity] fuzz
     oracle.  [metrics] turns on per-instruction accounting in the engine
     and collects everything into the given registry; without it a private
-    registry still captures phase durations and label-table statistics
+    registry still captures phase durations and the label-table size
     (three clock reads and a handful of counters — negligible next to the
     run itself).  [trace] records pipeline-phase spans, per-call function
     spans and loop-entry instants.  [profile] attaches a deterministic

@@ -18,7 +18,7 @@ type t = {
   steps : int;  (** instructions interpreted by the tainted run *)
   snapshot : Obs_metrics.snapshot;
       (** self-profile: phase durations ([pipeline.phase.*_s] gauges),
-          label-table traffic ([taint.*] counters), and — when {!analyze}
+          label-table size ([taint.labels]), and — when {!analyze}
           was given a registry — instruction-class counters *)
 }
 

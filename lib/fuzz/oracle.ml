@@ -826,8 +826,8 @@ let serve_identity =
    reproduce bit-for-bit: outcome (including trap messages and budget
    behavior), result value and label, every observation with its
    dependency label names, metric counters, profiler samples, and the
-   label-table statistics (ids and union traffic — sensitive to the
-   exact [Label.union] call order). *)
+   taint sources in registration order (which fixes every label's
+   bits). *)
 type tier_snapshot = {
   ts_outcome : string;
   ts_value : (value * string list) option;
@@ -841,7 +841,7 @@ type tier_snapshot = {
   ts_steps : int;
   ts_metrics : Obs_metrics.snapshot;
   ts_profile : Obs_profile.snapshot;
-  ts_labels : int * int * int;  (** table stats: labels, unions, dedup hits *)
+  ts_sources : string list;
 }
 
 let tier_snapshot (type a) (module E : Interp.Engine.S with type t = a)
@@ -858,7 +858,6 @@ let tier_snapshot (type a) (module E : Interp.Engine.S with type t = a)
   in
   let obs = E.observations m in
   let tbl = E.label_table m in
-  let stats = L.table_stats tbl in
   {
     ts_outcome = outcome;
     ts_value = value;
@@ -898,7 +897,7 @@ let tier_snapshot (type a) (module E : Interp.Engine.S with type t = a)
     ts_steps = E.steps_executed m;
     ts_metrics = Obs_metrics.snapshot metrics;
     ts_profile = Obs_profile.snapshot profile;
-    ts_labels = (stats.L.labels, stats.L.unions, stats.L.dedup_hits);
+    ts_sources = L.sources tbl;
   }
 
 let tier_diff a b =
@@ -914,8 +913,7 @@ let tier_diff a b =
   else if compare a.ts_events b.ts_events <> 0 then Some "primitive events"
   else if compare a.ts_metrics b.ts_metrics <> 0 then Some "metric counters"
   else if compare a.ts_profile b.ts_profile <> 0 then Some "profiler samples"
-  else if compare a.ts_labels b.ts_labels <> 0 then
-    Some "label-table statistics"
+  else if a.ts_sources <> b.ts_sources then Some "taint-source registry"
   else None
 
 (* Coverage runs additionally compare the policy's own block/edge hit

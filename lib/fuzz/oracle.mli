@@ -62,8 +62,8 @@ val compile_identity : t
     outcome (result value and its label, trap messages, budget
     behavior), loop/branch/event/function observations with their
     dependency label names, step counts, metric counters, profiler
-    samples, label-table statistics (ids and union traffic), and the
-    Coverage policy's block/edge hit tables. *)
+    samples, the taint sources in registration order, and the Coverage
+    policy's block/edge hit tables. *)
 
 val compile_identity_with : Interp.Machine.config -> t
 

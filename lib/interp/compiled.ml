@@ -9,13 +9,13 @@
     when the interpreter would build its static facts, so programs with
     malformed never-executed functions behave identically.
 
-    The two tiers must stay bit-identical — result values, taint labels
-    (including label-table ids and stats, which depend on the
-    [Label.union] call order), loop/branch/event/function observations,
-    metric counters, profiler samples, trap messages and budget
-    behavior.  Every policy hook and observation call below is placed in
-    the same sequence as the interpreter's; the [compile_identity]
-    fuzzing oracle enforces the contract on generated programs. *)
+    The two tiers must stay bit-identical — result values, taint labels,
+    taint-source registration order, loop/branch/event/function
+    observations, metric counters, profiler samples, trap messages and
+    budget behavior.  Every policy hook and observation call below is
+    placed in the same sequence as the interpreter's; the
+    [compile_identity] fuzzing oracle enforces the contract on generated
+    programs. *)
 
 open Ir.Types
 open Lower
@@ -212,8 +212,6 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
     config : Engine.config;
     max_steps : int;  (** [config.max_steps], lifted out for the hot path *)
     pstate : P.state;
-    ltable : Label.table;
-        (** [P.table pstate], lifted out of the per-branch path *)
     mutable harr : value array array;
         (** dense heap: handle = index; handles are never freed, so every
             index below [next_alloc] is live *)
@@ -781,11 +779,11 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
           frame.ocache.bocs.(idx) <- Some bo;
           bo
       in
-      Dynobs.record_branch t.ltable bo ~dep:odep ~taken;
+      Dynobs.record_branch bo ~dep:odep ~taken;
       (match bi.Fstatic.bexits with
       | [] -> ()
       | bexits ->
-        Dynobs.loop_sink t.ltable t.obs ~cp_key:frame.cp_key bexits odep);
+        Dynobs.loop_sink t.obs ~cp_key:frame.cp_key bexits odep);
       (if labels && P.wants_scope t.pstate l then
          P.scope_push t.pstate frame.pframe ~join:bi.Fstatic.bjoin l);
       match (if taken then bthen else belse) with
@@ -826,7 +824,6 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
       config;
       max_steps = config.Engine.max_steps;
       pstate;
-      ltable = P.table pstate;
       harr = Array.make 64 [||];
       next_alloc = 0;
       steps = 0;
@@ -872,7 +869,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
     run t args
 
   let observations t = t.obs
-  let label_table t = t.ltable
+  let label_table t = P.table t.pstate
   let steps_executed t = t.steps
   let trace_sink t = t.trace
   let policy_state t = t.pstate

@@ -4,9 +4,7 @@
     loop-exit taint sink.
 
     Both tiers call exactly these functions in the same order, so loop,
-    branch and dependency observations — including the [Label.union]
-    call order that determines label-table identity — cannot drift
-    between them. *)
+    branch and dependency observations cannot drift between them. *)
 
 module Obs = Observations
 module Label = Taint.Label
@@ -65,26 +63,21 @@ let branch_obs (obs : Obs.t) ~cp_key ~func ~block ~callpath =
     Hashtbl.replace obs.Obs.branches key bo;
     bo
 
-let record_branch table (bo : Obs.branch_obs) ~dep ~taken =
+let record_branch (bo : Obs.branch_obs) ~dep ~taken =
   if taken then bo.Obs.br_taken <- bo.Obs.br_taken + 1
   else bo.Obs.br_not_taken <- bo.Obs.br_not_taken + 1;
-  (* A clean dependency cannot change the record; skipping the union
-     here (in shared code, so identically in both tiers) keeps the
-     label-table stats free of no-op unions from untainted branches —
-     the overwhelmingly common case of plain runs. *)
-  if not (Label.is_empty dep) then
-    bo.Obs.br_dep <- Label.union table bo.Obs.br_dep dep
+  bo.Obs.br_dep <- Label.union bo.Obs.br_dep dep
 
 (** Union [dep] into the recorded dependency of every loop in [exits]
     (the loops for which the current block is an exiting block): the
     loop-exit taint sink.  Loops never yet entered have no record and
     are skipped, exactly as in the historical interpreter. *)
-let loop_sink table (obs : Obs.t) ~cp_key exits dep =
-  (* As in {!record_branch}, a clean dependency is a no-op sink. *)
+let loop_sink (obs : Obs.t) ~cp_key exits dep =
+  (* A clean dependency cannot change a record: skip the lookups. *)
   if not (Label.is_empty dep) then
     List.iter
       (fun (l : Ir.Loops.loop) ->
         match Hashtbl.find_opt obs.Obs.loops (cp_key, l.Ir.Loops.header) with
-        | Some lo -> lo.Obs.lo_dep <- Label.union table lo.Obs.lo_dep dep
+        | Some lo -> lo.Obs.lo_dep <- Label.union lo.Obs.lo_dep dep
         | None -> ())
       exits

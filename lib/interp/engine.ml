@@ -537,9 +537,8 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
         Dynobs.branch_obs t.obs ~cp_key:frame.cp_key ~func:frame.ffunc.fname
           ~block:block.label ~callpath:frame.callpath
       in
-      Dynobs.record_branch (P.table t.pstate) bo ~dep:odep ~taken;
-      Dynobs.loop_sink (P.table t.pstate) t.obs ~cp_key:frame.cp_key bi.bexits
-        odep;
+      Dynobs.record_branch bo ~dep:odep ~taken;
+      Dynobs.loop_sink t.obs ~cp_key:frame.cp_key bi.bexits odep;
       (if P.wants_scope t.pstate l then
          P.scope_push t.pstate frame.pframe ~join:bi.Fstatic.bjoin l);
       let target = if taken then then_l else else_l in

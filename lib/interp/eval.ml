@@ -6,6 +6,12 @@ exception Runtime_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
+let source_label labels name =
+  try Taint.Label.base labels name
+  with Taint.Label.Too_many_sources n ->
+    error "taint source %s exceeds the limit of %d distinct sources" n
+      Taint.Label.max_sources
+
 let as_int = function
   | VInt i -> i
   | v -> error "expected int, got %s" (value_kind v)

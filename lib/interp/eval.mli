@@ -5,6 +5,11 @@ exception Runtime_error of string
 val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Runtime_error} with a formatted message. *)
 
+val source_label : Taint.Label.table -> string -> Taint.Label.t
+(** {!Taint.Label.base}, shared by every tier and host runtime.
+    @raise Runtime_error naming the source when it would exceed
+    {!Taint.Label.max_sources}. *)
+
 val as_int : Ir.Types.value -> int
 val as_float : Ir.Types.value -> float
 val as_bool : Ir.Types.value -> bool

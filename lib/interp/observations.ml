@@ -84,13 +84,13 @@ let func_obs t name =
 
 (** Loops of [t] grouped per function, dependencies merged over call
     paths. *)
-let loops_by_function tbl t =
+let loops_by_function t =
   let acc = Hashtbl.create 32 in
   List.iter
     (fun lo ->
       let key = (lo.lo_func, lo.lo_header) in
       match Hashtbl.find_opt acc key with
       | None -> Hashtbl.replace acc key lo.lo_dep
-      | Some dep -> Hashtbl.replace acc key (Taint.Label.union tbl dep lo.lo_dep))
+      | Some dep -> Hashtbl.replace acc key (Taint.Label.union dep lo.lo_dep))
     (loop_list t);
   acc

@@ -63,6 +63,5 @@ val func_list : t -> func_obs list
 val func_obs : t -> string -> func_obs
 (** Fetch-or-create the statistics record of a function. *)
 
-val loops_by_function :
-  Taint.Label.table -> t -> (string * string, Taint.Label.t) Hashtbl.t
+val loops_by_function : t -> (string * string, Taint.Label.t) Hashtbl.t
 (** Loop dependencies merged over call paths, keyed (function, header). *)

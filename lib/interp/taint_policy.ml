@@ -4,9 +4,7 @@
     control-taint stack scoped by the branch's immediate postdominator
     (the paper's explicit control-flow tainting extension).  Instantiated
     by {!Machine}; the transfer functions below are the exact shadow
-    semantics the monolithic interpreter used to inline, in the same
-    [Label.union] call order, so label tables (ids, stats) and
-    observations are bit-for-bit identical. *)
+    semantics the monolithic interpreter used to inline. *)
 
 module Label = Taint.Label
 module Shadow = Taint.Shadow
@@ -32,7 +30,7 @@ type fstate = {
 }
 
 let create ~control_flow_taint ~hint =
-  { labels = Label.create ~hint (); shadow = Shadow.create ~hint ();
+  { labels = Label.create (); shadow = Shadow.create ~hint ();
     cf = control_flow_taint }
 
 let table s = s.labels
@@ -55,14 +53,14 @@ let is_clean = Label.is_empty
 let read_reg f r =
   Option.value ~default:Label.empty (Hashtbl.find_opt f.rshadow r)
 
-let ctl_taint s f =
-  List.fold_left (fun acc (_, l) -> Label.union s.labels acc l) Label.empty f.ctl
+let ctl_taint f =
+  List.fold_left (fun acc (_, l) -> Label.union acc l) Label.empty f.ctl
 
 (* Fold the active control scopes into [l] when control-flow tainting is
    enabled — the common suffix of register writes, stores, branch
    dependencies and returns. *)
 let with_ctl s f l =
-  if s.cf then Label.union s.labels l (ctl_taint s f) else l
+  if s.cf then Label.union l (ctl_taint f) else l
 
 let write_reg s f r l = Hashtbl.replace f.rshadow r (with_ctl s f l)
 let bind_param f p l = Hashtbl.replace f.rshadow p l
@@ -71,7 +69,7 @@ let observes_blocks = true
 let read_slot f i = f.slots.(i)
 let write_slot s f i l = f.slots.(i) <- with_ctl s f l
 let bind_slot f i l = f.slots.(i) <- l
-let join2 s a b = Label.union s.labels a b
+let join2 _ a b = Label.union a b
 
 let on_alloc s ~alloc ~size l =
   Shadow.on_alloc s.shadow ~alloc ~size;
@@ -80,20 +78,20 @@ let on_alloc s ~alloc ~size l =
 
 let on_load s ~alloc ~offset ~base ~index =
   let lmem = Shadow.get s.shadow ~alloc ~offset in
-  Label.union_all s.labels [ base; index; lmem ]
+  Label.union_all [ base; index; lmem ]
 
 let on_store s f ~alloc ~offset ~base ~index ~data =
-  let l = Label.union_all s.labels [ base; index; data ] in
+  let l = Label.union_all [ base; index; data ] in
   Shadow.set s.shadow ~alloc ~offset (with_ctl s f l)
 
 let source s ~param ((v, l) : Ir.Types.value * label) =
-  let base = Label.base s.labels param in
+  let base = Eval.source_label s.labels param in
   (match v with
   | Ir.Types.VArr h ->
     (* Tainting an array taints every cell. *)
     Shadow.taint_all s.shadow ~alloc:h base
   | _ -> ());
-  (v, Label.union s.labels l base)
+  (v, Label.union l base)
 
 let export _ l = l
 let import _ l = l

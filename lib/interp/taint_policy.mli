@@ -1,8 +1,5 @@
 (** The DFSan-style taint policy (paper Section 5.2): shadow registers,
     shadow memory, and postdominator-scoped control-flow taint.
-    {!Machine} is the engine instantiated with this policy; the transfer
-    functions preserve the historical monolithic interpreter's
-    [Label.union] call order exactly, so label tables and observations
-    are bit-for-bit identical to it. *)
+    {!Machine} is the engine instantiated with this policy. *)
 
 include Engine.POLICY with type label = Taint.Label.t

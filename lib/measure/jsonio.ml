@@ -17,22 +17,6 @@ type t =
 
 (* -- writer ---------------------------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
@@ -44,7 +28,7 @@ let rec write buf = function
   | Float f -> Buffer.add_string buf (float_repr f)
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    Buffer.add_string buf (Obs_json.escape s);
     Buffer.add_char buf '"'
   | List items ->
     Buffer.add_char buf '[';
@@ -60,7 +44,7 @@ let rec write buf = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        Buffer.add_string buf (Obs_json.escape k);
         Buffer.add_string buf "\":";
         write buf v)
       fields;

@@ -20,8 +20,8 @@ let default_world = { ranks = 8; rank = 0 }
 (** The MPI primitives over any engine instantiation: the routine
     semantics only need the prim-registration face ({!Interp.Engine.HOST}),
     so the same bindings serve the Taint machine, Plain replay and the
-    Coverage runner.  Under a label-free policy the [p] base label is
-    interned in the policy's private table and dropped on import — the
+    Coverage runner.  Under a label-free policy the [p] source is
+    registered in the policy's private table and dropped on import — the
     returned values are identical either way. *)
 module Install (E : Interp.Engine.HOST) = struct
   (** Install MPI primitives into an engine instance.  Every routine in
@@ -38,7 +38,7 @@ module Install (E : Interp.Engine.HOST) = struct
           match r.name with
           | "mpi_comm_size" ->
             (* The communicator size is tainted with the implicit label p. *)
-            (Ir.Types.VInt world.ranks, Label.base labels "p")
+            (Ir.Types.VInt world.ranks, Interp.Eval.source_label labels "p")
           | "mpi_comm_rank" -> (Ir.Types.VInt world.rank, Label.empty)
           | _ -> (Ir.Types.VUnit, Label.empty)
         in

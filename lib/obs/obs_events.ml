@@ -47,30 +47,12 @@ let close = function
   | Recording r -> (
     match r.e_oc with None -> () | Some oc -> close_out oc)
 
-(* Same minimal JSON escaping as the trace sink; obs has no JSON
-   library. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let value_repr = function
   | Int i -> string_of_int i
   | Float f ->
     if Float.is_nan f || not (Float.is_finite f) then "null"
     else Printf.sprintf "%.12g" f
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (Obs_json.escape s)
   | Bool b -> if b then "true" else "false"
 
 let emit sink ?(severity = Info) ~component ?(fields = []) event =
@@ -92,11 +74,14 @@ let emit sink ?(severity = Info) ~component ?(fields = []) event =
         Buffer.add_string buf
           (Printf.sprintf
              ", \"severity\": \"%s\", \"component\": \"%s\", \"event\": \"%s\""
-             (severity_name severity) (escape component) (escape event));
+             (severity_name severity)
+             (Obs_json.escape component)
+             (Obs_json.escape event));
         List.iter
           (fun (k, v) ->
             Buffer.add_string buf
-              (Printf.sprintf ", \"%s\": %s" (escape k) (value_repr v)))
+              (Printf.sprintf ", \"%s\": %s" (Obs_json.escape k)
+                 (value_repr v)))
           fields;
         Buffer.add_char buf '}';
         let line = Buffer.contents buf in

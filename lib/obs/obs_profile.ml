@@ -206,24 +206,6 @@ let pp_table ?(top = 20) ppf s =
     if rest > 0 then Fmt.pf ppf "  (%d more functions)@." rest
   end
 
-(* The same tiny JSON escaping the trace sink uses; obs carries no JSON
-   library. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The profile JSON schema; [json_fields] re-exports the field names and
    meanings for doc/OBSERVABILITY.md and its drift test. *)
 let json_fields =
@@ -245,7 +227,7 @@ let to_json t =
       if i > 0 then Buffer.add_string buf ", ";
       Buffer.add_string buf
         (Printf.sprintf "{\"func\": \"%s\", \"self\": %d, \"total\": %d}"
-           (escape r.pr_func) r.pr_self r.pr_total))
+           (Obs_json.escape r.pr_func) r.pr_self r.pr_total))
     s.ps_funcs;
   Buffer.add_string buf "], \"paths\": [";
   List.iteri
@@ -255,7 +237,7 @@ let to_json t =
       List.iteri
         (fun j f ->
           if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "\"%s\"" (escape f)))
+          Buffer.add_string buf (Printf.sprintf "\"%s\"" (Obs_json.escape f)))
         path;
       Buffer.add_string buf (Printf.sprintf "], \"samples\": %d}" count))
     s.ps_paths;

@@ -163,30 +163,12 @@ let balanced evs =
 
 (* -- Chrome trace_event serialization ------------------------------------ *)
 
-(* The JSON subset needed here: names/categories are identifiers plus the
-   odd '/' or ':', but escape defensively anyway. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let arg_repr = function
   | Int i -> string_of_int i
   | Float f ->
     if Float.is_nan f || not (Float.is_finite f) then "null"
     else Printf.sprintf "%.12g" f
-  | String s -> Printf.sprintf "\"%s\"" (escape s)
+  | String s -> Printf.sprintf "\"%s\"" (Obs_json.escape s)
 
 let ts_us ns = Int64.to_float ns /. 1e3
 
@@ -196,9 +178,10 @@ let event_repr buf ev =
   in
   Buffer.add_string buf
     (Printf.sprintf "{\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \"pid\": 1, \"tid\": %d"
-       (escape ev.ev_name) ph (ts_us ev.ev_ts_ns) (ev.ev_tid + 1));
+       (Obs_json.escape ev.ev_name) ph (ts_us ev.ev_ts_ns) (ev.ev_tid + 1));
   if ev.ev_cat <> "" then
-    Buffer.add_string buf (Printf.sprintf ", \"cat\": \"%s\"" (escape ev.ev_cat));
+    Buffer.add_string buf
+      (Printf.sprintf ", \"cat\": \"%s\"" (Obs_json.escape ev.ev_cat));
   (* Instant events need a scope; thread scope renders as a tick mark. *)
   if ev.ev_ph = Instant then Buffer.add_string buf ", \"s\": \"t\"";
   (match ev.ev_args with
@@ -209,7 +192,7 @@ let event_repr buf ev =
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string buf ", ";
         Buffer.add_string buf
-          (Printf.sprintf "\"%s\": %s" (escape k) (arg_repr v)))
+          (Printf.sprintf "\"%s\": %s" (Obs_json.escape k) (arg_repr v)))
       args;
     Buffer.add_string buf "}");
   Buffer.add_string buf "}"

@@ -1,168 +1,48 @@
-(** Taint labels, mirroring the DataFlowSanitizer runtime the paper builds
-    on (Section 5.2): labels form a union tree where each node represents
-    the union of at most two other labels; each label has a 16-bit
-    identifier; creating a union first checks whether an equivalent
-    combination already exists.  Label 0 is the empty taint. *)
+(** Taint labels as sets of input parameters: bit [n] of a label is set
+    when it covers the source registered [n]-th, counting from 0.  The
+    bits stay below the sign bit, so every label is a non-negative
+    immediate [int]. *)
 
 type t = int
 
 let empty : t = 0
 let is_empty l = l = 0
 
-type node =
-  | Base of string           (** a named taint source (an input parameter) *)
-  | Union of t * t
+let max_sources = Sys.int_size - 1
 
-type table = {
-  mutable nodes : node array;  (** index 0 unused: the empty label *)
-  mutable count : int;
-  by_name : (string, t) Hashtbl.t;
-  by_pair : (int, t) Hashtbl.t;
-      (** interned unions, keyed by the packed ordered pair
-          [(min lsl 16) lor max] (labels are 16-bit); subsuming pairs
-          are interned too, mapping to the surviving operand *)
-  mutable memo_sets : string list option array;
-      (** cached base-name expansion per label *)
-  mutable union_calls : int;
-      (** total {!union} invocations (DFSan's dfsan_union count) *)
-  mutable dedup_hits : int;
-      (** union calls satisfied without allocating a node: fast paths
-          (equal/empty/subsuming operands) plus interned-pair reuse *)
-}
+type table = (string, t) Hashtbl.t  (* source name -> singleton label *)
 
-let max_labels = 1 lsl 16
+exception Too_many_sources of string
 
-(* [hint] is the expected label population (callers pass a program-size
-   proxy): presizing the node array and the union-dedup table here moves
-   the doubling/rehash churn out of the interpretation hot path. Sizing
-   is invisible to semantics — ids are allocated sequentially either
-   way. *)
-let create ?(hint = 0) () =
-  let cap = max 64 (min max_labels hint) in
-  {
-    nodes = Array.make cap (Base "");
-    count = 1;
-    by_name = Hashtbl.create 16;
-    by_pair = Hashtbl.create cap;
-    memo_sets = Array.make cap None;
-    union_calls = 0;
-    dedup_hits = 0;
-  }
+let create () : table = Hashtbl.create 16
 
-exception Label_overflow
-
-let grow tbl =
-  let cap = Array.length tbl.nodes in
-  if tbl.count >= cap then begin
-    let cap' = min max_labels (cap * 2) in
-    if tbl.count >= cap' then raise Label_overflow;
-    let nodes' = Array.make cap' (Base "") in
-    Array.blit tbl.nodes 0 nodes' 0 cap;
-    tbl.nodes <- nodes';
-    let memo' = Array.make cap' None in
-    Array.blit tbl.memo_sets 0 memo' 0 cap;
-    tbl.memo_sets <- memo'
-  end
-
-let alloc tbl node =
-  if tbl.count >= max_labels then raise Label_overflow;
-  grow tbl;
-  let id = tbl.count in
-  tbl.nodes.(id) <- node;
-  tbl.count <- tbl.count + 1;
-  id
-
-(** Intern the base label for parameter [name]. *)
 let base tbl name =
-  match Hashtbl.find_opt tbl.by_name name with
+  match Hashtbl.find_opt tbl name with
   | Some l -> l
   | None ->
-    let l = alloc tbl (Base name) in
-    Hashtbl.replace tbl.by_name name l;
+    let n = Hashtbl.length tbl in
+    if n = max_sources then raise (Too_many_sources name);
+    let l = 1 lsl n in
+    Hashtbl.replace tbl name l;
     l
 
-let node tbl l =
-  if l <= 0 || l >= tbl.count then invalid_arg "Label.node: bad label";
-  tbl.nodes.(l)
+let sources tbl =
+  Hashtbl.fold (fun name b acc -> (b, name) :: acc) tbl []
+  |> List.sort compare |> List.map snd
 
-(** Base parameter names covered by [l], sorted; memoised per label. *)
-let rec names tbl l =
-  if l = 0 then []
-  else
-    match tbl.memo_sets.(l) with
-    | Some s -> s
-    | None ->
-      let s =
-        match node tbl l with
-        | Base n -> [ n ]
-        | Union (a, b) ->
-          List.sort_uniq compare (names tbl a @ names tbl b)
-      in
-      tbl.memo_sets.(l) <- Some s;
-      s
+let names tbl l =
+  Hashtbl.fold
+    (fun name b acc -> if l land b <> 0 then name :: acc else acc)
+    tbl []
+  |> List.sort compare
 
-let subsumes tbl big small =
-  if small = 0 || big = small then true
-  else
-    let bn = names tbl big and sn = names tbl small in
-    List.for_all (fun n -> List.mem n bn) sn
+let union a b = a lor b
+let union_all = List.fold_left union empty
 
-(** Union of two labels.  Fast paths: identical or empty operands, an
-    interned pair, one operand subsuming the other; otherwise allocate a
-    new union node — exactly DFSan's [dfsan_union].  The pair table is
-    probed before the subsumption test and caches subsumption winners
-    too, so the repeated unions of steady-state loops resolve with one
-    integer-keyed probe instead of walking base-name sets; results and
-    both statistics counters are identical either way. *)
-let union tbl a b =
-  tbl.union_calls <- tbl.union_calls + 1;
-  if a = b || b = 0 then begin
-    tbl.dedup_hits <- tbl.dedup_hits + 1;
-    a
-  end
-  else if a = 0 then begin
-    tbl.dedup_hits <- tbl.dedup_hits + 1;
-    b
-  end
-  else
-    let lo, hi = if a < b then (a, b) else (b, a) in
-    let key = (lo lsl 16) lor hi in
-    match Hashtbl.find_opt tbl.by_pair key with
-    | Some l ->
-      tbl.dedup_hits <- tbl.dedup_hits + 1;
-      l
-    | None ->
-      let l =
-        if subsumes tbl a b then begin
-          tbl.dedup_hits <- tbl.dedup_hits + 1;
-          a
-        end
-        else if subsumes tbl b a then begin
-          tbl.dedup_hits <- tbl.dedup_hits + 1;
-          b
-        end
-        else alloc tbl (Union (lo, hi))
-      in
-      Hashtbl.replace tbl.by_pair key l;
-      l
-
-let union_all tbl = List.fold_left (union tbl) empty
-
-(** Does [l] carry the base label for [name]? *)
-let has tbl l name = List.mem name (names tbl l)
-
-let label_count tbl = tbl.count - 1
-
-type stats = { labels : int; unions : int; dedup_hits : int }
-
-(** Runtime statistics of the label store.  [labels] is also the peak
-    table size: labels are never reclaimed, so the count is monotonic. *)
-let table_stats tbl =
-  {
-    labels = label_count tbl;
-    unions = tbl.union_calls;
-    dedup_hits = tbl.dedup_hits;
-  }
+let has tbl l name =
+  match Hashtbl.find_opt tbl name with
+  | Some b -> l land b <> 0
+  | None -> false
 
 let pp tbl ppf l =
   if l = 0 then Fmt.string ppf "{}"

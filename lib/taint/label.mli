@@ -1,67 +1,46 @@
-(** Taint labels, mirroring the DataFlowSanitizer runtime (paper Section
-    5.2): labels form a union tree where each node is the union of at most
-    two labels, each label has a 16-bit identifier, and unions are
-    deduplicated against equivalent existing combinations. *)
+(** Taint labels as sets of input parameters.
+
+    DFSan (paper Section 5.2) encodes a label as a 16-bit node of a union
+    tree; every analysis in the paper only ever asks which parameters a
+    label covers (Section 4).  A label here is that set directly: an
+    immediate [int] with one bit per registered taint source, so union is
+    [lor] and the empty taint is [0]. *)
 
 type t = private int
-(** A label handle.  Label 0 is the empty taint. *)
+(** A set of taint sources, one bit per source in registration order. *)
 
 val empty : t
 val is_empty : t -> bool
 
-type node =
-  | Base of string  (** a named taint source (an input parameter) *)
-  | Union of t * t
-
 type table
-(** The label store: allocation, interning and memoised name expansion. *)
+(** The source registry: at most {!max_sources} names, each owning one
+    bit, in registration order. *)
 
-exception Label_overflow
-(** Raised when more than 2^16 distinct labels are required. *)
+val max_sources : int
+(** The number of bits a non-negative [int] offers: 62 on 64-bit hosts. *)
 
-val max_labels : int
-(** The 2^16 identifier-space bound of the DFSan label encoding;
-    {!label_count} never reaches it (label 0 is the empty taint). *)
+exception Too_many_sources of string
+(** Raised by {!base} with the name of a source that would exceed
+    {!max_sources}. *)
 
-val create : ?hint:int -> unit -> table
-(** [hint] presizes the node array and union-dedup table to the expected
-    label population (clamped to [64, max_labels]), avoiding grow/rehash
-    churn on the taint hot path.  Purely a capacity hint: allocation
-    order, ids and stats are identical for any value. *)
+val create : unit -> table
 
 val base : table -> string -> t
-(** [base tbl name] interns the base label for parameter [name]. *)
+(** [base tbl name] is the singleton label of source [name], registering
+    it on first use.
+    @raise Too_many_sources when [name] is new and the table is full. *)
 
-val node : table -> t -> node
-(** Structure of a non-empty label.  @raise Invalid_argument on [empty]. *)
+val sources : table -> string list
+(** Registered source names in registration order. *)
 
 val names : table -> t -> string list
-(** Sorted, duplicate-free base-parameter names covered by a label. *)
+(** Sorted, duplicate-free source names covered by a label. *)
 
-val union : table -> t -> t -> t
-(** DFSan's [dfsan_union]: fast paths for equal/empty/subsuming operands,
-    then an interned pair lookup, then allocation of a fresh union node. *)
-
-val union_all : table -> t list -> t
-
-val subsumes : table -> t -> t -> bool
-(** [subsumes tbl big small] — does [big] cover every name of [small]? *)
+val union : t -> t -> t
+val union_all : t list -> t
 
 val has : table -> t -> string -> bool
-(** Does the label carry the base label for this parameter name? *)
-
-val label_count : table -> int
-(** Number of allocated labels (excluding the empty label). *)
-
-type stats = {
-  labels : int;      (** allocated labels — also the peak table size *)
-  unions : int;      (** total {!union} calls *)
-  dedup_hits : int;  (** union calls resolved without a new node *)
-}
-
-val table_stats : table -> stats
-(** Runtime statistics: table size, union traffic, dedup effectiveness
-    (DFSan's runtime statistics counterpart). *)
+(** Does the label cover the source with this name? *)
 
 val pp : table -> t Fmt.t
 

@@ -62,8 +62,3 @@ let set t ~alloc ~offset label =
 let taint_all t ~alloc label =
   let a = cells t alloc in
   Array.fill a 0 (Array.length a) label
-
-(** Union of the labels of every cell in the allocation: the taint of the
-    array viewed as a single datum. *)
-let summary tbl t ~alloc =
-  Array.fold_left (Label.union tbl) Label.empty (cells t alloc)

@@ -19,6 +19,3 @@ val set : t -> alloc:int -> offset:int -> Label.t -> unit
 
 val taint_all : t -> alloc:int -> Label.t -> unit
 (** Taint every cell of an allocation (whole-buffer taint sources). *)
-
-val summary : Label.table -> t -> alloc:int -> Label.t
-(** Union of all cell labels: the taint of the array as a single datum. *)

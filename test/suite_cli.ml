@@ -122,6 +122,12 @@ let test_bad_fault_spec () =
 let test_campaign_needs_spec () =
   check_failure ~expect:"measurement spec" [ "campaign"; "iterate" ]
 
+(* Each app models over its own campaign grid and fit parameters. *)
+let test_model_minicg () =
+  let code, out, errs = run_cli [ "model"; "minicg" ] in
+  Alcotest.(check int) (Printf.sprintf "exit 0, stderr %S" errs) 0 code;
+  Alcotest.(check bool) "spmv fitted" true (contains out "spmv")
+
 let test_resume_needs_journal () =
   check_failure ~expect:"--journal" [ "campaign"; "lulesh"; "--resume" ]
 
@@ -229,6 +235,17 @@ let test_engine_runtime_and_budget_identical () =
       check_tier_identity ~expect:"division by zero" [ "run"; path ]);
   check_tier_identity ~expect:"--max-steps"
     [ "run"; "lulesh"; "--max-steps"; "10" ]
+
+(* One taint source more than a label has bits: both tiers refuse the
+   63rd source by name with the same message. *)
+let test_engine_source_limit_identical () =
+  let sources =
+    List.init 63 (fun i ->
+        Printf.sprintf "  %%x%d = prim !taint:src%d(%%n)\n" i i)
+  in
+  with_fixture
+    ("func @main(n) {\nentry:\n" ^ String.concat "" sources ^ "  ret %n\n}\n")
+  @@ fun path -> check_tier_identity ~expect:"src62" [ "analyze"; path ]
 
 let test_engine_success_identical () =
   List.iter
@@ -344,6 +361,8 @@ let tests =
       test_engine_unknown_prim_identical;
     Alcotest.test_case "tier-identical runtime/budget errors" `Quick
       test_engine_runtime_and_budget_identical;
+    Alcotest.test_case "tier-identical taint-source limit" `Quick
+      test_engine_source_limit_identical;
     Alcotest.test_case "tier-identical run output" `Quick
       test_engine_success_identical;
     Alcotest.test_case "--engine rejects unknown tiers" `Quick
@@ -359,6 +378,7 @@ let tests =
     Alcotest.test_case "malformed fault spec" `Quick test_bad_fault_spec;
     Alcotest.test_case "campaign rejects spec-less apps" `Quick
       test_campaign_needs_spec;
+    Alcotest.test_case "model minicg" `Quick test_model_minicg;
     Alcotest.test_case "--resume requires --journal" `Quick
       test_resume_needs_journal;
     Alcotest.test_case "resume rejects a foreign journal" `Quick

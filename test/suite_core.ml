@@ -258,9 +258,7 @@ let test_loops_by_function_merges_callpaths () =
         B.ret_unit b)
   in
   let t = analyze (prog [ main; h1; h2; g ] "main") [ VInt 2; VInt 3 ] in
-  let merged =
-    Interp.Observations.loops_by_function t.P.labels t.P.obs
-  in
+  let merged = Interp.Observations.loops_by_function t.P.obs in
   let deps =
     Hashtbl.fold
       (fun (fname, _) l acc ->

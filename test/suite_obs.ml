@@ -199,16 +199,12 @@ let test_bundled_smoke () =
       let classes = M.counters_with_prefix a.snapshot "interp.instr." in
       let by_class = List.fold_left (fun acc (_, v) -> acc + v) 0 classes in
       Alcotest.(check int) (name ^ " classes sum to steps") a.steps by_class;
-      (* Label-table statistics are coherent. *)
-      let ls = Taint.Label.table_stats a.labels in
-      Alcotest.(check bool)
-        (name ^ " dedup <= unions")
-        true
-        (ls.Taint.Label.dedup_hits <= ls.Taint.Label.unions);
-      Alcotest.(check int)
-        (name ^ " labels agree")
-        (Taint.Label.label_count a.labels)
-        ls.Taint.Label.labels;
+      (* taint.labels counts the registered sources, and is the only
+         taint.* counter. *)
+      Alcotest.(check (list (pair string int)))
+        (name ^ " taint counters")
+        [ ("labels", List.length (Taint.Label.sources a.labels)) ]
+        (M.counters_with_prefix a.snapshot "taint.");
       (* The recorded trace is loadable: balanced spans, pipeline phases
          present. *)
       let evs = T.events trace in
@@ -238,10 +234,10 @@ let test_stats_json_path () =
             true
             (contains s ("\"" ^ key ^ "\"")))
         [ "phases"; "static"; "taint_run"; "post"; "instructions";
-          "label_table"; "unions"; "dedup_hits"; "metrics" ])
+          "label_table"; "labels"; "metrics" ])
     (bundled_targets ())
 
-(* Without a registry the pipeline still reports phases and label stats,
+(* Without a registry the pipeline still reports phases and the label count,
    but skips per-instruction accounting — the disabled interpreter path. *)
 let test_analyze_without_registry () =
   let a =
@@ -252,8 +248,20 @@ let test_analyze_without_registry () =
     (List.length (Perf_taint.Pipeline.phases a) = 4);
   Alcotest.(check (option int)) "no instruction classes" None
     (M.find_counter a.snapshot "interp.instr.alu");
-  Alcotest.(check bool) "label stats recorded" true
-    (M.find_counter a.snapshot "taint.unions" <> None)
+  Alcotest.(check (option int)) "label count recorded" (Some 2)
+    (M.find_counter a.snapshot "taint.labels");
+  (* doc/OBSERVABILITY.md gives every taint.* counter its own row. *)
+  let doc =
+    In_channel.with_open_bin
+      (List.find Sys.file_exists
+         [ "../doc/OBSERVABILITY.md"; "doc/OBSERVABILITY.md" ])
+      In_channel.input_all
+  in
+  List.iter
+    (fun (n, _) ->
+      Alcotest.(check bool) ("doc row for taint." ^ n) true
+        (contains doc (Printf.sprintf "| `taint.%s` |" n)))
+    (M.counters_with_prefix a.snapshot "taint.")
 
 (* -- search + simulator accounting --------------------------------------- *)
 

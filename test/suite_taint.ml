@@ -1,5 +1,5 @@
-(** Tests of the DFSan-style taint runtime: label algebra, union-tree
-    deduplication, shadow memory. *)
+(** Tests of the taint runtime: the label algebra over registered
+    sources, the source limit, shadow memory. *)
 
 module L = Taint.Label
 module S = Taint.Shadow
@@ -21,34 +21,32 @@ let test_base_interning () =
 let test_union_basics () =
   let tbl = L.create () in
   let a = L.base tbl "a" and b = L.base tbl "b" in
-  let ab = L.union tbl a b in
+  let ab = L.union a b in
   Alcotest.(check (list string)) "union names" [ "a"; "b" ] (names tbl ab);
   Alcotest.(check bool) "union with empty is identity" true
-    (L.union tbl a L.empty = a);
-  Alcotest.(check bool) "union with self is identity" true (L.union tbl a a = a)
+    (L.union a L.empty = a);
+  Alcotest.(check bool) "union with self is identity" true (L.union a a = a)
 
 let test_union_dedup () =
   let tbl = L.create () in
   let a = L.base tbl "a" and b = L.base tbl "b" in
-  let ab1 = L.union tbl a b in
-  let ab2 = L.union tbl b a in
-  Alcotest.(check bool) "a|b and b|a share a node" true (ab1 = ab2);
-  let before = L.label_count tbl in
-  let _ = L.union tbl a b in
-  Alcotest.(check int) "no new node for repeated union" before
-    (L.label_count tbl)
+  let ab1 = L.union a b in
+  let ab2 = L.union b a in
+  Alcotest.(check bool) "a|b and b|a are one label" true (ab1 = ab2);
+  Alcotest.(check (list string)) "unions register no sources" [ "a"; "b" ]
+    (L.sources tbl)
 
 let test_union_subsumption () =
   let tbl = L.create () in
   let a = L.base tbl "a" and b = L.base tbl "b" in
-  let ab = L.union tbl a b in
-  Alcotest.(check bool) "ab | a = ab" true (L.union tbl ab a = ab);
-  Alcotest.(check bool) "a | ab = ab" true (L.union tbl a ab = ab)
+  let ab = L.union a b in
+  Alcotest.(check bool) "ab | a = ab" true (L.union ab a = ab);
+  Alcotest.(check bool) "a | ab = ab" true (L.union a ab = ab)
 
 let test_has () =
   let tbl = L.create () in
   let a = L.base tbl "a" and b = L.base tbl "b" in
-  let ab = L.union tbl a b in
+  let ab = L.union a b in
   Alcotest.(check bool) "has a" true (L.has tbl ab "a");
   Alcotest.(check bool) "has b" true (L.has tbl ab "b");
   Alcotest.(check bool) "not has c" false (L.has tbl ab "c")
@@ -56,15 +54,23 @@ let test_has () =
 let test_union_all () =
   let tbl = L.create () in
   let ls = List.map (L.base tbl) [ "x"; "y"; "z" ] in
-  let u = L.union_all tbl ls in
+  let u = L.union_all ls in
   Alcotest.(check (list string)) "all three" [ "x"; "y"; "z" ] (names tbl u)
 
-let test_growth () =
-  (* Force the table to grow past its initial capacity. *)
+let test_source_limit () =
   let tbl = L.create () in
-  let bases = List.init 100 (fun i -> L.base tbl (Printf.sprintf "p%02d" i)) in
-  let u = L.union_all tbl bases in
-  Alcotest.(check int) "100 names" 100 (List.length (names tbl u))
+  let srcs = List.init 62 (Printf.sprintf "p%02d") in
+  let u = L.union_all (List.map (L.base tbl) srcs) in
+  Alcotest.(check int) "62 sources" 62 L.max_sources;
+  Alcotest.(check (list string)) "all 62 covered" srcs (names tbl u);
+  Alcotest.(check bool) "labels stay non-negative" true ((u :> int) >= 0);
+  (match L.base tbl "q" with
+  | _ -> Alcotest.fail "a 63rd source was accepted"
+  | exception L.Too_many_sources n ->
+    Alcotest.(check string) "refused by name" "q" n);
+  Alcotest.(check (list string)) "registry unchanged" srcs (L.sources tbl);
+  Alcotest.(check (list string)) "a full table still resolves its sources"
+    [ "p61" ] (names tbl (L.base tbl "p61"))
 
 (* -- shadow memory ------------------------------------------------------------ *)
 
@@ -89,7 +95,7 @@ let test_shadow_out_of_bounds () =
   Alcotest.(check bool) "unknown alloc get is empty" true
     (L.is_empty (S.get s ~alloc:42 ~offset:0))
 
-let test_shadow_taint_all_and_summary () =
+let test_shadow_taint_all () =
   let tbl = L.create () in
   let s = S.create () in
   S.on_alloc s ~alloc:1 ~size:4;
@@ -100,8 +106,7 @@ let test_shadow_taint_all_and_summary () =
       (Printf.sprintf "cell %d tainted" i)
       true
       (S.get s ~alloc:1 ~offset:i = a)
-  done;
-  Alcotest.(check bool) "summary is a" true (S.summary tbl s ~alloc:1 = a)
+  done
 
 (* -- properties ------------------------------------------------------------------ *)
 
@@ -112,81 +117,55 @@ let prop_union_commutative =
     (QCheck.make QCheck.Gen.(pair gen_param_names gen_param_names))
     (fun (xs, ys) ->
       let tbl = L.create () in
-      let mk ns = L.union_all tbl (List.map (L.base tbl) ns) in
+      let mk ns = L.union_all (List.map (L.base tbl) ns) in
       let a = mk xs and b = mk ys in
-      names tbl (L.union tbl a b) = names tbl (L.union tbl b a))
+      names tbl (L.union a b) = names tbl (L.union b a))
 
 let prop_union_associative =
   QCheck.Test.make ~count:200 ~name:"union is associative (as a name set)"
     (QCheck.make QCheck.Gen.(triple gen_param_names gen_param_names gen_param_names))
     (fun (xs, ys, zs) ->
       let tbl = L.create () in
-      let mk ns = L.union_all tbl (List.map (L.base tbl) ns) in
+      let mk ns = L.union_all (List.map (L.base tbl) ns) in
       let a = mk xs and b = mk ys and c = mk zs in
-      names tbl (L.union tbl (L.union tbl a b) c)
-      = names tbl (L.union tbl a (L.union tbl b c)))
+      names tbl (L.union (L.union a b) c)
+      = names tbl (L.union a (L.union b c)))
 
 let prop_union_idempotent =
   QCheck.Test.make ~count:200 ~name:"union is idempotent"
     (QCheck.make gen_param_names)
     (fun xs ->
       let tbl = L.create () in
-      let a = L.union_all tbl (List.map (L.base tbl) xs) in
-      L.union tbl a a = a)
+      let a = L.union_all (List.map (L.base tbl) xs) in
+      L.union a a = a)
 
 let prop_names_sorted_unique =
   QCheck.Test.make ~count:200 ~name:"names are sorted and duplicate-free"
     (QCheck.make gen_param_names)
     (fun xs ->
       let tbl = L.create () in
-      let a = L.union_all tbl (List.map (L.base tbl) xs) in
+      let a = L.union_all (List.map (L.base tbl) xs) in
       let ns = names tbl a in
       ns = List.sort_uniq compare ns)
 
-(* Sorted-pair interning means commutativity holds on the *handles*, not
-   just on the expanded name sets: union a b and union b a return the
-   same label, so no table space is wasted on mirrored pairs. *)
+(* Commutativity holds on the labels themselves, not just on the
+   expanded name sets. *)
 let prop_union_commutative_handles =
   QCheck.Test.make ~count:200 ~name:"union is commutative on handles"
     (QCheck.make QCheck.Gen.(pair gen_param_names gen_param_names))
     (fun (xs, ys) ->
       let tbl = L.create () in
-      let mk ns = L.union_all tbl (List.map (L.base tbl) ns) in
+      let mk ns = L.union_all (List.map (L.base tbl) ns) in
       let a = mk xs and b = mk ys in
-      L.union tbl a b = L.union tbl b a)
-
-let prop_label_count_bounded =
-  QCheck.Test.make ~count:100 ~name:"label count stays under 2^16"
-    (QCheck.make QCheck.Gen.(list_size (int_bound 8) (pair gen_param_names gen_param_names)))
-    (fun pairs ->
-      let tbl = L.create () in
-      List.iter
-        (fun (xs, ys) ->
-          let mk ns = L.union_all tbl (List.map (L.base tbl) ns) in
-          ignore (L.union tbl (mk xs) (mk ys)))
-        pairs;
-      L.label_count tbl < L.max_labels)
-
-let test_label_space_cap () =
-  (* The DFSan encoding gives 16-bit identifiers: the 2^16th allocation
-     must raise instead of silently wrapping. *)
-  let tbl = L.create () in
-  (try
-     for i = 0 to L.max_labels do
-       ignore (L.base tbl (Printf.sprintf "q%d" i))
-     done;
-     Alcotest.fail "expected Label_overflow"
-   with L.Label_overflow -> ());
-  Alcotest.(check bool) "count stayed under the cap" true
-    (L.label_count tbl < L.max_labels)
+      L.union a b = L.union b a)
 
 let prop_union_matches_set_union =
   QCheck.Test.make ~count:200 ~name:"label union = set union of names"
     (QCheck.make QCheck.Gen.(pair gen_param_names gen_param_names))
     (fun (xs, ys) ->
       let tbl = L.create () in
-      let mk ns = L.union_all tbl (List.map (L.base tbl) ns) in
-      names tbl (L.union tbl (mk xs) (mk ys))
+      let mk ns = L.union_all (List.map (L.base tbl) ns) in
+      names tbl (L.union (mk xs) (mk ys))
       = List.sort_uniq compare (xs @ ys))
 
 let tests =
@@ -199,17 +178,15 @@ let tests =
       test_union_subsumption;
     Alcotest.test_case "has" `Quick test_has;
     Alcotest.test_case "union_all" `Quick test_union_all;
-    Alcotest.test_case "table growth" `Quick test_growth;
+    Alcotest.test_case "the 63rd distinct source is refused" `Quick
+      test_source_limit;
     Alcotest.test_case "shadow round trip" `Quick test_shadow_roundtrip;
     Alcotest.test_case "shadow out of bounds" `Quick test_shadow_out_of_bounds;
-    Alcotest.test_case "shadow taint_all + summary" `Quick
-      test_shadow_taint_all_and_summary;
-    Alcotest.test_case "2^16 label-space cap" `Quick test_label_space_cap;
+    Alcotest.test_case "shadow taint_all" `Quick test_shadow_taint_all;
     Seeded.to_alcotest prop_union_commutative;
     Seeded.to_alcotest prop_union_commutative_handles;
     Seeded.to_alcotest prop_union_associative;
     Seeded.to_alcotest prop_union_idempotent;
     Seeded.to_alcotest prop_names_sorted_unique;
     Seeded.to_alcotest prop_union_matches_set_union;
-    Seeded.to_alcotest prop_label_count_bounded;
   ]
