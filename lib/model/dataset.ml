@@ -67,7 +67,9 @@ let min_value t param =
   | v :: _ -> v
 
 (** Symmetric mean absolute percentage error between predictions and
-    observed means, in percent (Extra-P's model-selection metric). *)
+    observed means, in percent (Extra-P's model-selection metric).
+    [Search] folds the same per-pair step inline when it scores
+    candidates; a bit-identity test in suite_model keeps the two equal. *)
 let smape pairs =
   match pairs with
   | [] -> 0.

@@ -25,8 +25,8 @@ let constant c = { const = c; terms = [] }
 
 let is_constant m = m.terms = []
 
-(* log2 clamped away from 0 so that parameter value 1 doesn't zero out an
-   otherwise-informative term row during regression. *)
+(* Plain log2, not clamped: a log factor vanishes at x = 1, and x <= 0
+   yields -inf or nan. *)
 let log2 x = Float.log x /. Float.log 2.
 
 let eval_simple t x =

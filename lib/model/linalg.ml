@@ -3,11 +3,12 @@
     hypothesis spaces are tiny (at most ~5 columns), so numerical
     sophistication beyond pivoting is unnecessary. *)
 
-(** Solve [a] x = [b] in place for a square system; returns [None] when the
-    matrix is (numerically) singular. *)
-let solve a b =
+(** Solve [a] x = [b] for a square system, overwriting both: rows of [a]
+    are swapped and eliminated, and [b] receives the solution.  Returns
+    [false] when the matrix is (numerically) singular or the solution is
+    not finite. *)
+let solve_in_place a b =
   let n = Array.length b in
-  let a = Array.map Array.copy a and b = Array.copy b in
   let ok = ref true in
   for col = 0 to n - 1 do
     (* partial pivot *)
@@ -29,20 +30,30 @@ let solve a b =
         b.(r) <- b.(r) -. (f *. b.(col))
       done
   done;
-  if not !ok then None
-  else begin
-    let x = Array.make n 0. in
+  !ok
+  && begin
+    (* Back substitution: b.(c) already holds x_c for every c > r. *)
     for r = n - 1 downto 0 do
       let s = ref b.(r) in
       for c = r + 1 to n - 1 do
-        s := !s -. (a.(r).(c) *. x.(c))
+        s := !s -. (a.(r).(c) *. b.(c))
       done;
-      x.(r) <- !s /. a.(r).(r)
+      b.(r) <- !s /. a.(r).(r)
     done;
-    if Array.exists (fun v -> Float.is_nan v || Float.abs v = Float.infinity) x
-    then None
-    else Some x
+    (* A loop, not Array.exists, which would box every float. *)
+    let finite = ref true in
+    for r = 0 to n - 1 do
+      if Float.is_nan b.(r) || Float.abs b.(r) = Float.infinity then
+        finite := false
+    done;
+    !finite
   end
+
+(** Solve [a] x = [b] on copies, leaving the arguments untouched; [None]
+    when singular. *)
+let solve a b =
+  let b = Array.copy b in
+  if solve_in_place (Array.map Array.copy a) b then Some b else None
 
 (** Least squares fit: [design] is rows of basis-function values, [y] the
     observations; returns coefficients minimising ||design * c - y||^2. *)
@@ -64,16 +75,5 @@ let least_squares design y =
           done
         done
       done;
-      solve xtx xty
+      if solve_in_place xtx xty then Some xty else None
     end
-
-let residual_sum_of_squares design y coeffs =
-  let rss = ref 0. in
-  Array.iteri
-    (fun r row ->
-      let pred = ref 0. in
-      Array.iteri (fun c v -> pred := !pred +. (v *. coeffs.(c))) row;
-      let d = y.(r) -. !pred in
-      rss := !rss +. (d *. d))
-    design;
-  !rss

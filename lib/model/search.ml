@@ -18,7 +18,7 @@ type aggregate = Mean | Median
 type config = {
   exponents : float list;      (** the set I of polynomial exponents *)
   log_exponents : int list;    (** the set J of logarithm exponents *)
-  max_terms : int;             (** n in the PMNF; the paper uses 2 *)
+  max_terms : int;             (** n in the PMNF: 1 or 2; the paper uses 2 *)
   min_improvement : float;
       (** a parametric hypothesis must beat the constant model's
           cross-validated error by this relative margin to be accepted —
@@ -85,9 +85,12 @@ type result = {
 
 (* -- hypothesis machinery ------------------------------------------------ *)
 
-(* A hypothesis is a list of basis terms (products of per-parameter simple
-   terms); coefficients are fitted by least squares with an intercept. *)
-type hypothesis = (string * Expr.simple_term) list list
+(* A term is a product of per-parameter simple terms; a hypothesis is a
+   list of terms whose coefficients are fitted by least squares with an
+   intercept.  [select_best] takes every hypothesis of one search as an
+   array of indices into a shared term array, so each distinct term is
+   evaluated once per search, not once per hypothesis. *)
+type term = (string * Expr.simple_term) list
 
 let simple_terms config =
   List.concat_map
@@ -98,83 +101,221 @@ let simple_terms config =
         config.log_exponents)
     config.exponents
 
-let design_row (h : hypothesis) coords =
-  Array.of_list (1. :: List.map (fun factors -> Expr.eval_factors factors coords) h)
-
-let model_of_fit (h : hypothesis) coeffs =
+let model_of_fit (terms : term array) cand coeffs =
   {
     Expr.const = coeffs.(0);
     terms =
-      List.mapi (fun i factors -> { Expr.coeff = coeffs.(i + 1); factors }) h;
+      List.init (Array.length cand) (fun i ->
+          { Expr.coeff = coeffs.(i + 1); factors = terms.(cand.(i)) });
   }
 
-(* -- allocation-light scoring -------------------------------------------- *)
+(* -- shared-basis scoring ------------------------------------------------ *)
 
-(* Worker-local scratch for {!eval_hypothesis}: the leave-one-out
-   sub-design is an array of pointers into the shared row set plus a
-   sub-observation buffer, both reused across every candidate a worker
-   scores instead of rebuilt per (candidate, left-out point). *)
-type scratch = {
-  mutable sc_rows : float array array;
-  mutable sc_y : float array;
+(* The basis one search scores its candidates against.  Column 0 is the
+   intercept (all ones), column t + 1 is term t at every point, and the
+   last column holds the observations; each column is [n] values, stored
+   back to back.  For every column pair a <= b that some candidate uses,
+   [sums] holds at [slot a b * (n + 1)] the sum of the pair's products
+   over all n rows, then the n sums that leave out row 0, 1, ... n - 1.
+   Each sum is accumulated in row order from 0, exactly as
+   [Linalg.least_squares] accumulates X^T X and X^T y, so a system filled
+   from the table is bit for bit the one a refit from design rows builds.
+
+   The arrays are domain-local and only ever grow: a search reuses the
+   previous one's storage, and the submitting domain builds its basis
+   before a pool fans the scoring out (workers only read it).  Two
+   systhreads of one domain must therefore not search at once. *)
+type basis = {
+  mutable n : int;
+  mutable ncols : int;
+  mutable cols : float array;
+  mutable sums : float array;
+  mutable filled : int array;  (** slot -> the [gen] that filled it *)
+  mutable gen : int;
 }
 
-let scratch_for n =
-  let m = max 0 (n - 1) in
-  { sc_rows = Array.make m [||]; sc_y = Array.make m 0. }
+let basis_key =
+  Domain.DLS.new_key (fun () ->
+      { n = 0; ncols = 0; cols = [||]; sums = [||]; filled = [||]; gen = 0 })
 
-(* Score one hypothesis against the shared evaluation context: full fit,
-   RSS, and leave-one-out cross-validated SMAPE (falling back to the
-   training SMAPE when there are too few points to refit).  The floats
-   are bit-identical to the historical per-candidate path that rebuilt
-   the design matrix for every sub-fit: rows are built once and shared
-   between the full fit and every leave-one-out sub-fit (same values,
-   same consumption order), and predictions accumulate in the same
-   (reversed) order fed to [Dataset.smape]. *)
-let eval_hypothesis ~points ~coords ~y scratch (h : hypothesis) =
-  let n = Array.length coords in
-  let cols = List.length h + 1 in
-  let rows = Array.map (fun c -> design_row h c) coords in
-  match Linalg.least_squares rows y with
-  | None -> None
-  | Some coeffs ->
-    let rss = Linalg.residual_sum_of_squares rows y coeffs in
-    let m = model_of_fit h coeffs in
-    let err =
-      if n <= cols then
-        Some (Dataset.smape (List.map (fun (c, yv) -> (Expr.eval m c, yv)) points))
-      else begin
-        if Array.length scratch.sc_rows <> n - 1 then begin
-          scratch.sc_rows <- Array.make (n - 1) [||];
-          scratch.sc_y <- Array.make (n - 1) 0.
-        end;
-        let sub = scratch.sc_rows and suby = scratch.sc_y in
-        let preds = ref [] in
-        let ok = ref true in
-        let i = ref 0 in
-        while !ok && !i < n do
-          let left_out = !i in
-          let k = ref 0 in
-          for j = 0 to n - 1 do
-            if j <> left_out then begin
-              sub.(!k) <- rows.(j);
-              suby.(!k) <- y.(j);
-              incr k
-            end
-          done;
-          (match Linalg.least_squares sub suby with
-          | None -> ok := false
-          | Some sub_coeffs ->
-            let sm = model_of_fit h sub_coeffs in
-            preds := (Expr.eval sm coords.(left_out), y.(left_out)) :: !preds);
-          incr i
+let slot a b = if a <= b then (b * (b + 1) / 2) + a else (a * (a + 1) / 2) + b
+
+(* Basis column of a candidate's i-th coefficient. *)
+let column cand i = if i = 0 then 0 else cand.(i - 1) + 1
+
+let grow a len = if Array.length a >= len then a else Array.make len 0.
+
+let fill_pair b a c =
+  let n = b.n and cols = b.cols and sums = b.sums in
+  let off = slot a c * (n + 1) and xa = a * n and xc = c * n in
+  (* First pass: the full sum, leaving each row's prefix sum behind in
+     its leave-one-out cell; the second pass adds the rows after it. *)
+  let acc = ref 0. in
+  for r = 0 to n - 1 do
+    sums.(off + 1 + r) <- !acc;
+    acc := !acc +. (cols.(xa + r) *. cols.(xc + r))
+  done;
+  sums.(off) <- !acc;
+  for i = 0 to n - 2 do
+    let acc = ref sums.(off + 1 + i) in
+    for r = i + 1 to n - 1 do
+      acc := !acc +. (cols.(xa + r) *. cols.(xc + r))
+    done;
+    sums.(off + 1 + i) <- !acc
+  done
+
+(* Evaluate every term at the points, then fill the sums of each column
+   pair the candidates use (the intercept-only candidate [||] included). *)
+let prepare b (terms : term array) coords y candidates =
+  let n = Array.length y and m = Array.length terms in
+  let ncols = m + 2 in
+  b.n <- n;
+  b.ncols <- ncols;
+  b.cols <- grow b.cols (ncols * n);
+  let cols = b.cols in
+  for r = 0 to n - 1 do
+    cols.(r) <- 1.;
+    cols.(((m + 1) * n) + r) <- y.(r)
+  done;
+  Array.iteri
+    (fun t factors ->
+      for r = 0 to n - 1 do
+        cols.(((t + 1) * n) + r) <- Expr.eval_factors factors coords.(r)
+      done)
+    terms;
+  let nslots = ncols * (ncols + 1) / 2 in
+  b.sums <- grow b.sums (nslots * (n + 1));
+  if Array.length b.filled < nslots then b.filled <- Array.make nslots 0;
+  b.gen <- b.gen + 1;
+  let need a c =
+    let s = slot a c in
+    if b.filled.(s) <> b.gen then begin
+      b.filled.(s) <- b.gen;
+      fill_pair b a c
+    end
+  in
+  let need_all cand =
+    for i = 0 to Array.length cand do
+      need (column cand i) (ncols - 1);
+      for j = i to Array.length cand do
+        need (column cand i) (column cand j)
+      done
+    done
+  in
+  need_all [||];
+  List.iter need_all candidates
+
+(* Worker-local scratch, reused across every candidate a worker scores:
+   one linear system per size, and the candidate's sum offsets. *)
+type scratch = {
+  mutable systems : (float array array * float array) array;  (** by size *)
+  mutable offs : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { systems = [||]; offs = [||] })
+
+let system sc size =
+  let have = Array.length sc.systems in
+  if size >= have then
+    sc.systems <-
+      Array.init (size + 1) (fun s ->
+          if s < have then sc.systems.(s)
+          else (Array.make_matrix s s 0., Array.make s 0.));
+  sc.systems.(size)
+
+(* Fill a system from the sums: [at] 0 is the full fit, 1 + i the fit
+   that leaves row i out.  (The annotations keep the copies unboxed.) *)
+let load (sums : float array) offs (a : float array array) (rhs : float array)
+    size at =
+  for i = 0 to size - 1 do
+    let row = a.(i) in
+    for j = 0 to size - 1 do
+      row.(j) <- sums.(offs.((i * size) + j) + at)
+    done;
+    rhs.(i) <- sums.(offs.((size * size) + i) + at)
+  done
+
+(* [Dataset.smape]'s running sum, one (prediction, observation) pair on;
+   inlined here so the hot loops below do not box floats. *)
+let[@inline] smape_step acc pred obs =
+  let denom = (Float.abs pred +. Float.abs obs) /. 2. in
+  if denom = 0. then acc else acc +. (Float.abs (pred -. obs) /. denom)
+
+(* A fit's prediction at row [r], in [Expr.eval]'s order. *)
+let[@inline] predict cols n cand (coeffs : float array) r =
+  let pred = ref coeffs.(0) in
+  for t = 1 to Array.length cand do
+    pred := !pred +. (coeffs.(t) *. cols.((column cand t * n) + r))
+  done;
+  !pred
+
+type scored = { coeffs : float array; err : float; rss : float }
+
+(* Score one candidate against the basis: full fit, RSS, and the
+   leave-one-out cross-validated SMAPE (the training SMAPE when there are
+   too few points to refit); [None] when some fit is singular.  Every
+   float equals, operation for operation, refitting the candidate from
+   its design rows — [Linalg.least_squares] with and without each point,
+   predictions as [Expr.eval] computes them, [Dataset.smape] over them —
+   which test/refit_search.ml keeps as the reference. *)
+let score b sc cand =
+  let n = b.n and size = Array.length cand + 1 in
+  if n = 0 || n < size then None
+  else begin
+    let stride = n + 1 and ycol = b.ncols - 1 in
+    if Array.length sc.offs < size * (size + 1) then
+      sc.offs <- Array.make (size * (size + 1)) 0;
+    let offs = sc.offs in
+    for i = 0 to size - 1 do
+      let ci = column cand i in
+      offs.((size * size) + i) <- slot ci ycol * stride;
+      for j = 0 to size - 1 do
+        offs.((i * size) + j) <- slot ci (column cand j) * stride
+      done
+    done;
+    let a, rhs = system sc size in
+    load b.sums offs a rhs size 0;
+    if not (Linalg.solve_in_place a rhs) then None
+    else begin
+      let coeffs = Array.sub rhs 0 size in
+      let cols = b.cols and y = ycol * n in
+      (* The RSS sums each row's prediction from 0 over every column,
+         intercept included, as the reference's residual loop does, so
+         it cannot reuse [predict]. *)
+      let rss = ref 0. in
+      for r = 0 to n - 1 do
+        let pred = ref 0. in
+        for c = 0 to size - 1 do
+          pred := !pred +. (cols.((column cand c * n) + r) *. coeffs.(c))
         done;
-        if !ok then Some (Dataset.smape !preds) else None
-      end
-    in
-    (match err with
-    | None -> None
-    | Some err -> Some (m, err, rss, List.length h))
+        let d = cols.(y + r) -. !pred in
+        rss := !rss +. (d *. d)
+      done;
+      let total = ref 0. and ok = ref true in
+      if n <= size then
+        (* Too few points to refit: the training SMAPE, in point order. *)
+        for r = 0 to n - 1 do
+          total := smape_step !total (predict cols n cand coeffs r) cols.(y + r)
+        done
+      else begin
+        (* Left-out predictions enter SMAPE from the last point down, the
+           order the reference sums them in. *)
+        let i = ref (n - 1) in
+        while !ok && !i >= 0 do
+          load b.sums offs a rhs size (1 + !i);
+          if Linalg.solve_in_place a rhs then
+            total :=
+              smape_step !total (predict cols n cand rhs !i) cols.(y + !i)
+          else ok := false;
+          decr i
+        done
+      end;
+      if !ok then
+        Some { coeffs; err = 100. *. !total /. float_of_int n; rss = !rss }
+      else None
+    end
+  end
 
 (* Search-cost accounting: resolved once per select_best call; a [None]
    registry costs nothing on the scoring path. *)
@@ -194,19 +335,21 @@ let event_names =
     ("search.selected", "the search finished and selected its model");
   ]
 
-(* Score every hypothesis; return the winner as a [result].  The constant
-   model (intercept only) always participates; a parametric hypothesis
-   must beat its cross-validated error by [min_improvement] (relative) to
-   be selected — otherwise noise on constant functions gets modeled.
+(* Score every candidate (arrays of indices into [terms]); return the
+   winner as a [result].  The constant model (intercept only) always
+   participates, first; a parametric hypothesis must beat its
+   cross-validated error by [min_improvement] (relative) to be selected —
+   otherwise noise on constant functions gets modeled.
 
-   Scoring each candidate is independent of every other, so with a pool
-   the evaluations fan out over worker domains ([map_init] gives each
-   worker one private scratch); selection stays a serial fold on the
-   submitting domain, in candidate order, replicating the serial
-   accounting and tie-breaking exactly — the chosen model, error and
-   every search.* counter are bit-identical to the serial search. *)
+   Serially, scoring and selection are one streaming fold, so no scored
+   candidate outlives the next one unless it is the best so far.  With a
+   pool, the scores fan out over worker domains (each with its own
+   scratch, all reading the basis built here) into index-keyed results,
+   and selection is the same fold over them in candidate order on the
+   submitting domain — the chosen model, error, every search.* counter
+   and the event stream are bit-identical to the serial search. *)
 let select_best ?(min_improvement = 0.) ?metrics ?pool
-    ?(events = Obs_events.disabled) hypotheses points =
+    ?(events = Obs_events.disabled) terms candidates points =
   let record_select_s =
     match
       Option.map (fun reg -> Obs_metrics.gauge reg "search.select_s") metrics
@@ -230,87 +373,67 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
   in
   let coords = Array.of_list (List.map fst points) in
   let y = Array.of_list (List.map snd points) in
-  let n = Array.length coords in
-  (* The constant hypothesis [] is scored first to anchor the threshold;
-     it rides at the head of the evaluation batch. *)
-  let scored =
-    match pool with
-    | Some p when Par.Pool.jobs p > 1 ->
-      Par.Pool.map_init p
-        ~init:(fun () -> scratch_for n)
-        (fun scratch h -> eval_hypothesis ~points ~coords ~y scratch h)
-        ([] :: hypotheses)
-    | _ ->
-      let scratch = scratch_for n in
-      List.map (eval_hypothesis ~points ~coords ~y scratch) ([] :: hypotheses)
-  in
+  let basis = Domain.DLS.get basis_key in
+  prepare basis terms coords y candidates;
   let tried = ref 0 in
-  (* Best-so-far improvements are reported from the serial selection fold
-     on the submitting domain, so the event stream is deterministic and
+  let threshold = ref Float.infinity in
+  let best = ref None in
+  (* Best-so-far improvements are reported from the selection fold on the
+     submitting domain, so the event stream is deterministic and
      identical with or without a pool. *)
-  let emit_best (_, err, _, terms) =
+  let emit_best s k =
     if Obs_events.enabled events then
       Obs_events.emit events ~severity:Obs_events.Debug ~component:"search"
         ~fields:
           [
-            ("error", Obs_events.Float err);
-            ("terms", Obs_events.Int terms);
+            ("error", Obs_events.Float s.err);
+            ("terms", Obs_events.Int k);
             ("tried", Obs_events.Int !tried);
           ]
         "search.best"
   in
-  let consider best scored_cand =
+  let consider cand scored =
     incr tried;
     bump evaluated;
-    match scored_cand with
-    | Some ((_, cerr, crss, cterms) as cand) -> (
-      match best with
-      | None -> Some cand
-      | Some (_, berr, brss, bterms) ->
-        (* Prefer lower CV error; break near-ties toward fewer terms,
-           then lower RSS. *)
-        if
-          cerr < berr -. 1e-9
-          || (Float.abs (cerr -. berr) <= 1e-9
-              && (cterms < bterms
-                  || (cterms = bterms && crss < brss)))
-        then Some cand
-        else best)
-    | None ->
-      bump rej_unfit;
-      best
+    match scored with
+    | None -> bump rej_unfit
+    | Some s ->
+      let k = Array.length cand in
+      (* Prefer lower CV error; break near-ties toward fewer terms, then
+         lower RSS. *)
+      let better =
+        match !best with
+        | None -> true
+        | Some (bcand, b) ->
+          let bk = Array.length bcand in
+          s.err < b.err -. 1e-9
+          || (Float.abs (s.err -. b.err) <= 1e-9
+              && (k < bk || (k = bk && s.rss < b.rss)))
+      in
+      if better then
+        if k = 0 || s.err <= !threshold +. 1e-12 then begin
+          best := Some (cand, s);
+          emit_best s k
+        end
+        else bump rej_threshold
   in
-  let constant_eval, hyp_evals =
-    match scored with c :: rest -> (c, rest) | [] -> (None, [])
-  in
-  let constant = consider None constant_eval in
-  (match constant with Some c -> emit_best c | None -> ());
-  let threshold =
-    match constant with
-    | Some (_, cerr, _, _) -> cerr *. (1. -. min_improvement)
-    | None -> Float.infinity
-  in
-  let best =
-    List.fold_left
-      (fun best scored_cand ->
-        let cand = consider best scored_cand in
-        match cand with
-        | Some ((_, err, _, terms) as c)
-          when terms = 0 || err <= threshold +. 1e-12 ->
-          if cand != best then emit_best c;
-          cand
-        | _ ->
-          (* Only a *new* candidate reaching this branch was beaten by
-             the constant-model margin; an unchanged best was counted
-             already. *)
-          if cand != best then bump rej_threshold;
-          best)
-      constant hyp_evals
-  in
+  let sc = Domain.DLS.get scratch_key in
+  consider [||] (score basis sc [||]);
+  (match !best with
+  | Some (_, s) -> threshold := s.err *. (1. -. min_improvement)
+  | None -> ());
+  (match pool with
+  | Some p when Par.Pool.jobs p > 1 ->
+    List.iter2 consider candidates
+      (Par.Pool.map_init p
+         ~init:(fun () -> Domain.DLS.get scratch_key)
+         (score basis) candidates)
+  | _ -> List.iter (fun cand -> consider cand (score basis sc cand)) candidates);
   let result =
-    match best with
-    | Some (model, error, rss, _) ->
-      { model; error; rss; hypotheses_tried = !tried }
+    match !best with
+    | Some (cand, s) ->
+      { model = model_of_fit terms cand s.coeffs; error = s.err; rss = s.rss;
+        hypotheses_tried = !tried }
     | None ->
       (* Degenerate data (e.g. no points): report a constant zero model. *)
       { model = Expr.constant 0.; error = 0.; rss = 0.;
@@ -327,6 +450,11 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
       "search.selected";
   result
 
+(* [max_terms] is n in the PMNF; only one- and two-term hypotheses exist. *)
+let check_max_terms fn config =
+  if config.max_terms <> 1 && config.max_terms <> 2 then
+    invalid_arg (fn ^ ": max_terms must be 1 or 2")
+
 (* -- single-parameter search --------------------------------------------- *)
 
 let allowed_param constraints p =
@@ -335,32 +463,36 @@ let allowed_param constraints p =
 (** Fit a model in one parameter from [(x, y-mean)] samples. *)
 let single ?(config = default_config) ?(constraints = unconstrained) ~param
     samples =
+  check_max_terms "Model.Search.single" config;
   let points = List.map (fun (x, y) -> ([ (param, x) ], y)) samples in
   let select_best =
     select_best ~min_improvement:config.min_improvement ?metrics:config.metrics
       ?pool:config.pool ~events:config.events
   in
-  if not (allowed_param constraints param) then select_best [] points
+  if not (allowed_param constraints param) then select_best [||] [] points
   else begin
-    let terms = simple_terms config in
-    let n1 = List.map (fun t -> [ [ (param, t) ] ]) terms in
+    let terms =
+      Array.of_list (List.map (fun t -> [ (param, t) ]) (simple_terms config))
+    in
+    let m = Array.length terms in
+    let n1 = List.init m (fun i -> [| i |]) in
     let n2 =
-      if config.max_terms < 2 then []
-      else
-        let arr = Array.of_list terms in
+      if config.max_terms = 1 then []
+      else begin
+        (* Every pair i < j, prepended as i and j ascend: candidate order
+           breaks ties between equal scores. *)
         let acc = ref [] in
-        Array.iteri
-          (fun i a ->
-            Array.iteri
-              (fun j b ->
-                if j > i then acc := [ [ (param, a) ]; [ (param, b) ] ] :: !acc)
-              arr)
-          arr;
+        for i = 0 to m - 1 do
+          for j = i + 1 to m - 1 do
+            acc := [| i; j |] :: !acc
+          done
+        done;
         !acc
+      end
     in
     bump_n (List.length n1) (candidate_counter config.metrics "single_term");
     bump_n (List.length n2) (candidate_counter config.metrics "two_term");
-    select_best (n1 @ n2) points
+    select_best terms (n1 @ n2) points
   end
 
 (* -- multi-parameter search ---------------------------------------------- *)
@@ -414,6 +546,24 @@ let dominant_term param (m : Expr.model) xs =
        None
   |> Option.map snd
 
+(* One basis index per distinct product group, in first-appearance
+   order; each hypothesis becomes the array of its groups' indices. *)
+let intern (hypotheses : term list list) =
+  let index = Hashtbl.create 16 and groups = ref [] in
+  let intern_group g =
+    match Hashtbl.find_opt index g with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length index in
+      Hashtbl.add index g i;
+      groups := g :: !groups;
+      i
+  in
+  let candidates =
+    List.map (fun h -> Array.of_list (List.map intern_group h)) hypotheses
+  in
+  (Array.of_list (List.rev !groups), candidates)
+
 let group_allowed constraints group =
   match constraints.multiplicative with
   | None -> true
@@ -435,6 +585,7 @@ let point_value config (pt : Dataset.point) =
   | Median -> Stats.median pt.Dataset.reps
 
 let multi ?(config = default_config) ?(constraints = unconstrained) data =
+  check_max_terms "Model.Search.multi" config;
   if data.Dataset.points = [] then
     invalid_arg "Model.Search.multi: empty dataset (no observed configurations)";
   let params = List.filter (allowed_param constraints) data.Dataset.params in
@@ -448,7 +599,7 @@ let multi ?(config = default_config) ?(constraints = unconstrained) data =
       ?pool:config.pool ~events:config.events
   in
   match params with
-  | [] -> select_best [] points
+  | [] -> select_best [||] [] points
   | [ p ] ->
     (* Single free parameter: collapse coordinates and delegate. *)
     let samples =
@@ -515,13 +666,14 @@ let multi ?(config = default_config) ?(constraints = unconstrained) data =
              partitions subset
              |> List.filter_map (fun part ->
                     if List.for_all (group_allowed constraints) part then
-                      Some (part : hypothesis)
+                      Some (part : term list)
                     else None))
       |> List.sort_uniq compare
     in
     bump_n (List.length hypotheses)
       (candidate_counter config.metrics "multi_param");
-    select_best hypotheses points
+    let terms, candidates = intern hypotheses in
+    select_best terms candidates points
 
 (* -- degradation-tolerant search ------------------------------------------ *)
 

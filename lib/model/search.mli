@@ -10,7 +10,10 @@ type aggregate =
 type config = {
   exponents : float list;    (** the set I of polynomial exponents *)
   log_exponents : int list;  (** the set J of logarithm exponents *)
-  max_terms : int;           (** n in the PMNF; the paper uses 2 *)
+  max_terms : int;
+      (** n in the PMNF: 1 or 2 (the paper uses 2).  {!single} and
+          {!multi} raise [Invalid_argument] naming this field for any
+          other value. *)
   min_improvement : float;
       (** relative cross-validated-error margin a parametric hypothesis
           must gain over the constant model.  Default 0 — Extra-P 3.0's
@@ -28,10 +31,11 @@ type config = {
           Default [None]: no accounting, no overhead. *)
   pool : Par.Pool.t option;
       (** when set, candidate hypotheses are scored on this domain pool
-          (each worker reuses a private scratch design matrix); selection
-          stays a serial fold in candidate order, so the chosen model,
-          error, and every search.* counter are bit-identical to the
-          serial search.  Default [None]: serial scoring. *)
+          (workers read the basis the submitting domain built and reuse
+          private scratch systems); selection stays a serial fold in
+          candidate order, so the chosen model, error, and every
+          search.* counter are bit-identical to the serial search.
+          Default [None]: serial scoring. *)
   events : Obs_events.sink;
       (** structured {!event_names} stream — best-so-far improvements
           ([search.best], debug) and the final selection
@@ -75,7 +79,9 @@ val single :
   result
 (** Best single-parameter model of [(x, y)] samples.  The constant model
     always participates; a hypothesis must beat it on cross-validated
-    error to be selected. *)
+    error to be selected.
+    @raise Invalid_argument when [config.max_terms] is not 1 or 2
+    (["Model.Search.single: max_terms must be 1 or 2"]). *)
 
 val multi :
   ?config:config -> ?constraints:constraints -> Dataset.t -> result
@@ -83,7 +89,9 @@ val multi :
     where the other parameters sit at their minimum, then all
     additive/multiplicative compositions of their dominant terms.
     @raise Invalid_argument on a dataset with no points
-    (["Model.Search.multi: empty dataset (no observed configurations)"]). *)
+    (["Model.Search.multi: empty dataset (no observed configurations)"])
+    or when [config.max_terms] is not 1 or 2
+    (["Model.Search.multi: max_terms must be 1 or 2"]). *)
 
 val multi_robust :
   ?threshold:float ->

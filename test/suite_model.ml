@@ -255,6 +255,157 @@ let prop_smape_bounded =
       let s = D.smape pairs in
       s >= 0. && s <= 200.)
 
+(* -- shared-basis scoring = the refit reference ---------------------------- *)
+
+(* Search.single and Search.multi against {!Refit_search}, the same search
+   with every candidate refit from its own design rows.  Results must
+   agree bit for bit: selected factors, every coefficient, the
+   cross-validated error, the RSS and the number of hypotheses tried. *)
+
+type basis_case = {
+  bc_config : S.config;
+  bc_constraints : S.constraints;
+  bc_pooled : bool;
+  bc_data : [ `Single of (float * float) list | `Multi of D.t ];
+}
+
+let bits = Int64.bits_of_float
+
+let same_bits (a : S.result) (b : S.result) =
+  let coeffs (r : S.result) =
+    List.map bits (r.model.E.const :: List.map (fun t -> t.E.coeff) r.model.E.terms)
+  and factors (r : S.result) = List.map (fun t -> t.E.factors) r.model.E.terms in
+  factors a = factors b
+  && coeffs a = coeffs b
+  && bits a.error = bits b.error
+  && bits a.rss = bits b.rss
+  && a.hypotheses_tried = b.hypotheses_tried
+
+let show_result (r : S.result) =
+  Printf.sprintf "%s err=%h rss=%h tried=%d" (E.to_string r.model) r.error r.rss
+    r.hypotheses_tried
+
+let show_basis_case c =
+  let pts =
+    match c.bc_data with
+    | `Single s -> List.map (fun (x, y) -> Printf.sprintf "(%h,%h)" x y) s
+    | `Multi d ->
+      List.map
+        (fun (pt : D.point) ->
+          Printf.sprintf "(%s:%s)"
+            (String.concat "," (List.map (fun (p, v) -> Printf.sprintf "%s=%h" p v) pt.coords))
+            (String.concat "," (List.map (Printf.sprintf "%h") pt.reps)))
+        d.D.points
+  in
+  Printf.sprintf "%d exponents, max_terms %d, min_improvement %g, pooled %b: %s"
+    (List.length c.bc_config.S.exponents) c.bc_config.S.max_terms
+    c.bc_config.S.min_improvement c.bc_pooled (String.concat " " pts)
+
+(* x values: powers of two up to 4096 (with the extended menu's x^-2 this
+   puts normal-equation pivots near the 1e-12 cutoff) or small integers;
+   both repeat, so leave-one-out systems go singular. *)
+let gen_x =
+  QCheck.Gen.(
+    oneof
+      [ map (fun k -> Float.ldexp 1. k) (int_range 0 12);
+        map float_of_int (int_range 1 8) ])
+
+(* Observations from a planted PMNF term with noise [u] in [-1, 1], or
+   zeros (all, or where u < -0.4), so SMAPE sees zero denominators. *)
+let gen_y_of =
+  QCheck.Gen.(
+    let* shape = int_range 0 4 in
+    let* a = float_range 0. 50. and* b = float_range (-3.) 3. in
+    let* e = oneofl [ -1.; 0.5; 1.; 2.; 3. ] and* log = bool in
+    return (fun u x ->
+        let f = a +. (b *. Float.pow x e *. if log then Float.log2 (x +. 1.) else 1.) in
+        if shape = 0 || (shape = 1 && u < -0.4) then 0.
+        else f *. (1. +. (0.05 *. u))))
+
+let gen_config =
+  QCheck.Gen.(
+    let* extended = bool and* max_terms = int_range 1 2 in
+    let* min_improvement = oneofl [ 0.; 0.1 ] and* median = bool in
+    return
+      { (if extended then S.extended_config else S.default_config) with
+        S.max_terms;
+        min_improvement;
+        aggregate = (if median then S.Median else S.Mean) })
+
+let gen_single =
+  QCheck.Gen.(
+    let* n = frequency [ (1, int_range 2 4); (3, int_range 5 30) ] in
+    let* xs = list_repeat n gen_x and* us = list_repeat n (float_range (-1.) 1.) in
+    let+ f = gen_y_of in
+    `Single (List.map2 (fun x u -> (x, f u x)) xs us))
+
+(* Two-parameter grids of at most 30 points (some dropped), 1-3 reps. *)
+let gen_multi =
+  QCheck.Gen.(
+    let* np = int_range 2 5 and* nq = int_range 2 6 in
+    let* pv = list_repeat np gen_x and* qv = list_repeat nq gen_x in
+    let* f = gen_y_of and* g = gen_y_of and* cross = bool in
+    let* drop = float_range 0. 0.3 in
+    let point i (p, q) =
+      let* u = float_range (-1.) 1. and* keep = float_range 0. 1. in
+      let+ reps = int_range 1 3 and+ jitter = float_range 0.98 1.02 in
+      let y = if cross then f u p *. g u q else f u p +. g u q in
+      if i > 0 && keep < drop then None
+      else
+        Some
+          ( [ ("p", p); ("q", q) ],
+            List.init reps (fun r -> if r = 1 then y *. jitter else y) )
+    in
+    let grid = List.concat_map (fun p -> List.map (fun q -> (p, q)) qv) pv in
+    let+ rows = flatten_l (List.mapi point grid) in
+    `Multi (D.of_rows [ "p"; "q" ] (List.filter_map Fun.id rows)))
+
+let gen_constraints =
+  QCheck.Gen.(
+    let* allowed = oneofl [ None; None; Some [ "p"; "q" ]; Some [ "q" ]; Some [] ] in
+    let* multiplicative =
+      oneofl [ None; Some (fun _ _ -> false); Some (fun _ _ -> true) ]
+    in
+    return { S.allowed; multiplicative })
+
+let gen_basis_case =
+  QCheck.Gen.(
+    let* bc_config = gen_config and* bc_constraints = gen_constraints in
+    let* bc_data = frequency [ (3, gen_single); (2, gen_multi) ] in
+    let* bc_pooled = frequency [ (9, return false); (1, return true) ] in
+    return { bc_config; bc_constraints; bc_pooled; bc_data })
+
+let run_basis_case c =
+  let run config =
+    match c.bc_data with
+    | `Single samples ->
+      S.single ~config ~constraints:c.bc_constraints ~param:"p" samples
+    | `Multi data -> S.multi ~config ~constraints:c.bc_constraints data
+  in
+  if c.bc_pooled then
+    Par.Pool.with_pool ~jobs:2 (fun pool ->
+        run { c.bc_config with S.pool = Some pool })
+  else run c.bc_config
+
+let prop_shared_basis_matches_refit =
+  QCheck.Test.make ~count:150
+    ~name:"shared-basis search = refit reference, bit for bit"
+    (QCheck.make ~print:show_basis_case gen_basis_case)
+    (fun c ->
+      let expected =
+        match c.bc_data with
+        | `Single samples ->
+          Refit_search.single ~config:c.bc_config ~constraints:c.bc_constraints
+            ~param:"p" samples
+        | `Multi data ->
+          Refit_search.multi ~config:c.bc_config ~constraints:c.bc_constraints
+            data
+      in
+      let got = run_basis_case c in
+      same_bits expected got
+      || QCheck.Test.fail_reportf "expected %s@.got      %s"
+           (show_result expected) (show_result got))
+
 (* -- robust statistics and fitting ----------------------------------------- *)
 
 let string_contains haystack needle =
@@ -308,6 +459,27 @@ let test_multi_empty_dataset () =
       (Printf.sprintf "message %S names the cause" msg)
       true
       (string_contains msg "empty dataset")
+
+let test_max_terms_validated () =
+  (* n in the PMNF is 1 or 2; anything else is refused by name. *)
+  let samples = samples_of (fun x -> 1. +. x) xs in
+  let data = D.of_rows [ "p"; "n" ] (grid (fun p n -> 1. +. p +. n)) in
+  List.iter
+    (fun max_terms ->
+      let config = { S.default_config with S.max_terms } in
+      List.iter
+        (fun (fn, run) ->
+          match run () with
+          | () -> Alcotest.failf "%s accepted max_terms = %d" fn max_terms
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: message %S names the field" fn msg)
+              true
+              (string_contains msg ("Model.Search." ^ fn)
+              && string_contains msg "max_terms"))
+        [ ("single", fun () -> ignore (S.single ~config ~param:"p" samples));
+          ("multi", fun () -> ignore (S.multi ~config data)) ])
+    [ 0; 3 ]
 
 let test_multi_robust_rejects_corruption () =
   (* Clean linear growth, with every point's last repetition corrupted
@@ -376,6 +548,8 @@ let tests =
       test_mad_filter_degenerate;
     Alcotest.test_case "multi rejects an empty dataset" `Quick
       test_multi_empty_dataset;
+    Alcotest.test_case "max_terms other than 1 or 2 is refused" `Quick
+      test_max_terms_validated;
     Alcotest.test_case "robust fit rejects corrupted reps" `Quick
       test_multi_robust_rejects_corruption;
     Alcotest.test_case "robust fit matches classic on clean data" `Quick
@@ -383,4 +557,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_regression_exact;
     QCheck_alcotest.to_alcotest prop_eval_monotone_terms;
     QCheck_alcotest.to_alcotest prop_smape_bounded;
+    Seeded.to_alcotest prop_shared_basis_matches_refit;
   ]
