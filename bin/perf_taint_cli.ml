@@ -154,25 +154,6 @@ let config_of max_steps =
     (fun n -> { Interp.Machine.default_config with max_steps = n })
     max_steps
 
-let engine_arg =
-  let doc =
-    "Execution tier for PIR programs: $(b,compiled) (the slot-resolved \
-     lowered IR, the default) or $(b,interp) (the tree-walking reference \
-     interpreter).  The tiers are bit-identical — results, taint labels, \
-     observations, step counts and error messages — checked continuously \
-     by the compile-identity fuzz oracle; the compiled one is just \
-     faster."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("compiled", Interp.Engine.Compiled);
-             ("interp", Interp.Engine.Interpreted);
-             ("interpreted", Interp.Engine.Interpreted) ])
-        Interp.Engine.default_tier
-    & info [ "engine" ] ~docv:"TIER" ~doc)
-
 let jobs_arg =
   let doc =
     "Worker domains for the parallel stages (measurement coordinates, \
@@ -212,27 +193,29 @@ let error_guard f =
   | Failure msg -> `Error (false, msg)
   | Invalid_argument msg -> `Error (false, msg)
 
-(* Run the pipeline over a target; when [trace] names a file, record the
-   full span/instant stream and dump it as Chrome trace JSON. *)
-let analyze_target ?engine ?config ?metrics ?trace ?profile t =
-  match trace with
-  | None ->
-    Perf_taint.Pipeline.analyze ?engine ?config ?metrics ?profile
-      ~world:t.world t.program ~args:t.args
-  | Some path ->
+(* Record the span/instant stream only when --trace was given, and dump
+   it as Chrome trace JSON once [f] returns; the [disabled] sink keeps the
+   flag's absence exactly the untraced code path.  An unwritable path is
+   one error line and exit 2, on every subcommand. *)
+let with_trace path f =
+  match path with
+  | None -> f Obs_trace.disabled
+  | Some p ->
     let sink = Obs_trace.create () in
-    let a =
-      Perf_taint.Pipeline.analyze ?engine ?config ?metrics ?profile
-        ~trace:sink ~world:t.world t.program ~args:t.args
-    in
-    (try Obs_trace.write_file sink path
+    let r = f sink in
+    (try Obs_trace.write_file sink p
      with Sys_error msg ->
        Fmt.epr "error: cannot write trace: %s@." msg;
        exit 2);
     Fmt.epr "trace: %d events written to %s@."
       (List.length (Obs_trace.events sink))
-      path;
-    a
+      p;
+    r
+
+let analyze_target ?config ?metrics ?trace ?profile t =
+  with_trace trace @@ fun trace ->
+  Perf_taint.Pipeline.analyze ?config ?metrics ~trace ?profile ~world:t.world
+    t.program ~args:t.args
 
 let events_arg =
   let doc =
@@ -268,10 +251,10 @@ let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc)
 
 let analyze_cmd =
-  let run name ranks params json trace max_steps engine =
+  let run name ranks params json trace max_steps =
     error_guard @@ fun () ->
     let t = resolve name ranks params in
-    let a = analyze_target ~engine ?config:(config_of max_steps) ?trace t in
+    let a = analyze_target ?config:(config_of max_steps) ?trace t in
     if json then
       Fmt.pr "%a@."
         Perf_taint.Export.pp
@@ -293,7 +276,7 @@ let analyze_cmd =
     Term.(
       ret
         (const run $ app_arg $ ranks_arg $ param_arg $ json_arg $ trace_arg
-        $ max_steps_arg $ engine_arg))
+        $ max_steps_arg))
 
 let select_cmd =
   let run name ranks params trace max_steps =
@@ -326,50 +309,28 @@ let print_cmd =
     Term.(ret (const run $ app_arg $ ranks_arg $ param_arg))
 
 let run_cmd =
-  let run name ranks params json trace max_steps engine =
+  let run name ranks params json trace max_steps =
     error_guard @@ fun () ->
     let t = resolve name ranks params in
-    let config =
-      Option.value ~default:Interp.Machine.default_config
-        (config_of max_steps)
-    in
-    (* A clean (shadow-free) run on the selected tier: the Plain-policy
-       analogue of one measurement run, identical output either way. *)
-    let run_via (type a) (module E : Interp.Engine.S with type t = a) =
-      let sink =
-        match trace with None -> None | Some _ -> Some (Obs_trace.create ())
-      in
-      let m = E.create ~config ?trace:sink t.program in
+    (* A clean (shadow-free) run: the Plain-policy analogue of one
+       measurement run. *)
+    let module E = Interp.Compiled.Plain in
+    let v, m =
+      with_trace trace @@ fun trace ->
+      let m = E.create ?config:(config_of max_steps) ~trace t.program in
       Mpi_sim.Runtime.install_host (module E) t.world m;
-      let v, _ = E.run m t.args in
-      (match (trace, sink) with
-      | Some path, Some sink ->
-        (try Obs_trace.write_file sink path
-         with Sys_error msg ->
-           Fmt.epr "error: cannot write trace: %s@." msg;
-           exit 2);
-        Fmt.epr "trace: %d events written to %s@."
-          (List.length (Obs_trace.events sink))
-          path
-      | _ -> ());
-      (v, E.steps_executed m, E.observations m)
+      (fst (E.run m t.args), m)
     in
-    let v, steps, obs =
-      match engine with
-      | Interp.Engine.Interpreted -> run_via (module Interp.Plain)
-      | Interp.Engine.Compiled -> run_via (module Interp.Compiled.Plain)
-    in
+    let steps = E.steps_executed m in
     let funcs =
-      Interp.Observations.func_list obs
+      Interp.Observations.func_list (E.observations m)
       |> List.filter (fun fo -> fo.Interp.Observations.fo_calls > 0)
       |> List.sort (fun a b ->
              compare a.Interp.Observations.fo_func
                b.Interp.Observations.fo_func)
     in
     if json then begin
-      Fmt.pr "{\"engine\": %S, \"result\": \"%a\", \"steps\": %d, \
-              \"functions\": [@."
-        (Interp.Engine.tier_name engine)
+      Fmt.pr "{\"result\": \"%a\", \"steps\": %d, \"functions\": [@."
         Ir.Pp.pp_value v steps;
       List.iteri
         (fun i (fo : Interp.Observations.func_obs) ->
@@ -392,16 +353,15 @@ let run_cmd =
     end
   in
   let doc =
-    "Execute a program through the clean (shadow-free) Plain engine on \
-     the selected $(b,--engine) tier and print the result value, step \
-     count, and per-function statistics — one measurement run, without \
-     the taint analysis."
+    "Execute a program through the clean (shadow-free) Plain engine and \
+     print the result value, step count, and per-function statistics — \
+     one measurement run, without the taint analysis."
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
         (const run $ app_arg $ ranks_arg $ param_arg $ json_arg $ trace_arg
-        $ max_steps_arg $ engine_arg))
+        $ max_steps_arg))
 
 let coverage_cmd =
   let blocks_arg =
@@ -412,41 +372,25 @@ let coverage_cmd =
     in
     Arg.(value & flag & info [ "blocks" ] ~doc)
   in
-  let run name ranks params blocks trace max_steps engine =
+  let run name ranks params blocks trace max_steps =
     error_guard @@ fun () ->
     let t = resolve name ranks params in
     if blocks then begin
-      let config =
-        Option.value ~default:Interp.Machine.default_config
-          (config_of max_steps)
-      in
-      (* Coverage execution on either tier: same S face, same hit
-         tables — the policy state type is pinned so both modules
-         return the shared Coverage_policy.state. *)
-      let run_via (type a)
-          (module E : Interp.Engine.S
-            with type t = a
-             and type pstate = Interp.Coverage_policy.state) =
-        let m = E.create ~config t.program in
-        Mpi_sim.Runtime.install_host (module E) t.world m;
-        ignore (E.run m t.args);
-        (E.policy_state m, E.steps_executed m)
-      in
-      let cov, steps =
-        match engine with
-        | Interp.Engine.Interpreted -> run_via (module Interp.Coverage)
-        | Interp.Engine.Compiled -> run_via (module Interp.Compiled.Coverage)
-      in
+      let module E = Interp.Compiled.Coverage in
+      let m = E.create ?config:(config_of max_steps) t.program in
+      Mpi_sim.Runtime.install_host (module E) t.world m;
+      ignore (E.run m t.args);
+      let cov = E.policy_state m in
       Fmt.pr "block coverage: %d blocks, %d edges, %d steps@."
         (Interp.Coverage_policy.blocks_covered cov)
         (Interp.Coverage_policy.edges_covered cov)
-        steps;
+        (E.steps_executed m);
       List.iter
         (fun ((f, b), n) -> Fmt.pr "  %-28s %-12s %10d@." f b n)
         (Interp.Coverage_policy.block_hits cov)
     end
     else begin
-      let a = analyze_target ~engine ?config:(config_of max_steps) ?trace t in
+      let a = analyze_target ?config:(config_of max_steps) ?trace t in
       let all = Ir.Cfg.SSet.elements (Perf_taint.Pipeline.observed_params a) in
       Fmt.pr "per-parameter coverage:@.";
       List.iter
@@ -464,7 +408,7 @@ let coverage_cmd =
     Term.(
       ret
         (const run $ app_arg $ ranks_arg $ param_arg $ blocks_arg $ trace_arg
-        $ max_steps_arg $ engine_arg))
+        $ max_steps_arg))
 
 let volume_cmd =
   let func_arg =
@@ -599,8 +543,7 @@ let profile_cmd =
     in
     Arg.(value & opt (some string) None & info [ "flame" ] ~docv:"FILE" ~doc)
   in
-  let run name ranks params interval top flame json trace max_steps jobs
-      engine =
+  let run name ranks params interval top flame json trace max_steps jobs =
     error_guard @@ fun () ->
     (* The tainted run is inherently serial; --jobs is accepted so that
        scripted invocations can pass one jobs count everywhere, and the
@@ -609,8 +552,7 @@ let profile_cmd =
     let t = resolve name ranks params in
     let prof = Obs_profile.create ~interval () in
     let a =
-      analyze_target ~engine ?config:(config_of max_steps) ?trace
-        ~profile:prof t
+      analyze_target ?config:(config_of max_steps) ?trace ~profile:prof t
     in
     let snap = Obs_profile.snapshot prof in
     (match flame with
@@ -650,8 +592,7 @@ let profile_cmd =
     Term.(
       ret
         (const run $ app_arg $ ranks_arg $ param_arg $ interval_arg $ top_arg
-        $ flame_arg $ json_arg $ trace_arg $ max_steps_arg $ jobs_arg
-        $ engine_arg))
+        $ flame_arg $ json_arg $ trace_arg $ max_steps_arg $ jobs_arg))
 
 let stats_cmd =
   let run name ranks params json trace max_steps =
@@ -951,9 +892,6 @@ let campaign_cmd =
         rt_backoff_s = backoff }
     in
     let metrics = Obs_metrics.create () in
-    let sink =
-      match trace with None -> None | Some _ -> Some (Obs_trace.create ())
-    in
     with_jobs ~metrics jobs @@ fun pool ->
     with_events events @@ fun events ->
     match worker with
@@ -962,7 +900,8 @@ let campaign_cmd =
          stop — the coordinator merges, reports, and fits. *)
       let j = Option.get journal in
       let report =
-        Measure.Campaign.run_journaled ?pool ~metrics ?trace:sink ~events
+        with_trace trace @@ fun trace ->
+        Measure.Campaign.run_journaled ?pool ~metrics ~trace ~events
           ~plan ~retry ?hang_budget:max_steps
           ~keep:(fun params rep -> Measure.Shard.owns sh ~params ~rep)
           ?limit:max_runs ~journal:j ~resume spec
@@ -977,6 +916,7 @@ let campaign_cmd =
         j
     | None ->
     let report =
+      with_trace trace @@ fun trace ->
       match (shards, journal) with
       | Some m, Some j ->
         (* Coordinator mode: spawn one worker per shard (same binary,
@@ -1048,22 +988,14 @@ let campaign_cmd =
             mg.Measure.Shard.mg_records)
       | Some _, None -> assert false (* checked above *)
       | None, Some j ->
-        Measure.Campaign.run_journaled ?pool ~metrics ?trace:sink ~events
+        Measure.Campaign.run_journaled ?pool ~metrics ~trace ~events
           ~plan ~retry ?hang_budget:max_steps ?limit:max_runs ~journal:j
           ~resume spec Mpi_sim.Machine.skylake_cluster design
       | None, None ->
-        Measure.Campaign.run ?pool ~metrics ?trace:sink ~events ~plan ~retry
+        Measure.Campaign.run ?pool ~metrics ~trace ~events ~plan ~retry
           ?hang_budget:max_steps ?limit:max_runs spec
           Mpi_sim.Machine.skylake_cluster design
     in
-    (match (trace, sink) with
-    | Some path, Some sink ->
-      (try Obs_trace.write_file sink path
-       with Sys_error msg -> Fmt.epr "error: cannot write trace: %s@." msg);
-      Fmt.epr "trace: %d events written to %s@."
-        (List.length (Obs_trace.events sink))
-        path
-    | _ -> ());
     Fmt.pr "%s campaign (faults: %s)@." name
       (if Measure.Fault.total_rate plan = 0. then "none"
        else Measure.Fault.spec_of plan);

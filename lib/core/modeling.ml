@@ -24,27 +24,11 @@ let is_mpi_routine (t : Pipeline.t) fname =
   Deps.find t.deps fname = None
   && Ir.Cfg.SMap.mem fname t.Pipeline.mpi_params
 
-(** Search constraints for [fname]'s model under [mode]. *)
-let constraints (t : Pipeline.t) mode ~model_params fname =
-  match mode with
-  | Black_box -> Model.Search.unconstrained
-  | Tainted ->
-    let fd_params = dep_set t fname in
-    let allowed = List.filter (fun p -> SSet.mem p fd_params) model_params in
-    let multiplicative a b =
-      if is_mpi_routine t fname then
-        (* Library-database dependencies have no loop structure to refine
-           the term shapes: conservatively allow products. *)
-        SSet.mem a fd_params && SSet.mem b fd_params
-      else Deps.multiplicative_ok t.deps fname a b
-    in
-    { Model.Search.allowed = Some allowed; multiplicative = Some multiplicative }
-
-(** Like [constraints], but with model-parameter aliases: MILC's modeling
-    parameter [size] stands for the four program parameters nx, ny, nz,
-    nt, so a dependency on any of them allows [size] in the model.
-    [aliases] maps a model parameter to the program parameters it
-    represents (itself is always included). *)
+(** Search constraints for [fname]'s model under [mode].  [aliases] maps
+    a model parameter to the program parameters it represents (itself is
+    always included): MILC's modeling parameter [size] stands for the
+    four program parameters nx, ny, nz, nt, so a dependency on any of
+    them allows [size] in the model. *)
 let constraints_aliased (t : Pipeline.t) mode ~model_params ~aliases fname =
   match mode with
   | Black_box -> Model.Search.unconstrained
@@ -56,6 +40,8 @@ let constraints_aliased (t : Pipeline.t) mode ~model_params ~aliases fname =
     let covered m = List.exists (fun q -> SSet.mem q fd_params) (expand m) in
     let allowed = List.filter covered model_params in
     let mult a b =
+      (* Library-database dependencies have no loop structure to refine
+         the term shapes: conservatively allow products. *)
       if is_mpi_routine t fname then covered a && covered b
       else
         List.exists
@@ -67,17 +53,10 @@ let constraints_aliased (t : Pipeline.t) mode ~model_params ~aliases fname =
     in
     { Model.Search.allowed = Some allowed; multiplicative = Some mult }
 
-(** Model one function's measurements.  In tainted mode, a function whose
-    dependency set is empty is constant by construction — the modeler only
-    fits the intercept, eliminating the overfitted constant-function models
-    of B1. *)
-let model_function ?config (t : Pipeline.t) mode ~model_params ~fname data =
-  let c = constraints t mode ~model_params fname in
-  Model.Search.multi ?config ~constraints:c data
-
-(** Model the total application runtime. *)
-let model_total ?config ?(constraints = Model.Search.unconstrained) data =
-  Model.Search.multi ?config ~constraints data
+(** Search constraints for [fname]'s model under [mode], without
+    aliases. *)
+let constraints t mode ~model_params fname =
+  constraints_aliased t mode ~model_params ~aliases:[] fname
 
 (** A function's empirical model shows a dependency the taint analysis
     proved impossible: the signature of external interference such as

@@ -15,26 +15,21 @@ val dep_set : Pipeline.t -> string -> SSet.t
 
 val is_mpi_routine : Pipeline.t -> string -> bool
 
-val constraints :
-  Pipeline.t -> mode -> model_params:string list -> string ->
-  Model.Search.constraints
-
 val constraints_aliased :
   Pipeline.t -> mode -> model_params:string list ->
   aliases:(string * string list) list -> string ->
   Model.Search.constraints
-(** Like {!constraints}, with model-parameter aliases (MILC's [size]
-    stands for nx, ny, nz, nt). *)
+(** The search space of [fname]'s model under [mode]: in tainted mode
+    only the model parameters its dependency set covers, and products
+    only of parameters whose loops nest (any covered pair for an MPI
+    routine).  [aliases] maps a model parameter to the program
+    parameters it stands for (MILC's [size] stands for nx, ny, nz,
+    nt). *)
 
-val model_function :
-  ?config:Model.Search.config ->
-  Pipeline.t -> mode -> model_params:string list -> fname:string ->
-  Model.Dataset.t -> Model.Search.result
-
-val model_total :
-  ?config:Model.Search.config ->
-  ?constraints:Model.Search.constraints ->
-  Model.Dataset.t -> Model.Search.result
+val constraints :
+  Pipeline.t -> mode -> model_params:string list -> string ->
+  Model.Search.constraints
+(** {!constraints_aliased} without aliases. *)
 
 val contradicts_taint :
   Pipeline.t -> fname:string -> Model.Search.result -> SSet.t

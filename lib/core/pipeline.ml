@@ -48,17 +48,27 @@ let phase_taint_run = "pipeline.phase.taint_run_s"
 let phase_post = "pipeline.phase.post_s"
 let phase_total = "pipeline.phase.total_s"
 
-(* The analysis body over any taint-policy engine: the interpreted
-   machine and the compiled tier expose the same {!Interp.Engine.S}
-   face, so one first-class-module helper serves both. *)
-let analyze_via (type a) (module E : Interp.Engine.S with type t = a) ~config
-    ~world ?metrics ~trace ?profile program ~args =
+(* The tainted run's engine: the compiled tier under the Taint policy. *)
+module E = Interp.Compiled.Taint
+
+(** Run the full analysis: static classification, then one tainted run of
+    [program] with entry arguments [args] under MPI world [world].
+
+    [metrics] turns on per-instruction accounting in the engine and
+    collects everything into the given registry; without it a private
+    registry still captures phase durations and the label-table size
+    (three clock reads and a handful of counters — negligible next to the
+    run itself).  [trace] records pipeline-phase spans, per-call function
+    spans and loop-entry instants.  [profile] attaches a deterministic
+    sampling profiler to the tainted run. *)
+let analyze ?(config = Interp.Machine.default_config)
+    ?(world = Mpi_sim.Runtime.default_world) ?metrics
+    ?(trace = Obs_trace.disabled) ?profile program ~args =
   let reg = match metrics with Some m -> m | None -> Obs_metrics.create () in
   (* Lowering-cache traffic of this run: the counts live in domain-local
      refs inside Interp.Compiled (outside any engine registry, which the
      compile-identity oracle compares across tiers), so the pipeline
-     snapshots the delta.  The interpreted tier never lowers — its delta
-     is zero. *)
+     snapshots the delta. *)
   let cache_h0, cache_m0 = Interp.Compiled.cache_stats () in
   let timed gauge_name span_name f =
     let record = Obs_metrics.set_gauge (Obs_metrics.gauge reg gauge_name) in
@@ -131,31 +141,6 @@ let analyze_via (type a) (module E : Interp.Engine.S with type t = a) ~config
     steps = E.steps_executed m;
     snapshot = Obs_metrics.snapshot reg;
   }
-
-(** Run the full analysis: static classification, then one tainted run of
-    [program] with entry arguments [args] under MPI world [world].
-
-    [engine] selects the execution tier for the tainted run (default
-    {!Interp.Engine.default_tier}, the compiled one); the tiers are
-    bit-identical, checked continuously by the [compile-identity] fuzz
-    oracle.  [metrics] turns on per-instruction accounting in the engine
-    and collects everything into the given registry; without it a private
-    registry still captures phase durations and the label-table size
-    (three clock reads and a handful of counters — negligible next to the
-    run itself).  [trace] records pipeline-phase spans, per-call function
-    spans and loop-entry instants.  [profile] attaches a deterministic
-    sampling profiler to the tainted run. *)
-let analyze ?(engine = Interp.Engine.default_tier)
-    ?(config = Interp.Machine.default_config)
-    ?(world = Mpi_sim.Runtime.default_world) ?metrics
-    ?(trace = Obs_trace.disabled) ?profile program ~args =
-  match engine with
-  | Interp.Engine.Interpreted ->
-    analyze_via (module Interp.Machine) ~config ~world ?metrics ~trace
-      ?profile program ~args
-  | Interp.Engine.Compiled ->
-    analyze_via (module Interp.Compiled.Taint) ~config ~world ?metrics ~trace
-      ?profile program ~args
 
 (** Phase durations of this analysis, seconds, in pipeline order:
     [static], [taint_run], [post]. *)

@@ -32,7 +32,6 @@ type func_status =
 val status_name : func_status -> string
 
 val analyze :
-  ?engine:Interp.Engine.tier ->
   ?config:Interp.Machine.config ->
   ?world:Mpi_sim.Runtime.world ->
   ?metrics:Obs_metrics.t ->
@@ -41,15 +40,14 @@ val analyze :
   Ir.Types.program ->
   args:Ir.Types.value list ->
   t
-(** Validate, statically classify, then run the tainted execution.  The
-    three phases (static analysis, tainted run, post-processing) are
-    individually timed; [engine] selects the execution tier of the
-    tainted run (default compiled; both tiers are bit-identical);
-    [metrics] additionally enables per-instruction
-    accounting in the engine, [trace] records phase/function
-    spans and loop-entry instants, and [profile] samples the tainted
-    run's call stack every [interval] executed steps (deterministic:
-    driven by the step count, never wall time).
+(** Validate, statically classify, then run the tainted execution on
+    {!Interp.Compiled.Taint}.  The three phases (static analysis,
+    tainted run, post-processing) are individually timed; [metrics]
+    additionally enables per-instruction accounting in the engine,
+    [trace] records phase/function spans and loop-entry instants, and
+    [profile] samples the tainted run's call stack every [interval]
+    executed steps (deterministic: driven by the step count, never wall
+    time).
     @raise Ir.Types.Ir_error on malformed programs
     @raise Interp.Machine.Runtime_error on dynamic errors. *)
 

@@ -26,16 +26,20 @@ let interp_config = { M.default_config with max_steps = 500_000 }
 let base_value = VInt 3
 let perturbed_value = VInt 7
 
+(* Every engine an oracle runs lives in the simulated MPI world, as under
+   the pipeline, so programs calling MPI routines (the bundled apps,
+   [examples/heat.pir]) execute instead of trapping on an unknown
+   primitive.  Generated programs call only [taint:] primitives. *)
+let create (type a) (module E : Interp.Engine.S with type t = a) ?metrics
+    ?trace ?profile ~config p =
+  let m = E.create ~config ?metrics ?trace ?profile p in
+  Mpi_sim.Runtime.install_host (module E) Mpi_sim.Runtime.default_world m;
+  m
+
 type exec_result = Finished of M.t * value | Budget | Crash of string
 
 let exec ?(config = interp_config) ?metrics ?trace prog args =
-  let m =
-    match (metrics, trace) with
-    | None, None -> M.create ~config prog
-    | Some im, None -> M.create ~config ~metrics:im prog
-    | None, Some tr -> M.create ~config ~trace:tr prog
-    | Some im, Some tr -> M.create ~config ~metrics:im ~trace:tr prog
-  in
+  let m = create (module M) ?metrics ?trace ~config prog in
   match M.run m args with
   | v, _ -> Finished (m, v)
   | exception M.Budget_exceeded _ -> Budget
@@ -337,17 +341,11 @@ let clean_of (obs : O.t) steps v =
     cl_steps = steps;
   }
 
-let exec_taint_clean ~config p args =
-  let m = M.create ~config p in
-  match M.run m args with
-  | v, _ -> `Finished (clean_of (M.observations m) (M.steps_executed m) v)
-  | exception M.Budget_exceeded _ -> `Budget
-  | exception M.Runtime_error msg -> `Crash msg
-
-let exec_plain_clean ~config p args =
-  let m = P.create ~config p in
-  match P.run m args with
-  | v, _ -> `Finished (clean_of (P.observations m) (P.steps_executed m) v)
+let exec_clean (type a) (module E : Interp.Engine.S with type t = a) ~config p
+    args =
+  let m = create (module E) ~config p in
+  match E.run m args with
+  | v, _ -> `Finished (clean_of (E.observations m) (E.steps_executed m) v)
   | exception M.Budget_exceeded _ -> `Budget
   | exception M.Runtime_error msg -> `Crash msg
 
@@ -363,7 +361,8 @@ let diff_component a b =
 let taint_vs_plain_with config =
   let check p =
     let args = base_args p in
-    match (exec_taint_clean ~config p args, exec_plain_clean ~config p args) with
+    let taint = exec_clean (module M) ~config p args in
+    match (taint, exec_clean (module P) ~config p args) with
     | `Budget, `Budget -> Pass
     | `Crash a, `Crash b when String.equal a b -> Pass
     | `Finished a, `Finished b -> (
@@ -388,7 +387,7 @@ let taint_vs_plain = taint_vs_plain_with interp_config
    iterations + entries times. *)
 let coverage_consistency_with config =
   let check p =
-    let m = C.create ~config p in
+    let m = create (module C) ~config p in
     match C.run m (base_args p) with
     | exception M.Budget_exceeded _ -> Pass
     | exception M.Runtime_error _ -> Pass
@@ -848,7 +847,7 @@ let tier_snapshot (type a) (module E : Interp.Engine.S with type t = a)
     ~config p args =
   let metrics = Obs_metrics.create () in
   let profile = Obs_profile.create () in
-  let m = E.create ~config ~metrics ~profile p in
+  let m = create (module E) ~metrics ~profile ~config p in
   let outcome, value =
     match E.run m args with
     | v, l -> ("finished", Some (v, L.names (E.label_table m) l))
@@ -922,7 +921,7 @@ let coverage_hits (type a)
     (module E : Interp.Engine.S
       with type t = a and type pstate = Interp.Coverage_policy.state) ~config p
     args =
-  let m = E.create ~config p in
+  let m = create (module E) ~config p in
   let outcome =
     match E.run m args with
     | _ -> "finished"

@@ -2,9 +2,11 @@
 
     Every oracle checks a whole [Ir.Types.program], so the same checks
     apply to freshly generated programs and to replayed [.pir] corpus
-    files.  Run them through {!check}, which converts an unexpected
-    exception into a [Fail] — in differential testing an escaping
-    exception is a finding, not an abort. *)
+    files.  Every engine an oracle runs has the simulated MPI world
+    ({!Mpi_sim.Runtime.default_world}) installed, so replayed files may
+    call MPI routines.  Run the oracles through {!check}, which converts
+    an unexpected exception into a [Fail] — in differential testing an
+    escaping exception is a finding, not an abort. *)
 
 type verdict = Pass | Fail of string
 

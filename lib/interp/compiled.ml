@@ -97,8 +97,6 @@ let count_linstr ic li =
   | LPrim _ -> Obs_metrics.incr ic.ic_prim
 
 module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
-  let policy_name = P.name
-
   (* Static policy capabilities, read once at functor application: when
      the policy carries no slot labels, every label it would produce is
      [P.clean] by contract, so the shadow plumbing below is skipped
@@ -871,7 +869,6 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
   let observations t = t.obs
   let label_table t = P.table t.pstate
   let steps_executed t = t.steps
-  let trace_sink t = t.trace
   let policy_state t = t.pstate
 end
 

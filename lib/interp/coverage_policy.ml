@@ -7,8 +7,6 @@
     count.  Feeds the fuzzing corpus heuristics and the [coverage] CLI
     subcommand. *)
 
-let name = "coverage"
-
 (* No shadow labels at all, but [block_enter] is the whole point. *)
 let tracks_labels = false
 let observes_blocks = true
@@ -32,12 +30,8 @@ let create ~control_flow_taint:_ ~hint =
   }
 
 let table s = s.labels
-let frame_state _ = ()
 let clean = ()
 let is_clean () = true
-let read_reg () _ = ()
-let write_reg _ () _ () = ()
-let bind_param () _ () = ()
 let frame_slots _ _ = ()
 let read_slot () _ = ()
 let write_slot _ () _ () = ()

@@ -1,7 +1,8 @@
 (** The coverage policy: block and edge hit counts over a clean run
-    (no shadow state; the only active hook is block entry).  {!Coverage}
-    is the engine instantiated with this policy; read the counts back
-    through [Coverage.policy_state] and the accessors below. *)
+    (no shadow state; the only active hook is block entry).
+    {!Coverage} and {!Compiled.Coverage} are the two tiers instantiated
+    with this policy; read the counts back through [policy_state] and
+    the accessors below. *)
 
 include Engine.POLICY with type label = unit
 

@@ -6,11 +6,11 @@
     the step budget; the policy keeps shadow registers, shadow memory,
     control scopes — or nothing at all.
 
-    This tier walks the IR tree directly with string-keyed lookups; the
-    {!Compiled} tier lowers each function to a slot-resolved form first
-    and is the default executor.  The interpreter remains the semantic
-    reference: the [compile_identity] fuzzing oracle holds the two tiers
-    bit-identical. *)
+    This tier walks the IR tree directly and keeps register values in a
+    string-keyed table; only the policy's shadow registers go through the
+    {!Fstatic.slots} numbering the {!Compiled} tier uses.  The compiled
+    tier is the executor; the interpreter remains the semantic reference
+    the [compile_identity] fuzzing oracle holds it bit-identical to. *)
 
 open Ir.Types
 module Label = Taint.Label
@@ -25,18 +25,6 @@ type config = {
 
 let default_config = { control_flow_taint = true; max_steps = 200_000_000 }
 
-(* -- execution tiers ------------------------------------------------------- *)
-
-type tier = Interpreted | Compiled
-
-let default_tier = Compiled
-let tier_name = function Interpreted -> "interp" | Compiled -> "compiled"
-
-let tier_of_name = function
-  | "interp" | "interpreted" -> Some Interpreted
-  | "compiled" -> Some Compiled
-  | _ -> None
-
 (* The per-instruction counters live in {!Icounters}, shared with the
    compiled tier; re-exported here for the documentation drift test. *)
 let instr_counters = Icounters.instr_counters
@@ -44,7 +32,6 @@ let instr_counters = Icounters.instr_counters
 (* -- module types ---------------------------------------------------------- *)
 
 module type POLICY = sig
-  val name : string
   val tracks_labels : bool
   val observes_blocks : bool
 
@@ -54,13 +41,8 @@ module type POLICY = sig
 
   val create : control_flow_taint:bool -> hint:int -> state
   val table : state -> Taint.Label.table
-  val frame_state : state -> fstate
   val clean : label
   val is_clean : label -> bool
-  val read_reg : fstate -> string -> label
-  val write_reg : state -> fstate -> string -> label -> unit
-  val bind_param : fstate -> string -> label -> unit
-
   val frame_slots : state -> int -> fstate
   val read_slot : fstate -> int -> label
   val write_slot : state -> fstate -> int -> label -> unit
@@ -109,8 +91,6 @@ module type HOST = sig
 end
 
 module type S = sig
-  val policy_name : string
-
   type pstate
 
   include HOST
@@ -126,21 +106,21 @@ module type S = sig
 
   val observations : t -> Observations.t
   val steps_executed : t -> int
-  val trace_sink : t -> Obs_trace.sink
   val policy_state : t -> pstate
 end
 
 (* -- the engine ------------------------------------------------------------ *)
 
 module Make (P : POLICY) : S with type pstate = P.state = struct
-  let policy_name = P.name
-
   type pstate = P.state
 
   (* Static per-function facts needed during execution: the shared
-     block-resolution table plus the function's statistics record. *)
+     block-resolution table and slot numbering plus the function's
+     statistics record. *)
   type fstatic = {
     fst : Fstatic.t;
+    slot_of : (string, int) Hashtbl.t;
+        (** register name -> shadow slot ({!Fstatic.slots}) *)
     sfobs : Obs.func_obs;
         (** the function's statistics record, shared by every frame *)
   }
@@ -208,7 +188,9 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
     | Some s -> s
     | None ->
       let f = func_named t fname in
-      let s = { fst = Fstatic.of_func f; sfobs = Obs.func_obs t.obs fname } in
+      let fst = Fstatic.of_func f in
+      let slot_of, _ = Fstatic.slots f fst in
+      let s = { fst; slot_of; sfobs = Obs.func_obs t.obs fname } in
       Hashtbl.replace t.statics fname s;
       s
 
@@ -226,8 +208,12 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
     | Bool b -> Eval.vbool b
     | Unit -> VUnit
 
+  (* Every register of an executed block has a slot: only the kept
+     blocks {!Fstatic.slots} numbers are reachable through labels. *)
+  let slot frame r = Hashtbl.find frame.fstat.slot_of r
+
   let operand_label frame = function
-    | Reg r -> P.read_reg frame.pframe r
+    | Reg r -> P.read_slot frame.pframe (slot frame r)
     | Int _ | Float _ | Bool _ | Unit -> P.clean
 
   let eval_operand frame op = (operand_value frame op, operand_label frame op)
@@ -236,7 +222,7 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
      context in as appropriate. *)
   let write_reg t frame r v l =
     Hashtbl.replace frame.regs r v;
-    P.write_reg t.pstate frame.pframe r l
+    P.write_slot t.pstate frame.pframe (slot frame r) l
 
   (* -- primitives --------------------------------------------------------- *)
 
@@ -409,7 +395,7 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
         fstat;
         fobs = fstat.sfobs;
         regs;
-        pframe = P.frame_state t.pstate;
+        pframe = P.frame_slots t.pstate (Hashtbl.length fstat.slot_of);
         active_loops = [];
         enclosing;
         callpath;
@@ -419,7 +405,7 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
     List.iter2
       (fun p (v, l) ->
         Hashtbl.replace frame.regs p v;
-        P.bind_param frame.pframe p l)
+        P.bind_slot frame.pframe (slot frame p) l)
       f.fparams argv;
     let fo = frame.fobs in
     fo.Obs.fo_calls <- fo.Obs.fo_calls + 1;
@@ -614,6 +600,5 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
   let observations t = t.obs
   let label_table t = P.table t.pstate
   let steps_executed t = t.steps
-  let trace_sink t = t.trace
   let policy_state t = t.pstate
 end

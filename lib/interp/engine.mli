@@ -13,7 +13,12 @@
     DFSan-style {!Taint_policy}; {!Plain} runs the same programs with
     zero shadow bookkeeping; {!Coverage} counts block and edge
     executions.  All three produce identical program results and
-    identical observations modulo taint labels. *)
+    identical observations modulo taint labels.
+
+    {!Make} is the tree-walking reference interpreter.  {!Compiled.Make}
+    runs the same policies over lowered code and is the only executor
+    outside the tests and the fuzz oracles; the [compile_identity]
+    oracle holds the two bit-identical. *)
 
 exception Budget_exceeded of int
 (** Raised when the [max_steps] instruction budget is exhausted — kept
@@ -31,22 +36,6 @@ type config = {
 
 val default_config : config
 
-(** The two execution tiers sharing these semantics: the tree-walking
-    interpreter ({!Make}) and the slot-resolved lowered form
-    ({!Compiled.Make}).  The compiled tier is the default everywhere a
-    program is executed; the interpreter is the semantic reference the
-    [compile_identity] fuzzing oracle differences against. *)
-type tier = Interpreted | Compiled
-
-val default_tier : tier
-(** {!Compiled}. *)
-
-val tier_name : tier -> string
-(** ["interp"] / ["compiled"] — the names accepted by the CLI's
-    [--engine] flag. *)
-
-val tier_of_name : string -> tier option
-
 val instr_counters : (string * string) list
 (** The per-instruction metric names the engine registers when a metrics
     registry is attached, with a one-line meaning each.  This list is the
@@ -59,8 +48,6 @@ val instr_counters : (string * string) list
     per-frame shadow context (e.g. the control-taint stack), [state] the
     whole-run analysis state (e.g. the label table and shadow memory). *)
 module type POLICY = sig
-  val name : string
-
   val tracks_labels : bool
   (** Whether slot labels carry information.  [false] promises that
       {!read_slot}/{!write_slot}/{!bind_slot}, {!join2}, {!on_alloc},
@@ -87,34 +74,23 @@ module type POLICY = sig
   (** The label table backing {!export}/{!import}; policies without
       labels return a private empty table. *)
 
-  val frame_state : state -> fstate
-  (** Fresh per-frame context, built at every function call. *)
-
   val clean : label
   (** Shadow of literals and of values without dependencies. *)
 
   val is_clean : label -> bool
 
-  val read_reg : fstate -> string -> label
-  val write_reg : state -> fstate -> string -> label -> unit
-  (** Record a register write; the Taint policy folds the active control
-      scopes into the written label here. *)
-
-  val bind_param : fstate -> string -> label -> unit
-  (** Bind a formal parameter at call entry (no control-scope fold). *)
-
   val frame_slots : state -> int -> fstate
-  (** Fresh per-frame context for the compiled tier, where the lowering
-      pass has resolved the frame's registers to [n] dense integer
-      slots.  The slot accessors below must implement exactly the same
-      shadow semantics as their register-named counterparts. *)
+  (** Fresh per-frame context, built at every function call.  Both tiers
+      address the frame's registers as [n] dense slots, numbered by
+      {!Fstatic.slots}. *)
 
   val read_slot : fstate -> int -> label
   val write_slot : state -> fstate -> int -> label -> unit
-  (** Slot analogue of {!write_reg} (control-scope fold included). *)
+  (** Record a register write; the Taint policy folds the active control
+      scopes into the written label here. *)
 
   val bind_slot : fstate -> int -> label -> unit
-  (** Slot analogue of {!bind_param} (no control-scope fold). *)
+  (** Bind a formal parameter at call entry (no control-scope fold). *)
 
   val join2 : state -> label -> label -> label
   (** Transfer function of two-operand ALU instructions. *)
@@ -186,8 +162,6 @@ end
 
 (** An instantiated engine. *)
 module type S = sig
-  val policy_name : string
-
   type pstate
   (** The policy's whole-run analysis state. *)
 
@@ -211,11 +185,13 @@ module type S = sig
 
   val observations : t -> Observations.t
   val steps_executed : t -> int
-  val trace_sink : t -> Obs_trace.sink
 
   val policy_state : t -> pstate
   (** Direct access to the policy's analysis state (e.g. the Coverage
       policy's block/edge counters). *)
 end
 
+(** The reference interpreter: register values in a name-keyed table,
+    shadow registers in the policy's {!Fstatic.slots}-numbered frame,
+    dispatch on the IR tree. *)
 module Make (P : POLICY) : S with type pstate = P.state

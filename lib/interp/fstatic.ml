@@ -4,10 +4,11 @@
     membership, loop exits, and the pre-resolved immediate-postdominator
     join of its terminator).
 
-    This module is the {e single} definition of block resolution.  In
-    particular the first-wins rule for duplicate block labels — matching
-    [Ir.Types.find_block]'s linear scan — lives only here, so the two
-    tiers cannot drift on which block a label denotes. *)
+    This module is the {e single} definition of block resolution and of
+    frame-slot assignment.  In particular the first-wins rule for
+    duplicate block labels — matching [Ir.Types.find_block]'s linear
+    scan — lives only here, so the two tiers cannot drift on which block
+    a label denotes or which slot a register occupies. *)
 
 open Ir.Types
 
@@ -88,6 +89,35 @@ let of_func (f : Ir.Types.func) =
   in
   let bentry = if Array.length border = 0 then None else Some border.(0) in
   { cfg; forest; binfos; border; bentry }
+
+(** The frame-slot assignment both tiers address registers through: the
+    table from register name to slot, and the array from slot to name.
+    Parameters take slots [0 .. k-1] in declaration order; every other
+    register of the kept blocks ([border]) follows in first-occurrence
+    order, each instruction's operands before its destination and each
+    block's terminator operand last.  Built on demand rather than kept in
+    {!t}: the lowering pass keeps only the names, the interpreter the
+    table. *)
+let slots (f : Ir.Types.func) t =
+  let slot_of = Hashtbl.create 32 in
+  let names = ref [] in
+  let reg r =
+    if not (Hashtbl.mem slot_of r) then begin
+      Hashtbl.add slot_of r (Hashtbl.length slot_of);
+      names := r :: !names
+    end
+  in
+  List.iter reg f.fparams;
+  Array.iter
+    (fun bi ->
+      List.iter
+        (fun i ->
+          List.iter reg (instr_uses i);
+          Option.iter reg (instr_def i))
+        bi.blk.instrs;
+      List.iter reg (term_uses bi.blk.term))
+    t.border;
+  (slot_of, Array.of_list (List.rev !names))
 
 (** Resolve [label] in [f]'s static facts.  The fallback keeps
     [find_block]'s original error message for labels outside the

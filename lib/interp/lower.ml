@@ -4,9 +4,10 @@
     Lowering resolves every name the interpreter would look up at
     runtime:
 
-    - register names become dense integer {e slots} (parameters first,
-      then every other register in first-occurrence order), so frames
-      are plain arrays instead of string-keyed hash tables;
+    - register names become dense integer {e slots} through
+      {!Fstatic.slots}, the assignment the interpreter's shadow
+      registers use too, so frames are plain arrays instead of
+      string-keyed hash tables;
     - branch and jump targets become block {e indices} into the
       function's deduplicated block array, with the from-inside-the-loop
       test of loop accounting precomputed per edge;
@@ -105,32 +106,18 @@ let lowered_ops =
     ("LBranch", "conditional transfer between two pre-resolved block indices");
   ]
 
-(* -- slot allocation ------------------------------------------------------- *)
+(* -- operands -------------------------------------------------------------- *)
 
-type slots = {
-  by_name : (string, int) Hashtbl.t;
-  mutable names : string list;  (** reversed *)
-  mutable count : int;
-}
-
-let slot_of sl r =
-  match Hashtbl.find_opt sl.by_name r with
-  | Some i -> i
-  | None ->
-    let i = sl.count in
-    Hashtbl.add sl.by_name r i;
-    sl.names <- r :: sl.names;
-    sl.count <- i + 1;
-    i
-
+(* Registers resolve through the shared {!Fstatic.slots} table, which
+   covers every register of the kept blocks. *)
 let lop_of sl = function
-  | Reg r -> LSlot (slot_of sl r)
+  | Reg r -> LSlot (Hashtbl.find sl r)
   | Int i -> LConst (Eval.vint i)
   | Float f -> LConst (VFloat f)
   | Bool b -> LConst (Eval.vbool b)
   | Unit -> LConst VUnit
 
-let dst_of sl = function Some r -> slot_of sl r | None -> -1
+let dst_of sl = function Some r -> Hashtbl.find sl r | None -> -1
 
 (* -- lowering -------------------------------------------------------------- *)
 
@@ -158,28 +145,14 @@ let lower_prim name =
     | None -> PDyn
 
 let lower_instr ~resolve sl sites = function
-  | Assign (d, a) ->
-    let a = lop_of sl a in
-    LAssign (slot_of sl d, a)
+  | Assign (d, a) -> LAssign (Hashtbl.find sl d, lop_of sl a)
   | Binop (d, op, a, b) ->
-    let a = lop_of sl a in
-    let b = lop_of sl b in
-    LBinop (slot_of sl d, op, a, b)
-  | Unop (d, op, a) ->
-    let a = lop_of sl a in
-    LUnop (slot_of sl d, op, a)
-  | Alloc (d, n) ->
-    let n = lop_of sl n in
-    LAlloc (slot_of sl d, n)
+    LBinop (Hashtbl.find sl d, op, lop_of sl a, lop_of sl b)
+  | Unop (d, op, a) -> LUnop (Hashtbl.find sl d, op, lop_of sl a)
+  | Alloc (d, n) -> LAlloc (Hashtbl.find sl d, lop_of sl n)
   | Load (d, base, idx) ->
-    let base = lop_of sl base in
-    let idx = lop_of sl idx in
-    LLoad (slot_of sl d, base, idx)
-  | Store (base, idx, x) ->
-    let base = lop_of sl base in
-    let idx = lop_of sl idx in
-    let x = lop_of sl x in
-    LStore (base, idx, x)
+    LLoad (Hashtbl.find sl d, lop_of sl base, lop_of sl idx)
+  | Store (base, idx, x) -> LStore (lop_of sl base, lop_of sl idx, lop_of sl x)
   | Call (d, fname, args) ->
     let args = Array.of_list (List.map (lop_of sl) args) in
     let site = !sites in
@@ -196,10 +169,8 @@ let lower_instr ~resolve sl sites = function
     arity check); it is total over defined functions and [None]
     otherwise. *)
 let func ~resolve (f : Ir.Types.func) (static : Fstatic.t) =
-  let sl = { by_name = Hashtbl.create 32; names = []; count = 0 } in
+  let sl, names = Fstatic.slots f static in
   let sites = ref 0 in
-  (* Parameters occupy slots [0 .. n-1], in declaration order. *)
-  List.iter (fun p -> ignore (slot_of sl p)) f.fparams;
   let kept = static.Fstatic.border in
   let index_of = Hashtbl.create (Array.length kept * 2) in
   Array.iteri
@@ -238,8 +209,8 @@ let func ~resolve (f : Ir.Types.func) (static : Fstatic.t) =
   let lblocks = Array.map lower_block kept in
   {
     lf = f;
-    lnslots = sl.count;
-    lsnames = Array.of_list (List.rev sl.names);
+    lnslots = Array.length names;
+    lsnames = names;
     lblocks;
     lnsites = !sites;
     lstatic = static;

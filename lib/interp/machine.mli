@@ -6,7 +6,9 @@
 
     Since the policy split this is {!Engine.Make}[(Taint_policy)] plus
     backward-compatible aliases; {!Plain} and {!Coverage} run the same
-    engine under the other policies. *)
+    engine under the other policies.  It is the reference side of the
+    compile-identity oracle: the pipeline's tainted run executes on
+    {!Compiled.Taint}. *)
 
 exception Runtime_error of string
 
@@ -26,61 +28,4 @@ type config = Engine.config = {
 
 val default_config : config
 
-val policy_name : string
-
-type pstate = Taint_policy.state
-(** The taint policy's whole-run analysis state. *)
-
-type t
-(** An interpreter instance: program, heap, shadow memory, label table,
-    observations, primitive registry. *)
-
-type frame
-(** A call frame (opaque; passed to primitive implementations). *)
-
-type prim_fn =
-  t -> frame -> (Ir.Types.value * Taint.Label.t) list ->
-  Ir.Types.value * Taint.Label.t
-(** A host primitive: receives evaluated arguments with their labels and
-    returns the result value and label. *)
-
-val create :
-  ?config:config ->
-  ?metrics:Obs_metrics.t ->
-  ?trace:Obs_trace.sink ->
-  ?profile:Obs_profile.t ->
-  Ir.Types.program ->
-  t
-(** [metrics] enables per-instruction accounting (opcode classes,
-    memory/shadow traffic, branches, loop entries) into the given
-    registry; [trace] records a function-call span per invocation and a
-    loop-entry instant event per dynamic loop entry; [profile] attaches
-    a deterministic sampling profiler driven by the executed-step count.
-    All default to off, in which case the interpreter's hot path is
-    unchanged: one field test per instruction, no allocation. *)
-
-val register_prim : t -> string -> prim_fn -> unit
-(** Install or replace a primitive.  [taint:<name>], [work] and [print]
-    are built in; the MPI runtime installs the library routines. *)
-
-val run : t -> Ir.Types.value list -> Ir.Types.value * Taint.Label.t
-(** Execute the entry function with positional arguments.
-    @raise Runtime_error on dynamic errors (kind mismatch, out-of-bounds,
-    unknown primitive, ...).
-    @raise Budget_exceeded when [max_steps] instructions were executed. *)
-
-val run_named :
-  t -> (string * Ir.Types.value) list -> Ir.Types.value * Taint.Label.t
-(** Like {!run}, with arguments given by entry-parameter name. *)
-
-val observations : t -> Observations.t
-val label_table : t -> Taint.Label.table
-val steps_executed : t -> int
-
-val trace_sink : t -> Obs_trace.sink
-(** The sink passed at creation ([Obs_trace.disabled] otherwise). *)
-
-val policy_state : t -> pstate
-(** Direct access to the policy's analysis state.  With these, the
-    module satisfies {!Engine.S} and can be packed first-class next to
-    {!Compiled.Taint} for tier-generic code. *)
+include Engine.S with type pstate = Taint_policy.state

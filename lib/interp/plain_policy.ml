@@ -10,8 +10,6 @@
 
 module Label = Taint.Label
 
-let name = "plain"
-
 (* Every hook below is a no-op producing [Label.empty]; the compiled
    tier specializes both away. *)
 let tracks_labels = false
@@ -23,12 +21,8 @@ type fstate = unit
 
 let create ~control_flow_taint:_ ~hint:_ = { labels = Label.create () }
 let table s = s.labels
-let frame_state _ = ()
 let clean = Label.empty
 let is_clean _ = true
-let read_reg () _ = Label.empty
-let write_reg _ () _ _ = ()
-let bind_param () _ _ = ()
 let frame_slots _ _ = ()
 let read_slot () _ = Label.empty
 let write_slot _ () _ _ = ()

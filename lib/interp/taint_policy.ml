@@ -3,13 +3,12 @@
     Shadow registers per frame, shadow memory per allocation, and the
     control-taint stack scoped by the branch's immediate postdominator
     (the paper's explicit control-flow tainting extension).  Instantiated
-    by {!Machine}; the transfer functions below are the exact shadow
-    semantics the monolithic interpreter used to inline. *)
+    by {!Machine} and {!Compiled.Taint}; the transfer functions below are
+    the exact shadow semantics the monolithic interpreter used to
+    inline. *)
 
 module Label = Taint.Label
 module Shadow = Taint.Shadow
-
-let name = "taint"
 
 type state = {
   labels : Label.table;
@@ -20,11 +19,7 @@ type state = {
 type label = Label.t
 
 type fstate = {
-  rshadow : (string, Label.t) Hashtbl.t;
-      (** shadow registers by name (interpreted tier) *)
-  slots : Label.t array;
-      (** shadow registers by slot (compiled tier); [ [||] ] in frames of
-          the interpreted tier *)
+  slots : Label.t array;  (** shadow registers by {!Fstatic.slots} slot *)
   mutable ctl : (string * Label.t) list;
       (** (join label, condition taint); "$never" join is function-scoped *)
 }
@@ -35,23 +30,9 @@ let create ~control_flow_taint ~hint =
 
 let table s = s.labels
 
-(* Each frame uses either the named or the slotted shadow registers,
-   never both; the unused side is a shared empty structure.  The dummy
-   table is never written: the compiled tier routes every register
-   access through slots. *)
-let no_slots : Label.t array = [||]
-let no_rshadow : (string, Label.t) Hashtbl.t = Hashtbl.create 1
-
-let frame_state _ =
-  { rshadow = Hashtbl.create 32; slots = no_slots; ctl = [] }
-
-let frame_slots _ n =
-  { rshadow = no_rshadow; slots = Array.make n Label.empty; ctl = [] }
+let frame_slots _ n = { slots = Array.make n Label.empty; ctl = [] }
 let clean = Label.empty
 let is_clean = Label.is_empty
-
-let read_reg f r =
-  Option.value ~default:Label.empty (Hashtbl.find_opt f.rshadow r)
 
 let ctl_taint f =
   List.fold_left (fun acc (_, l) -> Label.union acc l) Label.empty f.ctl
@@ -62,8 +43,6 @@ let ctl_taint f =
 let with_ctl s f l =
   if s.cf then Label.union l (ctl_taint f) else l
 
-let write_reg s f r l = Hashtbl.replace f.rshadow r (with_ctl s f l)
-let bind_param f p l = Hashtbl.replace f.rshadow p l
 let tracks_labels = true
 let observes_blocks = true
 let read_slot f i = f.slots.(i)

@@ -65,9 +65,9 @@ let run_design ?pool ?metrics app machine design =
     so there are no repetitions — one run per configuration, the paper's
     "many clean measurement runs" against actual programs rather than the
     analytic spec. *)
-let replay_runs ?engine ?config ?world program ~grid =
+let replay_runs ?config ?world program ~grid =
   List.map
-    (fun params -> Simulator.replay ?engine ?config ?world program ~params)
+    (fun params -> Simulator.replay ?config ?world program ~params)
     (grid_configs grid)
 
 (** Modeling dataset for one kernel: one point per configuration, one

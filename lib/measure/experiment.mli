@@ -28,12 +28,10 @@ val run_design :
     collection; per-coordinate registries merged in design order). *)
 
 val replay_runs :
-  ?engine:Interp.Engine.tier -> ?config:Interp.Engine.config ->
-  ?world:Mpi_sim.Runtime.world ->
+  ?config:Interp.Engine.config -> ?world:Mpi_sim.Runtime.world ->
   Ir.Types.program -> grid:(string * float list) list ->
   Simulator.replay list
-(** One deterministic clean {!Simulator.replay} per grid configuration,
-    on the selected execution tier (default compiled). *)
+(** One deterministic clean {!Simulator.replay} per grid configuration. *)
 
 val kernel_dataset :
   Simulator.run list -> params:string list -> kernel:string -> Model.Dataset.t

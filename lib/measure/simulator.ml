@@ -139,11 +139,10 @@ type replay = {
   rp_calls : (string * int) list;  (** per-function invocation counts *)
 }
 
-(* The replay body over any shadow-free engine: the interpreted and the
-   compiled tier expose the same {!Interp.Engine.S} face, so one
-   first-class-module helper serves both. *)
-let replay_via (type a) (module E : Interp.Engine.S with type t = a) ?config
-    ~world program ~params =
+(* The replay engine: the compiled tier under the Plain policy. *)
+module E = Interp.Compiled.Plain
+
+let replay ?config ?(world = Mpi_sim.Runtime.default_world) program ~params =
   let entry = Ir.Types.find_func program program.Ir.Types.entry in
   (* "p" doubles as the MPI world size when the entry does not take it
      explicitly: the communicator size enters through mpi_comm_size. *)
@@ -181,14 +180,6 @@ let replay_via (type a) (module E : Interp.Engine.S with type t = a) ?config
     rp_work = fold (fun fo -> fo.Interp.Observations.fo_work);
     rp_calls = fold (fun fo -> fo.Interp.Observations.fo_calls);
   }
-
-let replay ?(engine = Interp.Engine.default_tier) ?config
-    ?(world = Mpi_sim.Runtime.default_world) program ~params =
-  match engine with
-  | Interp.Engine.Interpreted ->
-    replay_via (module Interp.Plain) ?config ~world program ~params
-  | Interp.Engine.Compiled ->
-    replay_via (module Interp.Compiled.Plain) ?config ~world program ~params
 
 let replay_work r name =
   Option.value ~default:0 (List.assoc_opt name r.rp_work)

@@ -44,15 +44,12 @@ type replay = {
 }
 
 val replay :
-  ?engine:Interp.Engine.tier -> ?config:Interp.Engine.config ->
-  ?world:Mpi_sim.Runtime.world ->
+  ?config:Interp.Engine.config -> ?world:Mpi_sim.Runtime.world ->
   Ir.Types.program -> params:Spec.params -> replay
-(** Execute a PIR program at one configuration through the Plain
-    (shadow-free) engine — a clean measurement run on the same programs
-    the tainted pipeline analyzes.  [engine] selects the execution tier
-    (default {!Interp.Engine.default_tier}, the compiled one); both tiers
-    are bit-identical, checked continuously by the [compile-identity]
-    fuzz oracle.  Entry parameters are bound by name from [params]
+(** Execute a PIR program at one configuration through the compiled
+    Plain (shadow-free) engine, {!Interp.Compiled.Plain} — a clean
+    measurement run on the same programs the tainted pipeline analyzes.
+    Entry parameters are bound by name from [params]
     (truncated to int); ["p"] configures the MPI world size when the
     entry does not take it explicitly.
     @raise Invalid_argument when an entry parameter has no value.

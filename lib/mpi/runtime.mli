@@ -9,22 +9,7 @@ type world = {
 
 val default_world : world
 
-(** MPI bindings over any engine instantiation (Taint, Plain, Coverage):
-    routine semantics only need the prim-registration face. *)
-module Install (E : Interp.Engine.HOST) : sig
-  val install : world -> E.t -> unit
-end
-
-val install : world -> Interp.Machine.t -> unit
-(** Register every database routine as a PIR primitive on the machine. *)
-
-val install_plain : world -> Interp.Plain.t -> unit
-(** Same bindings on the clean-replay engine (labels are dropped). *)
-
-val install_coverage : world -> Interp.Coverage.t -> unit
-(** Same bindings on the coverage engine. *)
-
 val install_host :
   (module Interp.Engine.HOST with type t = 'a) -> world -> 'a -> unit
-(** Tier-generic install against a first-class engine module — serves
-    both the interpreted and the compiled tier of any policy. *)
+(** Register every database routine as a PIR primitive on an engine of
+    any tier and policy (labels are dropped under label-free policies). *)

@@ -192,52 +192,40 @@ let test_shard_flag_validation () =
     [ "campaign"; "minicg"; "--shards"; "2"; "--max-runs"; "3"; "--journal";
       "/tmp/x.jsonl" ]
 
-(* -- tier identity ----------------------------------------------------------
-   The lowering pass resolves names at compile time but its traps are
-   lazy and carry the interpreter's exact exception: for any program,
-   failing or not, `--engine compiled` and `--engine interp` must be
-   byte-identical on exit code, stdout and stderr. *)
-
-let check_tier_identity ?expect args =
-  let cc, co, ce = run_cli (args @ [ "--engine"; "compiled" ]) in
-  let ic, io, ie = run_cli (args @ [ "--engine"; "interp" ]) in
-  let label = String.concat " " args in
-  Alcotest.(check int) (label ^ ": same exit code") ic cc;
-  Alcotest.(check string) (label ^ ": same stdout") io co;
-  Alcotest.(check string) (label ^ ": same stderr") ie ce;
-  match expect with
-  | None -> ()
-  | Some needle ->
-    Alcotest.(check bool)
-      (Printf.sprintf "stderr %S mentions %S" ce needle)
-      true (contains ce needle)
+(* -- the executor's traps -----------------------------------------------------
+   Programs run on the compiled tier only.  Its lowering pass resolves
+   names at compile time but its traps are lazy and carry the
+   interpreter's exact exception (the compile-identity oracle and
+   suite_compile compare the two tiers directly), so each fixture either
+   runs to a result or fails with exactly one stderr line naming the
+   problem. *)
 
 let test_engine_unknown_function_identical () =
   with_fixture "func @main(n) {\nentry:\n  call @nope()\n  ret ()\n}\n"
   @@ fun path ->
-  check_tier_identity ~expect:"unknown function nope" [ "run"; path ]
+  check_failure ~expect:"unknown function nope" [ "run"; path ]
 
 let test_engine_unknown_block_identical () =
   (* `run` skips the static validator, so the unknown label surfaces as
      the engine's own trap — precomputed by the lowering pass, raised
      only when the jump executes. *)
   with_fixture "func @main(n) {\nentry:\n  jump missing\n}\n" @@ fun path ->
-  check_tier_identity ~expect:"unknown block missing in main" [ "run"; path ]
+  check_failure ~expect:"unknown block missing in main" [ "run"; path ]
 
 let test_engine_unknown_prim_identical () =
   with_fixture "func @main(n) {\nentry:\n  %x = prim !frob()\n  ret %x\n}\n"
   @@ fun path ->
-  check_tier_identity ~expect:"unknown primitive !frob" [ "run"; path ]
+  check_failure ~expect:"unknown primitive !frob" [ "run"; path ]
 
 let test_engine_runtime_and_budget_identical () =
   with_fixture "func @main(n) {\nentry:\n  %z = div %n, 0\n  ret %z\n}\n"
     (fun path ->
-      check_tier_identity ~expect:"division by zero" [ "run"; path ]);
-  check_tier_identity ~expect:"--max-steps"
+      check_failure ~expect:"division by zero" [ "run"; path ]);
+  check_failure ~expect:"--max-steps"
     [ "run"; "lulesh"; "--max-steps"; "10" ]
 
-(* One taint source more than a label has bits: both tiers refuse the
-   63rd source by name with the same message. *)
+(* One taint source more than a label has bits: the 63rd source is
+   refused by name. *)
 let test_engine_source_limit_identical () =
   let sources =
     List.init 63 (fun i ->
@@ -245,21 +233,39 @@ let test_engine_source_limit_identical () =
   in
   with_fixture
     ("func @main(n) {\nentry:\n" ^ String.concat "" sources ^ "  ret %n\n}\n")
-  @@ fun path -> check_tier_identity ~expect:"src62" [ "analyze"; path ]
+  @@ fun path -> check_failure ~expect:"src62" [ "analyze"; path ]
 
 let test_engine_success_identical () =
   List.iter
-    (fun app -> check_tier_identity [ "run"; app ])
+    (fun app ->
+      let code, out, errs = run_cli [ "run"; app ] in
+      Alcotest.(check int) (Printf.sprintf "run %s: %s" app errs) 0 code;
+      Alcotest.(check bool) "prints the result" true (contains out "result:"))
     [ "iterate"; "matrix"; "foo" ]
 
-let test_engine_rejects_bad_tier () =
-  let code, _out, errs =
-    run_cli [ "run"; "iterate"; "--engine"; "frobnicated" ]
+(* Every oracle replays the example program, which calls MPI routines:
+   the oracles' engines run in the simulated MPI world. *)
+let test_fuzz_heat_example () =
+  let path =
+    List.find Sys.file_exists [ "../examples/heat.pir"; "examples/heat.pir" ]
   in
-  Alcotest.(check bool) "nonzero exit" true (code <> 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "stderr %S names the flag" errs)
-    true (contains errs "--engine")
+  let code, out, errs = run_cli [ "fuzz"; path ] in
+  Alcotest.(check int) (Printf.sprintf "exit 0: %s%s" out errs) 0 code
+
+(* An unwritable --trace path is one error line and a nonzero exit; no
+   subcommand goes on to report a write it did not make. *)
+let test_trace_unwritable () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ()) "no-such-trace-dir/t.json"
+  in
+  List.iter
+    (fun args ->
+      check_failure ~expect:"cannot write trace" (args @ [ "--trace"; path ]))
+    [
+      [ "analyze"; "iterate" ];
+      [ "run"; "iterate" ];
+      [ "campaign"; "minicg"; "--reps"; "1" ];
+    ]
 
 (* -- serve daemon failure modes ----------------------------------------------
    The daemon's contract under abuse: a missing catalog directory is a
@@ -365,8 +371,10 @@ let tests =
       test_engine_source_limit_identical;
     Alcotest.test_case "tier-identical run output" `Quick
       test_engine_success_identical;
-    Alcotest.test_case "--engine rejects unknown tiers" `Quick
-      test_engine_rejects_bad_tier;
+    Alcotest.test_case "fuzz examples/heat.pir exits 0" `Quick
+      test_fuzz_heat_example;
+    Alcotest.test_case "unwritable --trace path fails cleanly" `Quick
+      test_trace_unwritable;
     Alcotest.test_case "unknown app" `Quick test_unknown_app;
     Alcotest.test_case "directory as program path" `Quick test_directory_path;
     Alcotest.test_case "vanished program path" `Quick test_unreadable_file;

@@ -1,10 +1,12 @@
 (** Tests of the compilation tier: the slot-resolved lowering pass
     ([Interp.Lower]) and the compiled engine ([Interp.Compiled]) against
-    the tree-walking interpreter as differential oracle — slot-allocation
-    edge cases (shadowed registers, empty blocks, recursion), the
-    duplicate-label first-wins rule shared through [Interp.Fstatic], lazy
+    the tree-walking interpreter as differential oracle — the shape of
+    the slot map both tiers share ([Interp.Fstatic.slots]),
+    slot-allocation edge cases (shadowed registers, empty blocks,
+    recursion), the duplicate-label first-wins rule, lazy
     trap-message identity, mid-block budget cuts, bit-identity on the
-    bundled applications and [examples/heat.pir], parallel fuzz campaigns
+    bundled applications and [examples/heat.pir] in the simulated MPI
+    world, parallel fuzz campaigns
     of the [compile-identity] oracle at several pool sizes, and the
     "Lowered IR" table of doc/IR.md staying in sync with
     {!Interp.Lower.lowered_ops}. *)
@@ -16,7 +18,40 @@ module O = Fuzz.Oracle
 
 let prog funcs entry = { pname = "t"; funcs; entry }
 
+(* Both tiers number registers through [Interp.Fstatic.slots], so a
+   fault there would shift both alike and hide from the compile-identity
+   oracle; the map's shape is checked directly.  Per function it is a
+   bijection from the registers of the kept blocks onto 0 .. n-1, with
+   the (distinct) parameters first. *)
+let slot_map_ok (f : func) =
+  let static = Interp.Fstatic.of_func f in
+  let slot_of, names = Interp.Fstatic.slots f static in
+  let names = Array.to_list names in
+  let regs =
+    Array.to_list static.Interp.Fstatic.border
+    |> List.concat_map (fun (bi : Interp.Fstatic.binfo) ->
+           let b = bi.Interp.Fstatic.blk in
+           List.concat_map
+             (fun i -> instr_uses i @ Option.to_list (instr_def i))
+             b.instrs
+           @ term_uses b.term)
+  in
+  List.sort compare names = List.sort_uniq compare (f.fparams @ regs)
+  && Hashtbl.length slot_of = List.length names
+  && List.for_all Fun.id
+       (List.mapi (fun i r -> Hashtbl.find_opt slot_of r = Some i) names)
+  && List.filteri (fun i _ -> i < List.length f.fparams) names = f.fparams
+
+let prop_slot_map =
+  QCheck.Test.make ~count:200
+    ~name:"shared slot map: bijection, parameters first" Fuzz.Shrink.arbitrary
+    (fun g -> List.for_all slot_map_ok (Fuzz.Gen.to_program g).funcs)
+
 let check_identity ?(config = O.interp_config) p =
+  List.iter
+    (fun f ->
+      if not (slot_map_ok f) then Alcotest.failf "slot map of %s" f.fname)
+    p.funcs;
   match O.check (O.compile_identity_with config) p with
   | O.Pass -> ()
   | O.Fail msg -> Alcotest.failf "tier divergence: %s" msg
@@ -50,7 +85,8 @@ let check_both ?config ~what p args =
 
 (* Two blocks named "dup": the first returns 1, the second 2.  Both
    tiers must resolve the jump to the first — the single definition in
-   [Interp.Fstatic] — and the lowering must drop the dead duplicate. *)
+   [Interp.Fstatic] — and the lowering must drop the dead duplicate,
+   whose register gets no slot. *)
 let test_duplicate_label_first_wins () =
   let p =
     prog
@@ -62,7 +98,11 @@ let test_duplicate_label_first_wins () =
             [
               { label = "entry"; instrs = []; term = Jump "dup" };
               { label = "dup"; instrs = []; term = Return (Int 1) };
-              { label = "dup"; instrs = []; term = Return (Int 2) };
+              {
+                label = "dup";
+                instrs = [ Assign ("dead", Int 2) ];
+                term = Return (Reg "dead");
+              };
             ];
         };
       ]
@@ -383,6 +423,21 @@ let test_trap_messages_identical () =
 
 (* -- bit-identity on the bundled programs ------------------------------------- *)
 
+(* The oracle runs every engine in the simulated MPI world, so the MPI
+   programs execute in full rather than up to an unknown-primitive trap:
+   on the oracle's base arguments (3 per parameter) each finishes inside
+   its budget after [steps] steps and registers the communicator-size
+   source p. *)
+let check_mpi_identity ~what ~steps p =
+  check_identity p;
+  let m = M.create ~config:O.interp_config p in
+  Mpi_sim.Runtime.install_host (module M) Mpi_sim.Runtime.default_world m;
+  let entry = find_func p p.entry in
+  ignore (M.run m (List.map (fun _ -> VInt 3) entry.fparams));
+  Alcotest.(check int) (what ^ ": steps") steps (M.steps_executed m);
+  Alcotest.(check bool) (what ^ ": registers p") true
+    (List.mem "p" (Taint.Label.sources (M.label_table m)))
+
 let test_identity_on_apps () =
   List.iter check_identity
     [
@@ -390,37 +445,16 @@ let test_identity_on_apps () =
       Apps.Didactic.foo_example;
       Apps.Didactic.matrix_init;
       Apps.Didactic.algorithm_selection;
-    ]
+    ];
+  check_mpi_identity ~what:"lulesh" ~steps:125_543 Apps.Lulesh.program;
+  check_mpi_identity ~what:"milc" ~steps:443_310 Apps.Milc.program;
+  check_mpi_identity ~what:"minicg" ~steps:306 Apps.Minicg.program
 
-(* The checked-in example program, through the full pipeline on both
-   tiers: identical classification inputs (observations digested into
-   deps) and identical step counts. *)
 let test_identity_on_heat_example () =
   let path =
     List.find Sys.file_exists [ "../examples/heat.pir"; "examples/heat.pir" ]
   in
-  let p = Ir.Parser.parse_file path in
-  check_identity p;
-  let analyze engine = Perf_taint.Pipeline.analyze ~engine p ~args:[ VInt 8; VInt 4 ] in
-  let i = analyze Interp.Engine.Interpreted in
-  let c = analyze Interp.Engine.Compiled in
-  Alcotest.(check int) "same steps" i.Perf_taint.Pipeline.steps
-    c.Perf_taint.Pipeline.steps;
-  Alcotest.(check bool) "same dependency digests" true
-    (Perf_taint.Pipeline.SMap.equal ( = ) i.Perf_taint.Pipeline.deps
-       c.Perf_taint.Pipeline.deps)
-
-(* Replays through Measure.Simulator agree between tiers on the bundled
-   app with an MPI world (mpi_comm_size taint source installed). *)
-let test_replay_engines_agree () =
-  let grid = [ ("p", [ 2.; 4. ]); ("size", [ 6.; 10. ]) ] in
-  let rs e =
-    Measure.Experiment.replay_runs ~engine:e Apps.Didactic.iterate_example
-      ~grid:[ ("size", [ 4.; 8. ]); ("step", [ 1.; 2. ]) ]
-  in
-  Alcotest.(check bool) "replay_runs identical" true
-    (rs Interp.Engine.Interpreted = rs Interp.Engine.Compiled);
-  ignore grid
+  check_mpi_identity ~what:"heat.pir" ~steps:75 (Ir.Parser.parse_file path)
 
 (* -- parallel campaigns -------------------------------------------------------
    The compile-identity oracle through the fuzz driver at several pool
@@ -504,23 +538,15 @@ let test_pipeline_surfaces_cache_counters () =
       (Obs_metrics.find_counter reg.Perf_taint.Pipeline.snapshot name)
   in
   let analyze () =
-    Perf_taint.Pipeline.analyze ~engine:Interp.Engine.Compiled
-      Apps.Didactic.iterate_example ~args:[ VInt 10; VInt 2 ]
+    Perf_taint.Pipeline.analyze Apps.Didactic.iterate_example
+      ~args:[ VInt 10; VInt 2 ]
   in
-  let first = analyze () in
+  ignore (analyze ());
   let again = analyze () in
   Alcotest.(check bool) "a repeated analysis reports cache hits" true
     (counter again "compile.cache_hit" > 0);
   Alcotest.(check int) "and re-lowers nothing" 0
-    (counter again "compile.cache_miss");
-  (* the interpreted tier reports the vocabulary too, at zero *)
-  let interp =
-    Perf_taint.Pipeline.analyze ~engine:Interp.Engine.Interpreted
-      Apps.Didactic.iterate_example ~args:[ VInt 10; VInt 2 ]
-  in
-  Alcotest.(check int) "interp tier: zero hits" 0
-    (counter interp "compile.cache_hit");
-  ignore first
+    (counter again "compile.cache_miss")
 
 let test_cache_counter_doc_in_sync () =
   let path =
@@ -554,6 +580,7 @@ let tests =
       `Quick test_duplicate_function_first_wins;
     Alcotest.test_case "shadowed registers share one slot" `Quick
       test_shadowed_registers;
+    Seeded.to_alcotest prop_slot_map;
     Alcotest.test_case "empty blocks and block-less functions" `Quick
       test_empty_blocks;
     Alcotest.test_case "self- and mutual recursion" `Quick
@@ -566,8 +593,6 @@ let tests =
       test_identity_on_apps;
     Alcotest.test_case "bit-identity on examples/heat.pir" `Quick
       test_identity_on_heat_example;
-    Alcotest.test_case "replay_runs identical across engines" `Quick
-      test_replay_engines_agree;
     Alcotest.test_case "compile-identity fuzz at --jobs 1/2/7" `Quick
       test_fuzz_campaign_jobs;
     Alcotest.test_case "lowered-op table in sync with doc/IR.md" `Quick

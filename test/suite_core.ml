@@ -116,6 +116,47 @@ let test_constraints_aliases () =
   | Some l -> Alcotest.(check (list string)) "size allowed via nx" [ "size" ] l
   | None -> Alcotest.fail "expected restriction"
 
+(* [constraints] used to be a copy of [constraints_aliased] without
+   aliases.  That copy is the reference it must still match on every
+   lulesh function and MPI routine: the same allowed list and product
+   predicate in tainted mode, no restriction in black-box mode. *)
+let test_constraints_match_reference () =
+  let t =
+    P.analyze ~world:Apps.Lulesh.taint_world Apps.Lulesh.program
+      ~args:Apps.Lulesh.taint_args
+  in
+  let params =
+    List.sort_uniq compare
+      (Apps.Lulesh.model_params @ SSet.elements (P.observed_params t))
+  in
+  let pairs =
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) params) params
+  in
+  List.iter
+    (fun fname ->
+      let c mode =
+        Perf_taint.Modeling.constraints t mode ~model_params:params fname
+      in
+      let deps = Perf_taint.Modeling.dep_set t fname in
+      let product a b =
+        if Perf_taint.Modeling.is_mpi_routine t fname then
+          SSet.mem a deps && SSet.mem b deps
+        else Perf_taint.Deps.multiplicative_ok t.deps fname a b
+      in
+      let tainted = c Perf_taint.Modeling.Tainted in
+      Alcotest.(check (option (list string)))
+        (fname ^ ": allowed")
+        (Some (List.filter (fun p -> SSet.mem p deps) params))
+        tainted.Model.Search.allowed;
+      (match tainted.Model.Search.multiplicative with
+      | Some m ->
+        Alcotest.(check bool) (fname ^ ": products") true
+          (List.for_all (fun (a, b) -> m a b = product a b) pairs)
+      | None -> Alcotest.failf "%s: products unrestricted" fname);
+      Alcotest.(check bool) (fname ^ ": black-box") true
+        (c Perf_taint.Modeling.Black_box = Model.Search.unconstrained))
+    (P.function_names t @ List.map fst (Ir.Cfg.SMap.bindings t.mpi_params))
+
 (* -- contention detection ------------------------------------------------------------- *)
 
 let test_contradicts_taint () =
@@ -319,4 +360,6 @@ let tests =
       test_volume_asymptotic_params;
     Alcotest.test_case "loop deps merge across call paths" `Quick
       test_loops_by_function_merges_callpaths;
+    Alcotest.test_case "constraints = reference on lulesh" `Quick
+      test_constraints_match_reference;
   ]

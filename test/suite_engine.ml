@@ -183,7 +183,6 @@ let test_plain_budget () =
    analysis is one small POLICY module plus the functor. *)
 
 module Store_count = struct
-  let name = "store-count"
   let tracks_labels = true (* [on_store] must fire *)
   let observes_blocks = false
 
@@ -195,12 +194,8 @@ module Store_count = struct
     { labels = Taint.Label.create (); stores = 0 }
 
   let table s = s.labels
-  let frame_state _ = ()
   let clean = ()
   let is_clean _ = true
-  let read_reg () _ = ()
-  let write_reg _ () _ () = ()
-  let bind_param () _ () = ()
   let frame_slots _ _ = ()
   let read_slot () _ = ()
   let write_slot _ () _ () = ()

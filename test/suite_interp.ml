@@ -242,7 +242,7 @@ let test_events_recorded () =
         B.ret_unit b)
   in
   let m = M.create (prog [ f ] "f") in
-  Mpi_sim.Runtime.install Mpi_sim.Runtime.default_world m;
+  Mpi_sim.Runtime.install_host (module M) Mpi_sim.Runtime.default_world m;
   let _ = M.run m [] in
   let events = Obs.event_list (M.observations m) in
   Alcotest.(check int) "two barrier events" 2
@@ -292,7 +292,8 @@ let test_mpi_comm_size_taint () =
         B.ret b p)
   in
   let m = M.create (prog [ f ] "f") in
-  Mpi_sim.Runtime.install { Mpi_sim.Runtime.ranks = 16; rank = 0 } m;
+  Mpi_sim.Runtime.install_host (module M)
+    { Mpi_sim.Runtime.ranks = 16; rank = 0 } m;
   let v, l = M.run m [] in
   Alcotest.(check bool) "size is 16" true (v = VInt 16);
   Alcotest.(check (list string)) "implicit p label" [ "p" ]
