@@ -2,8 +2,6 @@
     runs (memoised), selective-instrumentation sets, experiment designs,
     and table printing. *)
 
-module SSet = Measure.Instrument.SSet
-
 let machine = Mpi_sim.Machine.skylake_cluster
 
 (* -- memoised taint analyses ---------------------------------------------- *)
@@ -18,51 +16,35 @@ let milc_analysis =
     (Perf_taint.Pipeline.analyze ~world:Apps.Milc.taint_world
        Apps.Milc.program ~args:Apps.Milc.taint_args)
 
-(* MILC models in (p, size) while the program's parameters are the four
-   lattice extents. *)
-let milc_aliases = [ ("size", [ "nx"; "ny"; "nz"; "nt" ]) ]
+let milc_aliases =
+  (Option.get (Apps.Registry.find "milc")).Apps.Registry.aliases
 
-(** Taint-derived instrumentation selection: the relevant application
-    functions plus the MPI routines they use. *)
-let selective_set (t : Perf_taint.Pipeline.t) ~model_params =
-  let funcs = Perf_taint.Pipeline.relevant_functions t ~model_params in
-  let mpi =
-    Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used t)
-  in
-  SSet.of_list (funcs @ mpi)
-
+(* Taint-derived instrumentation selections over every parameter. *)
 let lulesh_selective =
   lazy
-    (selective_set (Lazy.force lulesh_analysis)
+    (Perf_taint.Pipeline.selection (Lazy.force lulesh_analysis)
        ~model_params:Apps.Lulesh.all_params)
 
 let milc_selective =
   lazy
-    (selective_set (Lazy.force milc_analysis) ~model_params:Apps.Milc.all_params)
+    (Perf_taint.Pipeline.selection (Lazy.force milc_analysis)
+       ~model_params:Apps.Milc.all_params)
 
 (* -- experiment designs ---------------------------------------------------- *)
 
-(** The paper's 5x5 grid with 5 repetitions; ranks-per-node pinned to 8 so
-    that hardware contention stays constant across the design (the paper
-    notes models are hardware-independent only at such saturation levels). *)
-let design ?(reps = 5) ?(sigma = 0.02) ?(seed = 42) ~mode ~p_values
-    ~size_values () =
-  {
-    Measure.Experiment.grid =
-      [ ("p", p_values); ("size", size_values); ("r", [ 8. ]) ];
-    reps;
-    mode;
-    sigma;
-    seed;
-  }
+(** A measured app's default grid from the app table — the paper's 5x5
+    grid with ranks-per-node pinned to 8, so that hardware contention
+    stays constant across the design (the paper notes models are
+    hardware-independent only at such saturation levels) — with 5
+    repetitions. *)
+let design ?(reps = 5) ?(sigma = 0.02) ?(seed = 42) ~mode name =
+  match Apps.Registry.find name with
+  | Some { Apps.Registry.measured = Some m; _ } ->
+    { Measure.Experiment.grid = m.grid; reps; mode; sigma; seed }
+  | _ -> invalid_arg name
 
-let lulesh_design ~mode =
-  design ~mode ~p_values:Apps.Lulesh_spec.p_values
-    ~size_values:Apps.Lulesh_spec.size_values ()
-
-let milc_design ~mode =
-  design ~mode ~p_values:Apps.Milc_spec.p_values
-    ~size_values:Apps.Milc_spec.size_values ()
+let lulesh_design ~mode = design ~mode "lulesh"
+let milc_design ~mode = design ~mode "milc"
 
 (* -- machine-readable output ------------------------------------------------ *)
 

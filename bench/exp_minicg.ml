@@ -26,21 +26,11 @@ let run () =
     (Perf_taint.Design.is_global_factor t "maxit");
   (* Hybrid models vs ground truth on a (p, n) campaign. *)
   let selective =
-    Measure.Instrument.SSet.of_list
-      (Perf_taint.Pipeline.relevant_functions t
-         ~model_params:Apps.Minicg.model_params
-      @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used t))
+    Perf_taint.Pipeline.selection t ~model_params:Apps.Minicg.model_params
   in
   let design =
-    {
-      Measure.Experiment.grid =
-        [ ("p", Apps.Minicg_spec.p_values); ("n", Apps.Minicg_spec.n_values);
-          ("r", [ 8. ]) ];
-      reps = 5;
-      mode = Measure.Instrument.Selective selective;
-      sigma = 0.02;
-      seed = 23;
-    }
+    Exp_common.design ~seed:23 ~mode:(Measure.Instrument.Selective selective)
+      "minicg"
   in
   let runs =
     Measure.Experiment.run_design Apps.Minicg_spec.app Exp_common.machine
@@ -70,16 +60,7 @@ let run () =
     Exp_quality.campaign
       ~config:{ Model.Search.extended_config with min_improvement = 0.1 } t
       Apps.Minicg_spec.app ~selective
-      ~designf:(fun ~mode ->
-        {
-          Measure.Experiment.grid =
-            [ ("p", Apps.Minicg_spec.p_values);
-              ("n", Apps.Minicg_spec.n_values); ("r", [ 8. ]) ];
-          reps = 5;
-          mode;
-          sigma = 0.02;
-          seed = 23;
-        })
+      ~designf:(fun ~mode -> Exp_common.design ~seed:23 ~mode "minicg")
       ~model_params:[ "p"; "n" ] ~aliases:[]
   in
   (* The strong-scaling crossover: at what p do the log p reductions

@@ -8,15 +8,8 @@ let accuracy_at sigma =
   let t = Lazy.force Exp_common.lulesh_analysis in
   let selective = Lazy.force Exp_common.lulesh_selective in
   let design =
-    {
-      Measure.Experiment.grid =
-        [ ("p", Apps.Lulesh_spec.p_values);
-          ("size", Apps.Lulesh_spec.size_values); ("r", [ 8. ]) ];
-      reps = 5;
-      mode = Measure.Instrument.Selective selective;
-      sigma;
-      seed = 42;
-    }
+    Exp_common.design ~sigma ~mode:(Measure.Instrument.Selective selective)
+      "lulesh"
   in
   let kernels = Measure.Instrument.SSet.elements selective in
   let _, datasets =

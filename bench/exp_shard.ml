@@ -29,12 +29,7 @@ let best_of n f =
 
 let run () =
   Exp_common.section "shard: journal write + merge overhead, identity";
-  let design =
-    { Exp.grid =
-        [ ("p", Apps.Lulesh_spec.p_values);
-          ("size", Apps.Lulesh_spec.size_values); ("r", [ 8. ]) ];
-      reps = 5; mode = Instr.Full; sigma = 0.02; seed = 42 }
-  in
+  let design = Exp_common.lulesh_design ~mode:Instr.Full in
   let app = Apps.Lulesh_spec.app in
   let retry = { Camp.default_retry with Camp.rt_max_attempts = 3 } in
   let plan =

@@ -8,131 +8,7 @@
 
 open Cmdliner
 
-(* -- program selection ------------------------------------------------------ *)
-
-type target = {
-  program : Ir.Types.program;
-  args : Ir.Types.value list;
-  world : Mpi_sim.Runtime.world;
-  model_params : string list;
-  aliases : (string * string list) list;
-}
-
-let bundled = [ "lulesh"; "milc"; "minicg"; "iterate"; "foo"; "matrix"; "select" ]
-
-let target_of_app ?ranks ?params name =
-  let override_args named =
-    match params with
-    | None -> List.map snd named
-    | Some bindings ->
-      List.map
-        (fun (pname, v) ->
-          match List.assoc_opt pname bindings with
-          | Some x -> Ir.Types.VInt x
-          | None -> v)
-        named
-  in
-  let world default =
-    match ranks with
-    | Some r -> { Mpi_sim.Runtime.ranks = r; rank = 0 }
-    | None -> default
-  in
-  let entry_params (p : Ir.Types.program) =
-    (Ir.Types.find_func p p.Ir.Types.entry).Ir.Types.fparams
-  in
-  let with_defaults program defaults w mp aliases =
-    let named = List.combine (entry_params program) defaults in
-    {
-      program;
-      args = override_args named;
-      world = world w;
-      model_params = mp;
-      aliases;
-    }
-  in
-  match name with
-  | "lulesh" ->
-    Ok
-      (with_defaults Apps.Lulesh.program Apps.Lulesh.taint_args
-         Apps.Lulesh.taint_world Apps.Lulesh.model_params [])
-  | "milc" ->
-    Ok
-      (with_defaults Apps.Milc.program Apps.Milc.taint_args
-         Apps.Milc.taint_world Apps.Milc.model_params
-         [ ("size", [ "nx"; "ny"; "nz"; "nt" ]) ])
-  | "minicg" ->
-    Ok
-      (with_defaults Apps.Minicg.program Apps.Minicg.taint_args
-         Apps.Minicg.taint_world Apps.Minicg.model_params [])
-  | "iterate" ->
-    Ok
-      (with_defaults Apps.Didactic.iterate_example
-         [ VInt 10; VInt 2 ] Mpi_sim.Runtime.default_world [ "size"; "step" ]
-         [])
-  | "foo" ->
-    Ok
-      (with_defaults Apps.Didactic.foo_example
-         [ VInt 3; VInt 1; VInt 0 ] Mpi_sim.Runtime.default_world
-         [ "a"; "b"; "c" ] [])
-  | "matrix" ->
-    Ok
-      (with_defaults Apps.Didactic.matrix_init
-         [ VInt 6; VInt 8 ] Mpi_sim.Runtime.default_world [ "rows"; "cols" ]
-         [])
-  | "select" ->
-    Ok
-      (with_defaults Apps.Didactic.algorithm_selection
-         [ VInt 2 ] Mpi_sim.Runtime.default_world [ "a" ] [])
-  | other ->
-    if Sys.file_exists other && Sys.is_directory other then
-      Error (Printf.sprintf "%s is a directory, not a .pir file" other)
-    else if Sys.file_exists other then begin
-      let program = Ir.Parser.parse_file other in
-      let formals = entry_params program in
-      (* Unset parameters of a user-supplied program default to 4. *)
-      let defaults = List.map (fun _ -> Ir.Types.VInt 4) formals in
-      Ok
-        (with_defaults program defaults Mpi_sim.Runtime.default_world formals
-           [])
-    end
-    else
-      Error
-        (Printf.sprintf "unknown app %s (bundled: %s, or a .pir file path)"
-           other
-           (String.concat ", " bundled))
-
 (* -- common arguments ------------------------------------------------------- *)
-
-let app_arg =
-  let doc =
-    "Program to analyze: a bundled mini-app (lulesh, milc, minicg, iterate, \
-     foo, matrix, select) or a path to a .pir file."
-  in
-  Arg.(value & pos 0 string "lulesh" & info [] ~docv:"APP" ~doc)
-
-let ranks_arg =
-  let doc = "MPI communicator size for the tainted run." in
-  Arg.(value & opt (some int) None & info [ "ranks"; "p" ] ~doc)
-
-let param_arg =
-  let doc = "Override an entry parameter, e.g. --set size=8 (repeatable)." in
-  Arg.(value & opt_all (pair ~sep:'=' string int) [] & info [ "set" ] ~doc)
-
-let resolve name ranks params =
-  match target_of_app ?ranks ~params name with
-  | Ok t -> t
-  | Error msg ->
-    Fmt.epr "error: %s@." msg;
-    exit 2
-
-(* The measurement spec and default campaign grid of a simulated app. *)
-let measured_app name =
-  match Serve.Registry.find name with
-  | Some app -> app
-  | None ->
-    Fmt.epr "error: %s has no measurement spec (use %s)@." name
-      (String.concat ", " Serve.Registry.names);
-    exit 2
 
 let trace_arg =
   let doc =
@@ -193,6 +69,54 @@ let error_guard f =
   | Failure msg -> `Error (false, msg)
   | Invalid_argument msg -> `Error (false, msg)
 
+(* The program an app-taking subcommand runs: APP resolved through the
+   app table, with the entry-argument (--set) and communicator-size
+   (--ranks) overrides the subcommand accepts.  Unknown names and
+   directories are one error line and exit 2. *)
+let target ?(set = true) ?(ranks = true) () =
+  let app_arg =
+    let doc =
+      Printf.sprintf
+        "Program to analyze: a bundled mini-app (%s) or a path to a .pir \
+         file."
+        (String.concat ", " Apps.Registry.names)
+    in
+    Arg.(
+      value
+      & pos 0 string (List.hd Apps.Registry.names)
+      & info [] ~docv:"APP" ~doc)
+  in
+  let ranks_arg =
+    let doc = "MPI communicator size for the tainted run." in
+    if ranks then Arg.(value & opt (some int) None & info [ "ranks"; "p" ] ~doc)
+    else Term.const None
+  in
+  let params_arg =
+    let doc = "Override an entry parameter, e.g. --set size=8 (repeatable)." in
+    if set then
+      Arg.(value & opt_all (pair ~sep:'=' string int) [] & info [ "set" ] ~doc)
+    else Term.const []
+  in
+  let resolve name ranks params =
+    match error_guard (fun () -> Apps.Registry.resolve ?ranks ~params name) with
+    | `Ok (Ok t) -> `Ok t
+    | `Ok (Error msg) ->
+      Fmt.epr "error: %s@." msg;
+      exit 2
+    | `Error _ as e -> e
+  in
+  Term.(ret (const resolve $ app_arg $ ranks_arg $ params_arg))
+
+(* The measurement facts of a simulated app; the other targets have
+   none. *)
+let measured (t : Apps.Registry.t) =
+  match t.measured with
+  | Some m -> m
+  | None ->
+    Fmt.epr "error: %s has no measurement spec (use %s)@." t.name
+      (String.concat ", " Serve.Registry.names);
+    exit 2
+
 (* Record the span/instant stream only when --trace was given, and dump
    it as Chrome trace JSON once [f] returns; the [disabled] sink keeps the
    flag's absence exactly the untraced code path.  An unwritable path is
@@ -212,7 +136,7 @@ let with_trace path f =
       p;
     r
 
-let analyze_target ?config ?metrics ?trace ?profile t =
+let analyze_target ?config ?metrics ?trace ?profile (t : Apps.Registry.t) =
   with_trace trace @@ fun trace ->
   Perf_taint.Pipeline.analyze ?config ?metrics ~trace ?profile ~world:t.world
     t.program ~args:t.args
@@ -251,9 +175,8 @@ let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc)
 
 let analyze_cmd =
-  let run name ranks params json trace max_steps =
+  let run (t : Apps.Registry.t) json trace max_steps =
     error_guard @@ fun () ->
-    let t = resolve name ranks params in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     if json then
       Fmt.pr "%a@."
@@ -275,13 +198,11 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(
       ret
-        (const run $ app_arg $ ranks_arg $ param_arg $ json_arg $ trace_arg
-        $ max_steps_arg))
+        (const run $ target () $ json_arg $ trace_arg $ max_steps_arg))
 
 let select_cmd =
-  let run name ranks params trace max_steps =
+  let run (t : Apps.Registry.t) trace max_steps =
     error_guard @@ fun () ->
-    let t = resolve name ranks params in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     let relevant =
       Perf_taint.Pipeline.relevant_functions a ~model_params:t.model_params
@@ -294,24 +215,19 @@ let select_cmd =
   in
   let doc = "Print the taint-derived instrumentation selection." in
   Cmd.v (Cmd.info "select" ~doc)
-    Term.(
-      ret (const run $ app_arg $ ranks_arg $ param_arg $ trace_arg
-          $ max_steps_arg))
+    Term.(ret (const run $ target () $ trace_arg $ max_steps_arg))
 
 let print_cmd =
-  let run name ranks params =
-    error_guard @@ fun () ->
-    let t = resolve name ranks params in
+  let run (t : Apps.Registry.t) =
     Fmt.pr "%s@." (Ir.Pp.program_to_string t.program)
   in
   let doc = "Print the program in textual PIR syntax." in
   Cmd.v (Cmd.info "print" ~doc)
-    Term.(ret (const run $ app_arg $ ranks_arg $ param_arg))
+    Term.(const run $ target ~set:false ~ranks:false ())
 
 let run_cmd =
-  let run name ranks params json trace max_steps =
+  let run (t : Apps.Registry.t) json trace max_steps =
     error_guard @@ fun () ->
-    let t = resolve name ranks params in
     (* A clean (shadow-free) run: the Plain-policy analogue of one
        measurement run. *)
     let module E = Interp.Compiled.Plain in
@@ -358,10 +274,7 @@ let run_cmd =
      one measurement run, without the taint analysis."
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      ret
-        (const run $ app_arg $ ranks_arg $ param_arg $ json_arg $ trace_arg
-        $ max_steps_arg))
+    Term.(ret (const run $ target () $ json_arg $ trace_arg $ max_steps_arg))
 
 let coverage_cmd =
   let blocks_arg =
@@ -372,14 +285,17 @@ let coverage_cmd =
     in
     Arg.(value & flag & info [ "blocks" ] ~doc)
   in
-  let run name ranks params blocks trace max_steps =
+  let run (t : Apps.Registry.t) blocks trace max_steps =
     error_guard @@ fun () ->
-    let t = resolve name ranks params in
     if blocks then begin
       let module E = Interp.Compiled.Coverage in
-      let m = E.create ?config:(config_of max_steps) t.program in
-      Mpi_sim.Runtime.install_host (module E) t.world m;
-      ignore (E.run m t.args);
+      let m =
+        with_trace trace @@ fun trace ->
+        let m = E.create ?config:(config_of max_steps) ~trace t.program in
+        Mpi_sim.Runtime.install_host (module E) t.world m;
+        ignore (E.run m t.args);
+        m
+      in
       let cov = E.policy_state m in
       Fmt.pr "block coverage: %d blocks, %d edges, %d steps@."
         (Interp.Coverage_policy.blocks_covered cov)
@@ -406,18 +322,15 @@ let coverage_cmd =
   in
   Cmd.v (Cmd.info "coverage" ~doc)
     Term.(
-      ret
-        (const run $ app_arg $ ranks_arg $ param_arg $ blocks_arg $ trace_arg
-        $ max_steps_arg))
+      ret (const run $ target () $ blocks_arg $ trace_arg $ max_steps_arg))
 
 let volume_cmd =
   let func_arg =
     let doc = "Function whose iteration volume to print (default: all)." in
     Arg.(value & opt (some string) None & info [ "func" ] ~doc)
   in
-  let run name ranks params func trace max_steps =
+  let run (t : Apps.Registry.t) func trace max_steps =
     error_guard @@ fun () ->
-    let t = resolve name ranks params in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     (match func with
     | Some f ->
@@ -439,10 +352,7 @@ let volume_cmd =
      scaffolding the empirical modeler parametrises."
   in
   Cmd.v (Cmd.info "volume" ~doc)
-    Term.(
-      ret
-        (const run $ app_arg $ ranks_arg $ param_arg $ func_arg $ trace_arg
-        $ max_steps_arg))
+    Term.(ret (const run $ target () $ func_arg $ trace_arg $ max_steps_arg))
 
 let mode_arg =
   let doc = "Modeling mode: tainted (hybrid) or black-box." in
@@ -458,33 +368,25 @@ let func_arg =
   Arg.(value & opt (some string) None & info [ "func" ] ~doc)
 
 let model_cmd =
-  let run name ranks params mode func events trace max_steps jobs =
+  let run (t : Apps.Registry.t) mode func events trace max_steps jobs =
     error_guard @@ fun () ->
     with_jobs jobs @@ fun pool ->
     with_events events @@ fun events ->
-    let t = resolve name ranks params in
-    let app = measured_app name in
-    let spec = app.Serve.Registry.r_app in
-    let fit_params = spec.Measure.Spec.model_params in
+    let m = measured t in
+    let fit_params = m.spec.Measure.Spec.model_params in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
-    let machine = Mpi_sim.Machine.skylake_cluster in
     let selective =
-      Measure.Instrument.SSet.of_list
-        (Perf_taint.Pipeline.relevant_functions a ~model_params:t.model_params
-        @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used a))
+      Perf_taint.Pipeline.selection a ~model_params:t.model_params
     in
     let design =
-      { Measure.Experiment.grid = app.Serve.Registry.r_grid; reps = 5;
+      { Measure.Experiment.grid = m.grid; reps = 5;
         mode = Measure.Instrument.Selective selective; sigma = 0.02; seed = 42 }
     in
-    let runs = Measure.Experiment.run_design ?pool spec machine design in
-    let config =
-      let c =
-        if name = "milc" then Model.Search.extended_config
-        else Model.Search.default_config
-      in
-      { c with Model.Search.pool; events }
+    let runs =
+      Measure.Experiment.run_design ?pool m.spec Mpi_sim.Machine.skylake_cluster
+        design
     in
+    let config = { m.search with Model.Search.pool; events } in
     let fit fname =
       let data =
         Measure.Experiment.kernel_dataset runs ~params:fit_params
@@ -503,11 +405,9 @@ let model_cmd =
           r.Model.Search.error
       end
     in
-    Fmt.pr "%s models (%s mode):@." name (Perf_taint.Modeling.mode_name mode);
-    (match func with
-    | Some f -> fit f
-    | None ->
-      List.iter fit (Measure.Instrument.SSet.elements selective))
+    Fmt.pr "%s models (%s mode):@." t.name
+      (Perf_taint.Modeling.mode_name mode);
+    match func with Some f -> fit f | None -> Ir.Cfg.SSet.iter fit selective
   in
   let doc =
     "Run a simulated measurement campaign and fit per-function performance \
@@ -516,15 +416,15 @@ let model_cmd =
   Cmd.v (Cmd.info "model" ~doc)
     Term.(
       ret
-        (const run $ app_arg $ ranks_arg $ param_arg $ mode_arg $ func_arg
-        $ events_arg $ trace_arg $ max_steps_arg $ jobs_arg))
+        (const run $ target () $ mode_arg $ func_arg $ events_arg $ trace_arg
+        $ max_steps_arg $ jobs_arg))
 
 let profile_cmd =
   let interval_arg =
     let doc =
       "Steps per profiler sample.  The sampler is driven by the executed \
        instruction count, not a clock, so the profile is bit-identical \
-       across runs, machines and $(b,--jobs) counts."
+       across runs and machines."
     in
     Arg.(
       value
@@ -543,13 +443,8 @@ let profile_cmd =
     in
     Arg.(value & opt (some string) None & info [ "flame" ] ~docv:"FILE" ~doc)
   in
-  let run name ranks params interval top flame json trace max_steps jobs =
+  let run (t : Apps.Registry.t) interval top flame json trace max_steps =
     error_guard @@ fun () ->
-    (* The tainted run is inherently serial; --jobs is accepted so that
-       scripted invocations can pass one jobs count everywhere, and the
-       output is trivially identical at any value. *)
-    with_jobs jobs @@ fun _pool ->
-    let t = resolve name ranks params in
     let prof = Obs_profile.create ~interval () in
     let a =
       analyze_target ?config:(config_of max_steps) ?trace ~profile:prof t
@@ -591,13 +486,12 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       ret
-        (const run $ app_arg $ ranks_arg $ param_arg $ interval_arg $ top_arg
-        $ flame_arg $ json_arg $ trace_arg $ max_steps_arg $ jobs_arg))
+        (const run $ target () $ interval_arg $ top_arg $ flame_arg $ json_arg
+        $ trace_arg $ max_steps_arg))
 
 let stats_cmd =
-  let run name ranks params json trace max_steps =
+  let run (t : Apps.Registry.t) json trace max_steps =
     error_guard @@ fun () ->
-    let t = resolve name ranks params in
     let metrics = Obs_metrics.create () in
     let a = analyze_target ?config:(config_of max_steps) ~metrics ?trace t in
     if json then
@@ -622,28 +516,21 @@ let stats_cmd =
      pipeline."
   in
   Cmd.v (Cmd.info "stats" ~doc)
-    Term.(
-      ret
-        (const run $ app_arg $ ranks_arg $ param_arg $ json_arg $ trace_arg
-        $ max_steps_arg))
+    Term.(ret (const run $ target () $ json_arg $ trace_arg $ max_steps_arg))
 
 let contention_cmd =
-  let run name ranks params trace max_steps =
+  let run (t : Apps.Registry.t) trace max_steps =
     error_guard @@ fun () ->
-    let t = resolve name ranks params in
-    let spec = (measured_app name).Serve.Registry.r_app in
+    let m = measured t in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     let selective =
-      Measure.Instrument.SSet.of_list
-        (Perf_taint.Pipeline.relevant_functions a ~model_params:t.model_params
-        @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used a))
+      Perf_taint.Pipeline.selection a ~model_params:t.model_params
     in
+    let size, at = m.size_axis in
     let design =
       {
         Measure.Experiment.grid =
-          [ ("p", [ 64. ]);
-            ((match name with "milc" -> "size" | "minicg" -> "n" | _ -> "size"),
-             [ (match name with "minicg" -> 1.0e6 | _ -> 30.) ]);
+          [ ("p", [ 64. ]); (size, [ at ]);
             ("r", [ 2.; 4.; 6.; 8.; 10.; 12.; 14.; 16.; 18. ]) ];
         reps = 5;
         mode = Measure.Instrument.Selective selective;
@@ -652,7 +539,8 @@ let contention_cmd =
       }
     in
     let runs =
-      Measure.Experiment.run_design spec Mpi_sim.Machine.skylake_cluster design
+      Measure.Experiment.run_design m.spec Mpi_sim.Machine.skylake_cluster
+        design
     in
     let datasets =
       List.filter_map
@@ -661,7 +549,7 @@ let contention_cmd =
             Measure.Experiment.kernel_dataset runs ~params:[ "r" ] ~kernel:k
           in
           if d.Model.Dataset.points = [] then None else Some (k, d))
-        (Measure.Instrument.SSet.elements selective)
+        (Ir.Cfg.SSet.elements selective)
     in
     let findings = Perf_taint.Validation.detect_contention a datasets in
     Fmt.pr
@@ -677,18 +565,15 @@ let contention_cmd =
     "Sweep ranks-per-node at a fixed configuration and report functions      whose growth contradicts the taint analysis (Figure 5 / C1)."
   in
   Cmd.v (Cmd.info "contention" ~doc)
-    Term.(
-      ret (const run $ app_arg $ ranks_arg $ param_arg $ trace_arg
-          $ max_steps_arg))
+    Term.(ret (const run $ target () $ trace_arg $ max_steps_arg))
 
 let design_cmd =
   let reps_arg =
     let doc = "Repetitions per configuration." in
     Arg.(value & opt int 5 & info [ "reps" ] ~doc)
   in
-  let run name ranks params reps trace max_steps =
+  let run (t : Apps.Registry.t) reps trace max_steps =
     error_guard @@ fun () ->
-    let t = resolve name ranks params in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     (* Five-point axes over every parameter the program declares. *)
     let entry =
@@ -706,19 +591,15 @@ let design_cmd =
     "Propose an experiment design from the taint results: which parameters      to fix, sweep alone, or sweep jointly (A1/A2)."
   in
   Cmd.v (Cmd.info "design" ~doc)
-    Term.(
-      ret
-        (const run $ app_arg $ ranks_arg $ param_arg $ reps_arg $ trace_arg
-        $ max_steps_arg))
+    Term.(ret (const run $ target () $ reps_arg $ trace_arg $ max_steps_arg))
 
 let validate_cmd =
   let at_arg =
     let doc = "Rank count to analyze at (repeatable), e.g. --at 4 --at 32." in
     Arg.(value & opt_all int [ 4; 32 ] & info [ "at" ] ~doc)
   in
-  let run name ranks params ats max_steps =
+  let run (t : Apps.Registry.t) ats max_steps =
     error_guard @@ fun () ->
-    let t = resolve name ranks params in
     let runs =
       List.map
         (fun p ->
@@ -750,9 +631,7 @@ let validate_cmd =
   in
   let doc = "Compare taint runs across rank counts (C2-style validation)." in
   Cmd.v (Cmd.info "validate" ~doc)
-    Term.(
-      ret (const run $ app_arg $ ranks_arg $ param_arg $ at_arg
-          $ max_steps_arg))
+    Term.(ret (const run $ target ~ranks:false () $ at_arg $ max_steps_arg))
 
 let campaign_cmd =
   let faults_arg =
@@ -847,13 +726,11 @@ let campaign_cmd =
       & opt_all (pair ~sep:'=' int int) []
       & info [ "kill-shard" ] ~docv:"K=N" ~doc)
   in
-  let run name ranks params faults retries backoff journal resume max_runs
-      dump reps sigma seed shards shard_spec shard_timeout shard_restarts
-      kill_shards events trace max_steps jobs =
+  let run (t : Apps.Registry.t) faults retries backoff journal resume
+      max_runs dump reps sigma seed shards shard_spec shard_timeout
+      shard_restarts kill_shards events trace max_steps jobs =
     error_guard @@ fun () ->
-    let app = measured_app name in
-    let spec = app.Serve.Registry.r_app in
-    let grid = app.Serve.Registry.r_grid in
+    let { Apps.Registry.spec; grid; _ } = measured t in
     let plan =
       match Measure.Fault.of_spec faults with
       | Ok p -> p
@@ -932,7 +809,7 @@ let campaign_cmd =
             | Some v -> [ flag; v ]
           in
           Array.of_list
-            ([ Sys.executable_name; "campaign"; name;
+            ([ Sys.executable_name; "campaign"; t.name;
                "--faults"; faults;
                "--retries"; string_of_int retries;
                "--backoff"; Printf.sprintf "%.17g" backoff;
@@ -942,12 +819,7 @@ let campaign_cmd =
                "--jobs"; string_of_int jobs;
                "--shard"; Measure.Shard.spec_of shard;
                "--journal"; jpath ]
-            @ opt "--ranks" (Option.map string_of_int ranks)
             @ opt "--max-steps" (Option.map string_of_int max_steps)
-            @ List.concat_map
-                (fun (k, v) ->
-                  [ "--set"; Printf.sprintf "%s=%d" k v ])
-                params
             @ (if resume then [ "--resume" ] else [])
             @ (if resume then []
                else
@@ -996,7 +868,7 @@ let campaign_cmd =
           ?hang_budget:max_steps ?limit:max_runs spec
           Mpi_sim.Machine.skylake_cluster design
     in
-    Fmt.pr "%s campaign (faults: %s)@." name
+    Fmt.pr "%s campaign (faults: %s)@." t.name
       (if Measure.Fault.total_rate plan = 0. then "none"
        else Measure.Fault.spec_of plan);
     Fmt.pr "@[<v>%a@]@." Measure.Campaign.pp_report report;
@@ -1020,17 +892,10 @@ let campaign_cmd =
     if report.Measure.Campaign.cp_interrupted then
       Fmt.pr "interrupted by --max-runs; continue with --resume@."
     else begin
-      let fit_params =
-        List.filter_map
-          (fun (name, vs) -> if List.length vs > 1 then Some name else None)
-          grid
+      let fit, rejected =
+        Measure.Campaign.total_fit ?pool design
+          report.Measure.Campaign.cp_runs
       in
-      let data =
-        Measure.Experiment.total_dataset report.Measure.Campaign.cp_runs
-          ~params:fit_params
-      in
-      let config = { Model.Search.default_config with Model.Search.pool } in
-      let fit, rejected = Model.Search.multi_robust ~config data in
       Fmt.pr "total model (robust fit, %d outliers rejected): %s  (SMAPE \
               %.1f%%)@."
         rejected
@@ -1047,7 +912,7 @@ let campaign_cmd =
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
       ret
-        (const run $ app_arg $ ranks_arg $ param_arg $ faults_arg
+        (const run $ target ~set:false ~ranks:false () $ faults_arg
         $ retries_arg $ backoff_arg $ journal_arg $ resume_arg $ max_runs_arg
         $ dump_arg $ reps_arg $ sigma_arg $ seed_arg $ shards_arg $ shard_arg
         $ shard_timeout_arg $ shard_restarts_arg $ kill_shard_arg $ events_arg

@@ -16,10 +16,7 @@ let () =
       Apps.Lulesh.program ~args:Apps.Lulesh.taint_args
   in
   let selective =
-    Measure.Instrument.SSet.of_list
-      (Perf_taint.Pipeline.relevant_functions t
-         ~model_params:Apps.Lulesh.model_params
-      @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used t))
+    Perf_taint.Pipeline.selection t ~model_params:Apps.Lulesh.model_params
   in
   (* The r-sweep: p and size fixed, placement varies. *)
   let design =

@@ -27,10 +27,7 @@ let () =
 
   (* 3. Instrumentation selection. *)
   let relevant = Perf_taint.Pipeline.relevant_functions t ~model_params in
-  let selective =
-    Measure.Instrument.SSet.of_list
-      (relevant @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used t))
-  in
+  let selective = Perf_taint.Pipeline.selection t ~model_params in
   Fmt.pr "== instrumentation: %d of %d functions selected ==@.@."
     (List.length relevant)
     (List.length Apps.Lulesh.program.Ir.Types.funcs);

@@ -192,6 +192,10 @@ let mpi_routines_used t =
     (fun _ fd acc -> SSet.union acc fd.Deps.fd_mpi_routines)
     t.deps SSet.empty
 
+let selection t ~model_params =
+  SSet.union (SSet.of_list (relevant_functions t ~model_params))
+    (mpi_routines_used t)
+
 (** All parameters observed anywhere (explicit labels and implicit p). *)
 let observed_params t =
   SMap.fold (fun _ fd acc -> SSet.union acc fd.Deps.fd_params) t.deps SSet.empty

@@ -64,6 +64,12 @@ val relevant_functions : t -> model_params:string list -> string list
 (** The instrumentation selection: kernels and comm routines (A3). *)
 
 val mpi_routines_used : t -> SSet.t
+
+val selection : t -> model_params:string list -> SSet.t
+(** The taint-derived instrumentation selection
+    ({!Measure.Instrument.Selective}): the relevant functions plus the
+    MPI routines the program uses. *)
+
 val observed_params : t -> SSet.t
 
 val relevant_loops : t -> model_params:string list -> int

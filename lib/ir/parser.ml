@@ -350,6 +350,8 @@ let parse ?(name = "program") text =
             | Punct '(' :: inner ->
               let rec go acc = function
                 | Punct ')' :: _ -> List.rev acc
+                | (Ident p | Register p) :: _ when List.mem p acc ->
+                  fail lineno "duplicate parameter %s of @%s" p fname
                 | Ident p :: rest | Register p :: rest -> (
                   match rest with
                   | Punct ',' :: rest -> go (p :: acc) rest

@@ -1,8 +1,9 @@
 (** Well-formedness checking for PIR programs.
 
     Catches malformed programs at construction time rather than mid
-    interpretation: duplicate labels, dangling jump targets, unknown call
-    targets, reads of never-written registers, and unreachable blocks. *)
+    interpretation: duplicate labels or parameters, dangling jump
+    targets, unknown call targets, reads of never-written registers, and
+    unreachable blocks. *)
 
 open Types
 module SSet = Cfg.SSet
@@ -30,6 +31,13 @@ let check_func program f =
       else Hashtbl.add seen l ())
     labels;
   if f.blocks = [] then err "function has no blocks";
+  (* Unique parameters: each binds its own register. *)
+  let params = Hashtbl.create 8 in
+  List.iter
+    (fun p ->
+      if Hashtbl.mem params p then err "duplicate parameter %s" p
+      else Hashtbl.add params p ())
+    f.fparams;
   (* Branch targets exist. *)
   List.iter
     (fun b ->

@@ -851,6 +851,15 @@ let run_journaled ?pool ?metrics ?trace ?(events = Obs_events.disabled) ?plan
               "campaign.checkpoint")
         app machine design)
 
+let total_fit ?pool (design : Experiment.design) runs =
+  let params =
+    List.filter_map
+      (fun (p, vs) -> if List.length vs > 1 then Some p else None)
+      design.Experiment.grid
+  in
+  let config = { Model.Search.default_config with Model.Search.pool } in
+  Model.Search.multi_robust ~config (Experiment.total_dataset runs ~params)
+
 (* -- report rendering ------------------------------------------------------ *)
 
 let pp_report ppf r =

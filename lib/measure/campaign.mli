@@ -167,4 +167,12 @@ val run_journaled :
     @raise Failure when resuming from an unreadable or mismatched
     journal. *)
 
+val total_fit :
+  ?pool:Par.Pool.t -> Experiment.design -> Simulator.run list ->
+  Model.Search.result * int
+(** The outlier-robust total-runtime model of a campaign's runs, in the
+    grid axes that take more than one value: {!Model.Search.multi_robust}
+    over {!Experiment.total_dataset}, scoring on [pool] when given.
+    Returns the fit and the number of outliers rejected. *)
+
 val pp_report : report Fmt.t

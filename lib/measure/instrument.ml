@@ -9,7 +9,7 @@
     - [Selective names]: Perf-Taint's taint-derived selection — only the
       functions proven performance-relevant are instrumented. *)
 
-module SSet = Set.Make (String)
+module SSet = Ir.Cfg.SSet
 
 type mode =
   | Uninstrumented

@@ -1,6 +1,6 @@
 (** Instrumentation modes of the measurement infrastructure (paper A3). *)
 
-module SSet : Set.S with type elt = string
+module SSet = Ir.Cfg.SSet
 
 type mode =
   | Uninstrumented

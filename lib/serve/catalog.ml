@@ -194,13 +194,7 @@ let entry_of_line line =
 
 let fit ~app ~machine ~design ~plan ~retry ~key () =
   let report = Measure.Campaign.run ~plan ~retry app machine design in
-  let params =
-    List.filter_map
-      (fun (p, vs) -> if List.length vs > 1 then Some p else None)
-      design.Measure.Experiment.grid
-  in
-  let dataset = Measure.Experiment.total_dataset report.cp_runs ~params in
-  let result, rejected = Model.Search.multi_robust dataset in
+  let result, rejected = Measure.Campaign.total_fit design report.cp_runs in
   {
     e_key = key;
     e_app = app.Measure.Spec.aname;

@@ -1,6 +1,7 @@
-(* The apps the daemon can serve.  The program text entering the catalog
-   key is the printed PIR of the real program, so a change to an app's
-   code changes every key derived from it. *)
+(* The apps the daemon can serve: the measured rows of the app table.
+   The program text entering the catalog key is the printed PIR of the
+   real program, so a change to an app's code changes every key derived
+   from it. *)
 
 type app = {
   r_name : string;
@@ -10,41 +11,15 @@ type app = {
 }
 
 let apps =
-  [
-    {
-      r_name = "lulesh";
-      r_app = Apps.Lulesh_spec.app;
-      r_program_text = lazy (Ir.Pp.program_to_string Apps.Lulesh.program);
-      r_grid =
-        [
-          ("p", Apps.Lulesh_spec.p_values);
-          ("size", Apps.Lulesh_spec.size_values);
-          ("r", [ 8. ]);
-        ];
-    };
-    {
-      r_name = "milc";
-      r_app = Apps.Milc_spec.app;
-      r_program_text = lazy (Ir.Pp.program_to_string Apps.Milc.program);
-      r_grid =
-        [
-          ("p", Apps.Milc_spec.p_values);
-          ("size", Apps.Milc_spec.size_values);
-          ("r", [ 8. ]);
-        ];
-    };
-    {
-      r_name = "minicg";
-      r_app = Apps.Minicg_spec.app;
-      r_program_text = lazy (Ir.Pp.program_to_string Apps.Minicg.program);
-      r_grid =
-        [
-          ("p", Apps.Minicg_spec.p_values);
-          ("n", Apps.Minicg_spec.n_values);
-          ("r", [ 8. ]);
-        ];
-    };
-  ]
+  List.filter_map
+    (fun (t : Apps.Registry.t) ->
+      Option.map
+        (fun (m : Apps.Registry.measured) ->
+          { r_name = t.name; r_app = m.spec;
+            r_program_text = lazy (Ir.Pp.program_to_string t.program);
+            r_grid = m.grid })
+        t.measured)
+    Apps.Registry.all
 
 let names = List.map (fun a -> a.r_name) apps
 let find name = List.find_opt (fun a -> a.r_name = name) apps

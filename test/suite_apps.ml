@@ -343,6 +343,70 @@ let test_taint_soundness_niter () =
         (List.mem "niter" names || enclosing_ok))
     changed
 
+(* -- the app table ------------------------------------------------------------ *)
+
+let test_registry_arity () =
+  List.iter
+    (fun (t : Apps.Registry.t) ->
+      let entry = Ir.Types.find_func t.program t.program.Ir.Types.entry in
+      Alcotest.(check int)
+        (t.name ^ ": default arguments match the entry arity")
+        (List.length entry.Ir.Types.fparams)
+        (List.length t.args))
+    Apps.Registry.all
+
+(* The fit parameters and the contention sweep's fixed size are axes of
+   the campaign grid they are measured on. *)
+let test_registry_grid_axes () =
+  let measured =
+    List.filter_map
+      (fun (t : Apps.Registry.t) ->
+        Option.map (fun m -> (t.name, m)) t.measured)
+      Apps.Registry.all
+  in
+  Alcotest.(check (list string)) "measured rows"
+    [ "lulesh"; "milc"; "minicg" ] (List.map fst measured);
+  List.iter
+    (fun (name, (m : Apps.Registry.measured)) ->
+      Alcotest.(check string) (name ^ " spec") name m.spec.Measure.Spec.aname;
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s is a grid axis" name p)
+            true
+            (List.mem_assoc p m.grid))
+        (fst m.size_axis :: m.spec.Measure.Spec.model_params))
+    measured
+
+let test_registry_resolve () =
+  let error name =
+    match Apps.Registry.resolve name with
+    | Error msg -> msg
+    | Ok _ -> Alcotest.fail (name ^ " resolved")
+  in
+  Alcotest.(check string) "directory" ". is a directory, not a .pir file"
+    (error ".");
+  Alcotest.(check string) "unknown name"
+    "unknown app nosuchapp (bundled: lulesh, milc, minicg, iterate, foo, \
+     matrix, select, or a .pir file path)"
+    (error "nosuchapp");
+  let t =
+    Result.get_ok
+      (Apps.Registry.resolve ~ranks:3 ~params:[ ("size", 5) ] "iterate")
+  in
+  Alcotest.(check bool) "--set overrides by name" true
+    (t.args = [ Ir.Types.VInt 5; VInt 2 ]);
+  Alcotest.(check int) "--ranks" 3 t.world.Mpi_sim.Runtime.ranks;
+  let t =
+    Result.get_ok
+      (Apps.Registry.resolve ~params:[ ("steps", 2) ]
+         "../../../examples/heat.pir")
+  in
+  Alcotest.(check (list string)) ".pir model parameters" [ "n"; "steps" ]
+    t.model_params;
+  Alcotest.(check bool) ".pir parameters default to 4" true
+    (t.args = [ Ir.Types.VInt 4; VInt 2 ] && t.measured = None)
+
 let tests =
   [
     Alcotest.test_case "programs validate" `Quick test_programs_validate;
@@ -380,4 +444,10 @@ let tests =
       test_taint_soundness_size;
     Alcotest.test_case "taint soundness: milc niter" `Slow
       test_taint_soundness_niter;
+    Alcotest.test_case "table: default arguments fit the entry" `Quick
+      test_registry_arity;
+    Alcotest.test_case "table: fit and contention axes are grid axes" `Quick
+      test_registry_grid_axes;
+    Alcotest.test_case "table: resolve overrides and errors" `Quick
+      test_registry_resolve;
   ]

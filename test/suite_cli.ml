@@ -267,6 +267,55 @@ let test_trace_unwritable () =
       [ "campaign"; "minicg"; "--reps"; "1" ];
     ]
 
+let test_duplicate_parameter () =
+  with_fixture
+    "func @g(a, a) {\nentry:\n  ret %a\n}\nfunc @main(n) {\nentry:\n  \
+     %r = call @g(1, 2)\n  ret %r\n}\n"
+  @@ fun path ->
+  List.iter
+    (fun cmd ->
+      check_failure ~expect:"line 1: duplicate parameter a of @g" [ cmd; path ])
+    [ "run"; "analyze" ]
+
+(* Options a subcommand would accept and ignore do not exist: cmdliner
+   refuses them by name (its error line plus two usage hint lines). *)
+let test_inert_flags_refused () =
+  List.iter
+    (fun (cmd, app, flag, value) ->
+      check_failure ~lines:3
+        ~expect:(Printf.sprintf "unknown option '%s'" flag)
+        [ cmd; app; flag; value ])
+    [
+      ("campaign", "minicg", "--set", "n=5");
+      ("campaign", "minicg", "--ranks", "4");
+      ("print", "iterate", "--set", "size=5");
+      ("print", "iterate", "--ranks", "4");
+      ("validate", "iterate", "--ranks", "4");
+      ("profile", "iterate", "--jobs", "2");
+    ]
+
+(* The block-coverage run records its trace like every other run. *)
+let test_blocks_trace () =
+  let path = Filename.temp_file "cli_blocks" ".json" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let code, out, errs =
+    run_cli [ "coverage"; "iterate"; "--blocks"; "--trace"; path ]
+  in
+  Alcotest.(check int) (Printf.sprintf "exit 0: %s" errs) 0 code;
+  Alcotest.(check bool) "block report" true (contains out "block coverage:");
+  Alcotest.(check bool) "trace file written" true (Sys.file_exists path);
+  match Measure.Jsonio.parse (read_file path) with
+  | Error msg -> Alcotest.fail ("trace does not parse: " ^ msg)
+  | Ok j ->
+    let events =
+      Option.bind (Measure.Jsonio.member "traceEvents" j)
+        Measure.Jsonio.to_list
+    in
+    Alcotest.(check bool) "trace holds events" true
+      (match events with Some (_ :: _) -> true | _ -> false)
+
 (* -- serve daemon failure modes ----------------------------------------------
    The daemon's contract under abuse: a missing catalog directory is a
    clean one-line refusal naming the path; binding a socket that already
@@ -399,4 +448,9 @@ let tests =
       test_serve_unknown_catalog_dir;
     Alcotest.test_case "serve daemon survives abuse" `Quick
       test_serve_daemon_contracts;
+    Alcotest.test_case "duplicate parameters refused" `Quick
+      test_duplicate_parameter;
+    Alcotest.test_case "inert flags refused" `Quick test_inert_flags_refused;
+    Alcotest.test_case "coverage --blocks writes its trace" `Quick
+      test_blocks_trace;
   ]

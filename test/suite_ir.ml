@@ -194,6 +194,22 @@ let test_validate_unreachable_warning () =
   Alcotest.(check bool) "unreachable block is a warning" true
     (List.exists (fun (i : Ir.Validate.issue) -> i.severity = `Warning) issues)
 
+(* A duplicate formal parameter binds one name twice: the compiled tier
+   binds arguments by position, the interpreter by name.  The validator
+   refuses it in built programs and the parser in text. *)
+let test_validate_duplicate_parameter () =
+  let g = B.define "g" ~params:[ "a"; "a" ] (fun b -> B.ret b (Reg "a")) in
+  Alcotest.(check (list string)) "validator error"
+    [ "error: g: duplicate parameter a" ]
+    (List.map
+       (Fmt.to_to_string Ir.Validate.pp_issue)
+       (Ir.Validate.errors (Ir.Validate.check_program (prog_of [ g ] "g"))));
+  match Ir.Parser.parse "func @g(a, b, a) {\nentry:\n  ret %a\n}\n" with
+  | _ -> Alcotest.fail "the parser accepted a duplicate parameter"
+  | exception Ir.Parser.Parse_error { line; message } ->
+    Alcotest.(check int) "line" 1 line;
+    Alcotest.(check string) "message" "duplicate parameter a of @g" message
+
 (* -- builder ------------------------------------------------------------------ *)
 
 let test_builder_for_shape () =
@@ -555,4 +571,6 @@ let tests =
     Seeded.to_alcotest prop_parser_total_on_garbage;
     Seeded.to_alcotest prop_parser_total_on_mutations;
     Seeded.to_alcotest prop_loop_bodies_nest;
+    Alcotest.test_case "validate: duplicate parameter" `Quick
+      test_validate_duplicate_parameter;
   ]
