@@ -2,7 +2,7 @@
     run on the {!Par.Pool} domain scheduler — measurement campaigns,
     model-candidate scoring, and fuzz checking — at 1/2/4/8 workers.
 
-    Every parallel run is structurally compared against the serial
+    Every parallel run is structurally compared against the one-job
     reference *before* its time is reported: the pool is allowed to buy
     wall-clock, never different answers, so a mismatch fails the whole
     experiment.  Speedups are hardware-dependent; on a single-core
@@ -32,19 +32,18 @@ let best_of n f =
 
 let mismatches = ref 0
 
-(* One stage: time the serial closure, then the pooled closure at each
-   point of the jobs axis, comparing results structurally each time.
-   jobs=1 is reported from the serial reference run itself — that is
-   literally the code path --jobs 1 takes. *)
-let stage ~reps name serialf parf =
-  let reference, t1 = best_of reps serialf in
+(* One stage: time it on the shared one-job pool (the jobs=1 row and the
+   reference), then on a pool at each other point of the jobs axis,
+   comparing results structurally each time. *)
+let stage ~reps name f =
+  let reference, t1 = best_of reps (fun () -> f Par.Pool.serial) in
   let rows =
     List.map
       (fun j ->
         if j = 1 then (1, t1, true)
         else
           Par.Pool.with_pool ~jobs:j (fun pool ->
-              let v, t = best_of reps (fun () -> parf pool) in
+              let v, t = best_of reps (fun () -> f pool) in
               (j, t, compare reference v = 0)))
       jobs_axis
   in
@@ -82,9 +81,8 @@ let run () =
       fp_transient_attempts = 2 }
   in
   let campaign =
-    stage ~reps:3 "campaign (lulesh, 5% transient faults)"
-      (fun () -> Camp.run ~plan ~retry app machine design)
-      (fun pool -> Camp.run ~pool ~plan ~retry app machine design)
+    stage ~reps:3 "campaign (lulesh, 5% transient faults)" (fun pool ->
+        Camp.run ~pool ~plan ~retry app machine design)
   in
   (* Model search scores every candidate hypothesis against the same
      dataset — the classic embarrassingly parallel inner loop. *)
@@ -92,8 +90,6 @@ let run () =
   let data = Exp.total_dataset runs ~params:[ "p"; "size" ] in
   let search =
     stage ~reps:5 "model search (robust total fit, extended hypothesis space)"
-      (fun () ->
-        Model.Search.multi_robust ~config:Model.Search.extended_config data)
       (fun pool ->
         Model.Search.multi_robust
           ~config:{ Model.Search.extended_config with Model.Search.pool = Some pool }
@@ -108,9 +104,7 @@ let run () =
       Fuzz.Oracle.coverage_consistency ]
   in
   let fuzz =
-    stage ~reps:3 "fuzz checking (5 oracles, 60 programs)"
-      (fun () -> Fuzz.Driver.run_campaign ~oracles ~seed:7 ~budget:60 ())
-      (fun pool ->
+    stage ~reps:3 "fuzz checking (5 oracles, 60 programs)" (fun pool ->
         Fuzz.Driver.run_campaign ~pool ~oracles ~seed:7 ~budget:60 ())
   in
   let cores =

@@ -22,7 +22,7 @@ let experiments =
     ("catalog", "Model catalog: every fitted hybrid model", Exp_catalog.run);
     ("micro", "bechamel microbenchmarks", Micro.run);
     ("policy", "policy overhead: taint vs plain, interp vs compiled",
-     (fun () -> Micro.policy_speedup ()));
+     Micro.policy_speedup);
     ("resilience", "campaign executor overhead and retry cost",
      Micro.resilience);
     ("parallel", "domain-pool speedup: campaign / search / fuzz at 1-8 jobs",
@@ -37,8 +37,6 @@ let usage () =
   Fmt.pr "usage: bench/main.exe [experiment | --check-baseline [DIR]]@.@.experiments:@.";
   List.iter (fun (name, doc, _) -> Fmt.pr "  %-10s %s@." name doc) experiments;
   Fmt.pr "  %-10s %s@." "all" "run everything (default)";
-  Fmt.pr "  %-10s %s@." "policy --engine both|compiled|interp"
-    "restrict the policy experiment to one execution tier";
   Fmt.pr "  %-10s %s@." "--check-baseline"
     "compare BENCH_*.json in the cwd against committed baselines \
      (default dir: bench/baselines); nonzero exit on regression"
@@ -61,14 +59,6 @@ let () =
     List.iter (fun (_, _, run) -> run ()) experiments
   | [| _; "--check-baseline" |] -> check_baseline "bench/baselines"
   | [| _; "--check-baseline"; dir |] -> check_baseline dir
-  | [| _; "policy"; "--engine"; tier |] -> (
-    match tier with
-    | "both" -> Micro.policy_speedup ~engine:`Both ()
-    | "compiled" -> Micro.policy_speedup ~engine:`Compiled ()
-    | "interp" | "interpreted" -> Micro.policy_speedup ~engine:`Interp ()
-    | t ->
-      Fmt.epr "unknown --engine %s (expected both, compiled or interp)@." t;
-      exit 2)
   | [| _; name |] -> (
     match List.find_opt (fun (n, _, _) -> n = name) experiments with
     | Some (_, _, run) -> run ()

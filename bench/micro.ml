@@ -136,19 +136,12 @@ let engine_runner (type a) (module E : Interp.Engine.S with type t = a)
 let pr_geomean = Exp_common.geomean
 
 (* The instrumentation-overhead story (paper Table 3) on our substrate,
-   now crossed with the execution tier: each mini-app runs under the
-   Taint and Plain policies on both the tree-walking interpreter and the
-   slot-resolved compiled engine.  [`Both] reports the compiled-over-
-   interpreted speedup per policy; a single tier reports the classic
-   taint-vs-plain overhead within that tier. *)
-let policy_speedup ?(engine = `Both) () =
-  let tier_label = function
-    | `Both -> "interp vs compiled"
-    | `Compiled -> "compiled tier"
-    | `Interp -> "interpreted tier"
-  in
-  Exp_common.section
-    (Printf.sprintf "policy overhead: taint vs plain (%s)" (tier_label engine));
+   crossed with the execution tier: each mini-app runs under the Taint
+   and Plain policies on both the tree-walking interpreter and the
+   slot-resolved compiled engine, and the report pairs each policy's
+   interpreted run against its compiled run. *)
+let policy_speedup () =
+  Exp_common.section "policy overhead: taint vs plain (interp vs compiled)";
   let series (name, program, args, world) =
     let ti = engine_runner (module Interp.Machine) program args world in
     let tc = engine_runner (module Interp.Compiled.Taint) program args world in
@@ -161,98 +154,60 @@ let policy_speedup ?(engine = `Both) () =
     Gc.compact ();
     (name, ti, tc, pi, pc)
   in
-  match engine with
-  | (`Compiled | `Interp) as tier ->
-    (* Single-tier view: the classic taint-vs-plain overhead table. *)
-    let rows =
-      List.map
-        (fun kernel ->
-          let name, ti, tc, pi, pc = series kernel in
-          let taint, plain =
-            match tier with `Compiled -> (tc, pc) | `Interp -> (ti, pi)
-          in
-          let tt, tp = best_of_pair 9 taint plain in
-          Fmt.pr "  %-10s taint %9.6f s   plain %9.6f s   speedup %.2fx@."
-            name tt tp (tt /. tp);
-          (name, tt, tp))
-        policy_kernels
-    in
-    let geomean = pr_geomean (List.map (fun (_, tt, tp) -> tt /. tp) rows) in
-    Fmt.pr "  plain-policy speedup over taint (geomean): %.2fx@." geomean;
-    Exp_common.emit_json ~name:"policy"
-      [
-        ( "engine",
-          J.Str (match tier with `Compiled -> "compiled" | `Interp -> "interp")
-        );
-        ( "kernels",
-          J.List
-            (List.map
-               (fun (name, tt, tp) ->
-                 J.Obj
-                   [
-                     ("kernel", J.Str name);
-                     ("taint_s", J.Float tt);
-                     ("plain_s", J.Float tp);
-                     ("speedup", J.Float (tt /. tp));
-                   ])
-               rows) );
-        ("geomean_speedup", J.Float geomean);
-      ]
-  | `Both ->
-    (* Cross-tier view: pair each policy's interpreted run against its
-       compiled run so the tier speedup is measured under shared noise. *)
-    let rows =
-      List.map
-        (fun kernel ->
-          let name, ti, tc, pi, pc = series kernel in
-          let tti, ttc = best_of_pair 9 ti tc in
-          let tpi, tpc = best_of_pair 9 pi pc in
-          Fmt.pr
-            "  %-10s taint  interp %9.6f s   compiled %9.6f s   speedup \
-             %5.2fx@."
-            name tti ttc (tti /. ttc);
-          Fmt.pr
-            "  %-10s plain  interp %9.6f s   compiled %9.6f s   speedup \
-             %5.2fx@."
-            "" tpi tpc (tpi /. tpc);
-          (name, tti, ttc, tpi, tpc))
-        policy_kernels
-    in
-    let g_taint = pr_geomean (List.map (fun (_, ti, tc, _, _) -> ti /. tc) rows)
-    and g_plain = pr_geomean (List.map (fun (_, _, _, pi, pc) -> pi /. pc) rows)
-    and g_overhead =
-      pr_geomean (List.map (fun (_, _, tc, _, pc) -> tc /. pc) rows)
-    in
-    Fmt.pr "  compiled-over-interp speedup (geomean): plain %.2fx, taint \
-            %.2fx@."
-      g_plain g_taint;
-    Fmt.pr "  taint-over-plain overhead on the compiled tier (geomean): \
-            %.2fx@."
-      g_overhead;
-    Exp_common.emit_json ~name:"policy"
-      [
-        ("engine", J.Str "both");
-        ( "kernels",
-          J.List
-            (List.map
-               (fun (name, tti, ttc, tpi, tpc) ->
-                 J.Obj
-                   [
-                     ("kernel", J.Str name);
-                     ("taint_interp_s", J.Float tti);
-                     ("taint_compiled_s", J.Float ttc);
-                     ("plain_interp_s", J.Float tpi);
-                     ("plain_compiled_s", J.Float tpc);
-                     ("taint_speedup", J.Float (tti /. ttc));
-                     ("plain_speedup", J.Float (tpi /. tpc));
-                   ])
-               rows) );
-        ("geomean_plain_speedup", J.Float g_plain);
-        ("geomean_taint_speedup", J.Float g_taint);
-        ("geomean_taint_over_plain", J.Float g_overhead);
-        ("plain_target_met", J.Bool (g_plain >= 5.));
-        ("taint_target_met", J.Bool (g_taint >= 2.));
-      ]
+  (* Timing each tier's run as an interleaved pair measures the tier
+     speedup under shared noise. *)
+  let rows =
+    List.map
+      (fun kernel ->
+        let name, ti, tc, pi, pc = series kernel in
+        let tti, ttc = best_of_pair 9 ti tc in
+        let tpi, tpc = best_of_pair 9 pi pc in
+        Fmt.pr
+          "  %-10s taint  interp %9.6f s   compiled %9.6f s   speedup \
+           %5.2fx@."
+          name tti ttc (tti /. ttc);
+        Fmt.pr
+          "  %-10s plain  interp %9.6f s   compiled %9.6f s   speedup \
+           %5.2fx@."
+          "" tpi tpc (tpi /. tpc);
+        (name, tti, ttc, tpi, tpc))
+      policy_kernels
+  in
+  let g_taint = pr_geomean (List.map (fun (_, ti, tc, _, _) -> ti /. tc) rows)
+  and g_plain = pr_geomean (List.map (fun (_, _, _, pi, pc) -> pi /. pc) rows)
+  and g_overhead =
+    pr_geomean (List.map (fun (_, _, tc, _, pc) -> tc /. pc) rows)
+  in
+  Fmt.pr "  compiled-over-interp speedup (geomean): plain %.2fx, taint \
+          %.2fx@."
+    g_plain g_taint;
+  Fmt.pr "  taint-over-plain overhead on the compiled tier (geomean): \
+          %.2fx@."
+    g_overhead;
+  Exp_common.emit_json ~name:"policy"
+    [
+      ("engine", J.Str "both");
+      ( "kernels",
+        J.List
+          (List.map
+             (fun (name, tti, ttc, tpi, tpc) ->
+               J.Obj
+                 [
+                   ("kernel", J.Str name);
+                   ("taint_interp_s", J.Float tti);
+                   ("taint_compiled_s", J.Float ttc);
+                   ("plain_interp_s", J.Float tpi);
+                   ("plain_compiled_s", J.Float tpc);
+                   ("taint_speedup", J.Float (tti /. ttc));
+                   ("plain_speedup", J.Float (tpi /. tpc));
+                 ])
+             rows) );
+      ("geomean_plain_speedup", J.Float g_plain);
+      ("geomean_taint_speedup", J.Float g_taint);
+      ("geomean_taint_over_plain", J.Float g_overhead);
+      ("plain_target_met", J.Bool (g_plain >= 5.));
+      ("taint_target_met", J.Bool (g_taint >= 2.));
+    ]
 
 (* -- campaign executor overhead and retry cost ----------------------------- *)
 

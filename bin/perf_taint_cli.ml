@@ -33,18 +33,11 @@ let config_of max_steps =
 let jobs_arg =
   let doc =
     "Worker domains for the parallel stages (measurement coordinates, \
-     model-candidate scoring, fuzz cases).  The default of 1 is exactly \
-     the serial code path; any value produces bit-identical output."
+     model-candidate scoring, fuzz cases, cold fits).  Each stage runs one \
+     loop at any value, so every value produces bit-identical output; the \
+     default of 1 spawns no worker domain."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-(* Hand the command body [Some pool] only when parallelism was actually
-   requested: the [None] branch of every consumer is the untouched
-   serial code path, so --jobs 1 (the default) cannot perturb existing
-   behavior even through pool bookkeeping. *)
-let with_jobs ?metrics jobs f =
-  if jobs > 1 then Par.Pool.with_pool ?metrics ~jobs (fun p -> f (Some p))
-  else f None
 
 (* Every command maps the pipeline's expected failure modes — bad paths,
    malformed .pir files, runtime errors in user programs, exhausted step
@@ -370,7 +363,7 @@ let func_arg =
 let model_cmd =
   let run (t : Apps.Registry.t) mode func events trace max_steps jobs =
     error_guard @@ fun () ->
-    with_jobs jobs @@ fun pool ->
+    Par.Pool.with_pool ~jobs @@ fun pool ->
     with_events events @@ fun events ->
     let m = measured t in
     let fit_params = m.spec.Measure.Spec.model_params in
@@ -383,10 +376,10 @@ let model_cmd =
         mode = Measure.Instrument.Selective selective; sigma = 0.02; seed = 42 }
     in
     let runs =
-      Measure.Experiment.run_design ?pool m.spec Mpi_sim.Machine.skylake_cluster
-        design
+      Measure.Experiment.run_design ~pool m.spec
+        Mpi_sim.Machine.skylake_cluster design
     in
-    let config = { m.search with Model.Search.pool; events } in
+    let config = { m.search with Model.Search.pool = Some pool; events } in
     let fit fname =
       let data =
         Measure.Experiment.kernel_dataset runs ~params:fit_params
@@ -768,8 +761,7 @@ let campaign_cmd =
         Measure.Campaign.rt_max_attempts = retries;
         rt_backoff_s = backoff }
     in
-    let metrics = Obs_metrics.create () in
-    with_jobs ~metrics jobs @@ fun pool ->
+    Par.Pool.with_pool ~jobs @@ fun pool ->
     with_events events @@ fun events ->
     match worker with
     | Some sh ->
@@ -778,8 +770,8 @@ let campaign_cmd =
       let j = Option.get journal in
       let report =
         with_trace trace @@ fun trace ->
-        Measure.Campaign.run_journaled ?pool ~metrics ~trace ~events
-          ~plan ~retry ?hang_budget:max_steps
+        Measure.Campaign.run_journaled ~pool ~trace ~events ~plan ~retry
+          ?hang_budget:max_steps
           ~keep:(fun params rep -> Measure.Shard.owns sh ~params ~rep)
           ?limit:max_runs ~journal:j ~resume spec
           Mpi_sim.Machine.skylake_cluster design
@@ -830,7 +822,7 @@ let campaign_cmd =
             )
         in
         (match
-           Measure.Shard.run_workers ~metrics ~events
+           Measure.Shard.run_workers ~events
              ~mode:design.Measure.Experiment.mode ~expected_header:header
              ~design ~shards:m ~journal:j ~timeout_s:shard_timeout
              ~max_restarts:shard_restarts ~argv ()
@@ -839,7 +831,7 @@ let campaign_cmd =
         | Error msg -> failwith msg);
         let paths = List.init m (Measure.Shard.journal_path ~journal:j) in
         (match
-           Measure.Shard.merge_journals ~metrics ~events
+           Measure.Shard.merge_journals ~events
              ~mode:design.Measure.Experiment.mode ~expected_header:header
              ~design paths
          with
@@ -860,11 +852,11 @@ let campaign_cmd =
             mg.Measure.Shard.mg_records)
       | Some _, None -> assert false (* checked above *)
       | None, Some j ->
-        Measure.Campaign.run_journaled ?pool ~metrics ~trace ~events
+        Measure.Campaign.run_journaled ~pool ~trace ~events
           ~plan ~retry ?hang_budget:max_steps ?limit:max_runs ~journal:j
           ~resume spec Mpi_sim.Machine.skylake_cluster design
       | None, None ->
-        Measure.Campaign.run ?pool ~metrics ~trace ~events ~plan ~retry
+        Measure.Campaign.run ~pool ~trace ~events ~plan ~retry
           ?hang_budget:max_steps ?limit:max_runs spec
           Mpi_sim.Machine.skylake_cluster design
     in
@@ -893,7 +885,7 @@ let campaign_cmd =
       Fmt.pr "interrupted by --max-runs; continue with --resume@."
     else begin
       let fit, rejected =
-        Measure.Campaign.total_fit ?pool design
+        Measure.Campaign.total_fit ~pool design
           report.Measure.Campaign.cp_runs
       in
       Fmt.pr "total model (robust fit, %d outliers rejected): %s  (SMAPE \
@@ -959,10 +951,10 @@ let fuzz_cmd =
         files;
       if !failed > 0 then exit 1
     | [] ->
-      with_jobs jobs @@ fun pool ->
+      Par.Pool.with_pool ~jobs @@ fun pool ->
       with_events events @@ fun events ->
       let report =
-        Fuzz.Driver.run_campaign ?pool ?max_steps ~events ~seed ~budget ()
+        Fuzz.Driver.run_campaign ~pool ?max_steps ~events ~seed ~budget ()
       in
       Fmt.pr "fuzz campaign: seed %d, budget %d@." seed budget;
       List.iter
@@ -1103,7 +1095,7 @@ let serve_cmd =
     error_guard @@ fun () ->
     let ep = endpoint_of socket port in
     let metrics = Obs_metrics.create () in
-    with_jobs ~metrics jobs @@ fun pool ->
+    Par.Pool.with_pool ~jobs @@ fun pool ->
     with_events events @@ fun events ->
     let cat =
       match
@@ -1114,7 +1106,7 @@ let serve_cmd =
     in
     Fun.protect ~finally:(fun () -> Serve.Catalog.close cat) @@ fun () ->
     let server =
-      Serve.Server.create ?pool ~metrics ~events ?max_core_hours:budget
+      Serve.Server.create ~pool ~metrics ~events ?max_core_hours:budget
         ~catalog:cat ()
     in
     let fd =

@@ -67,85 +67,48 @@ let event_names =
     ("fuzz.counterexample", "a minimized counterexample for one oracle");
   ]
 
-let run_campaign ?pool ?oracles ?max_steps
+let run_campaign ?(pool = Par.Pool.serial) ?oracles ?max_steps
     ?(events = Obs_events.disabled) ~seed ~budget () =
   let oracles = oracle_set oracles max_steps in
   let st = Random.State.make [| seed |] in
-  let slots =
-    List.map (fun o -> (o, ref 0, ref None)) oracles
+  let slots = List.map (fun o -> (o, ref 0, ref None)) oracles in
+  (* Waves of [Par.Pool.wave pool] cases.  Generation is one serial pass
+     over the single PRNG stream, so the corpus is the same at every job
+     count, and only the oracle checks (pure functions of the program)
+     run on the pool.  Verdicts then replay in case order on the
+     submitting domain: runs counting, first-failure selection and
+     shrinking are one fold whatever the job count.  Oracles that have
+     failed check nothing more; one failing mid-wave wastes at most the
+     rest of its wave, and once every oracle has failed the campaign
+     stops. *)
+  let rec waves index =
+    match List.filter (fun (_, _, cx) -> !cx = None) slots with
+    | [] -> ()
+    | _ when index >= budget -> ()
+    | live ->
+      let cases =
+        List.init
+          (min (Par.Pool.wave pool) (budget - index))
+          (fun i -> (index + i, Gen.generate st))
+      in
+      Par.Pool.map pool ~chunk:1
+        (fun (index, p) ->
+          let prog = Gen.to_program p in
+          (index, p, List.map (fun (o, _, _) -> Oracle.check o prog) live))
+        cases
+      |> List.iter (fun (index, p, verdicts) ->
+             List.iter2
+               (fun (o, runs, cx) verdict ->
+                 if !cx = None then begin
+                   incr runs;
+                   match verdict with
+                   | Oracle.Pass -> ()
+                   | Oracle.Fail _ -> cx := Some (make_cx o ~index p)
+                 end)
+               live verdicts);
+      waves (index + List.length cases)
   in
-  (match pool with
-  | Some pl when Par.Pool.jobs pl > 1 ->
-    (* Parallel checking. Generation stays a serial pass over the single
-       PRNG stream — the corpus is byte-identical to the serial
-       campaign's — and only the oracle checks (pure functions of the
-       program) fan out, one wave at a time. Slot updates then replay in
-       case order on the submitting domain: runs counting, first-failure
-       selection and shrinking are exactly the serial fold, so the
-       report is bit-identical. *)
-    let cases = ref [] in
-    for index = 0 to budget - 1 do
-      cases := (index, Gen.generate st) :: !cases
-    done;
-    let cases = List.rev !cases in
-    let rec take n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (n - 1) (x :: acc) rest
-    in
-    let wave_size = Par.Pool.jobs pl * 4 in
-    let rec process = function
-      | [] -> ()
-      | pending -> (
-        (* Oracles already failed check nothing — same work the serial
-           loop skips; an oracle failing mid-wave wastes at most the
-           rest of its wave. When every oracle has failed, remaining
-           cases can be skipped outright (the serial loop only burns
-           PRNG there, and generation already happened above). *)
-        match List.filter (fun (_, _, cx) -> !cx = None) slots with
-        | [] -> ()
-        | live ->
-          let wave, rest = take wave_size [] pending in
-          let checked =
-            Par.Pool.map pl ~chunk:1
-              (fun (index, p) ->
-                let prog = Gen.to_program p in
-                ( index,
-                  p,
-                  List.map (fun (o, _, _) -> Oracle.check o prog) live ))
-              wave
-          in
-          List.iter
-            (fun (index, p, verdicts) ->
-              List.iter2
-                (fun (o, runs, cx) verdict ->
-                  if !cx = None then begin
-                    incr runs;
-                    match verdict with
-                    | Oracle.Pass -> ()
-                    | Oracle.Fail _ -> cx := Some (make_cx o ~index p)
-                  end)
-                live verdicts)
-            checked;
-          process rest)
-    in
-    process cases
-  | _ ->
-    for index = 0 to budget - 1 do
-      (* Generation consumes the PRNG identically whichever oracles are
-         still live, so a campaign is reproducible from its seed alone. *)
-      let p = Gen.generate st in
-      let prog = Gen.to_program p in
-      List.iter
-        (fun (o, runs, cx) ->
-          if !cx = None then begin
-            incr runs;
-            match Oracle.check o prog with
-            | Oracle.Pass -> ()
-            | Oracle.Fail _ -> cx := Some (make_cx o ~index p)
-          end)
-        slots
-    done);
+  waves 0;
   let report =
     {
       rp_seed = seed;

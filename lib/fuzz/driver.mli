@@ -32,11 +32,11 @@ val run_campaign :
     default oracle set under an explicit interpreter budget
     ({!Oracle.all_with}); an explicit [oracles] list takes precedence.
 
-    [pool] checks cases on a domain pool: generation remains one serial
-    PRNG pass (identical corpus), checks fan out in waves, and slot
-    updates replay in case order on the submitting domain — verdicts,
-    first-failure indices, shrunk counterexamples and [or_runs] are
-    bit-identical to the serial campaign.
+    [pool] (default {!Par.Pool.serial}) checks cases in waves of
+    {!Par.Pool.wave}: generation remains one serial PRNG pass (identical
+    corpus), and slot updates replay in case order on the submitting
+    domain — verdicts, first-failure indices, shrunk counterexamples and
+    [or_runs] are bit-identical at every job count.
 
     [events] receives one [fuzz.oracle] summary per oracle plus a
     [fuzz.counterexample] (error severity) per failure, derived from the

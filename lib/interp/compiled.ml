@@ -422,7 +422,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
       set_slot t frame d v l
     | LAlloc (d, n) ->
       let v = lop_value frame n and l = lop_label frame n in
-      let size = Eval.as_int v in
+      let size = Eval.alloc_size v in
       let h = alloc_array t size in
       let l = if labels then P.on_alloc t.pstate ~alloc:h ~size l else P.clean in
       set_slot t frame d (VArr h) l

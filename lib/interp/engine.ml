@@ -316,7 +316,7 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
       write_reg t frame d (Eval.unop op v) l
     | Alloc (d, n) ->
       let v = operand_value frame n and l = operand_label frame n in
-      let size = Eval.as_int v in
+      let size = Eval.alloc_size v in
       let h = alloc_array t size in
       (* The allocation size's shadow flows to the handle: indexing
          computations derived from the handle itself stay clean, but the

@@ -16,6 +16,15 @@ let as_int = function
   | VInt i -> i
   | v -> error "expected int, got %s" (value_kind v)
 
+let max_alloc_cells = 1 lsl 24
+
+let alloc_size v =
+  let n = as_int v in
+  if n > max_alloc_cells then
+    error "allocation of %d cells exceeds the limit of %d cells" n
+      max_alloc_cells;
+  n
+
 let as_float = function
   | VFloat f -> f
   | v -> error "expected float, got %s" (value_kind v)

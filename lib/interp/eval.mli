@@ -15,6 +15,16 @@ val as_float : Ir.Types.value -> float
 val as_bool : Ir.Types.value -> bool
 val as_arr : Ir.Types.value -> int
 
+val max_alloc_cells : int
+(** The most cells one [alloc] may request: 2{^24}, far above anything
+    the bundled apps allocate. *)
+
+val alloc_size : Ir.Types.value -> int
+(** The size operand of an [alloc], checked on both tiers before anything
+    is allocated, shadow memory included.
+    @raise Runtime_error naming the size and {!max_alloc_cells} when the
+    request exceeds it. *)
+
 val vint : int -> Ir.Types.value
 (** [VInt i], shared from a pre-boxed pool for small [i] (values are
     immutable, so sharing is unobservable). *)

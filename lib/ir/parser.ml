@@ -132,10 +132,20 @@ let operand_of_token line = function
   | Num s -> (
     match int_of_string_opt s with
     | Some i -> Int i
-    | None -> (
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> fail line "bad numeric literal %s" s))
+    | None ->
+      (* Digits with an optional sign are an integer literal even when
+         they do not fit: refuse them rather than read them as a float
+         ({!Pp.float_literal} always prints a '.', an exponent, nan or
+         inf). *)
+      let digits = String.sub s 1 (String.length s - 1) in
+      if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+      then
+        fail line "integer literal %s is out of range [%d, %d]" s min_int
+          max_int
+      else (
+        match float_of_string_opt s with
+        | Some f -> Float f
+        | None -> fail line "bad numeric literal %s" s))
   | Ident "true" -> Bool true
   | Ident "false" -> Bool false
   (* Non-finite float literals as printed by {!Pp.float_literal}; "-inf"

@@ -122,47 +122,14 @@ let scale_run factor (r : Simulator.run) =
 let core_hours_of ~params seconds =
   seconds *. float_of_int (Simulator.ranks_of params) /. 3600.
 
-type instruments = {
-  i_attempts : Obs_metrics.counter;
-  i_retries : Obs_metrics.counter;
-  i_abandoned : Obs_metrics.counter;
-  i_resumed : Obs_metrics.counter;
-  i_faults : (string * Obs_metrics.counter) list;
-}
-
-let instruments_of = function
-  | None -> None
-  | Some reg ->
-    (* Intern the journal/merge counters too, so every campaign exposes
-       the full [counters] vocabulary (at zero when nothing tore and
-       nothing was deduplicated). *)
-    ignore (Obs_metrics.counter reg "campaign.journal_torn");
-    ignore (Obs_metrics.counter reg "campaign.shard_dup");
-    Some
-      {
-        i_attempts = Obs_metrics.counter reg "campaign.attempts";
-        i_retries = Obs_metrics.counter reg "campaign.retries";
-        i_abandoned = Obs_metrics.counter reg "campaign.abandoned";
-        i_resumed = Obs_metrics.counter reg "campaign.resumed";
-        i_faults =
-          List.map
-            (fun k -> (k, Obs_metrics.counter reg ("campaign.faults." ^ k)))
-            Fault.kind_names;
-      }
-
-let bump inst f = match inst with None -> () | Some i -> Obs_metrics.incr (f i)
-
-let bump_fault inst kind =
-  match inst with
-  | None -> ()
-  | Some i -> Obs_metrics.incr (List.assoc (Fault.kind_name kind) i.i_faults)
-
-(* One coordinate under the retry loop.  The measurement itself is only
-   performed on attempts the fault plan lets through; failed attempts
-   probe the run's would-be duration (no metrics — the probe is costing,
-   not measuring) to charge wasted core-hours. *)
-let execute_coordinate ?metrics ~trace ~inst ~plan ~retry ~hang_budget app
-    machine design ~params ~rep =
+(* One coordinate under the retry loop: its record, plus the run as
+   measured (before any straggler/corrupt inflation), which is what the
+   sim.* metrics count.  The measurement itself is only performed on
+   attempts the fault plan lets through; failed attempts probe the run's
+   would-be duration (uncounted — the probe is costing, not measuring) to
+   charge wasted core-hours. *)
+let execute_coordinate ~trace ~plan ~retry ~hang_budget app machine design
+    ~params ~rep =
   let fault = Fault.at plan ~params ~rep in
   let probe_total =
     lazy
@@ -177,7 +144,6 @@ let execute_coordinate ?metrics ~trace ~inst ~plan ~retry ~hang_budget app
   let backoff = ref 0. in
   let rec attempt n =
     incr attempts;
-    bump inst (fun i -> i.i_attempts);
     let span_args =
       if Obs_trace.enabled trace then
         [ ("rep", Obs_trace.Int rep); ("attempt", Obs_trace.Int n) ]
@@ -210,50 +176,44 @@ let execute_coordinate ?metrics ~trace ~inst ~plan ~retry ~hang_budget app
                fault-free path is bit-identical to the plain experiment. *)
             let run =
               Simulator.measure ~sigma:design.Experiment.sigma
-                ~seed:design.Experiment.seed ~rep ?metrics app machine ~params
+                ~seed:design.Experiment.seed ~rep app machine ~params
                 ~mode:design.Experiment.mode
             in
-            let run =
-              match k with
-              | Some (Fault.Straggler f as kind) | Some (Fault.Corrupt f as kind)
-                ->
-                bump_fault inst kind;
-                faults := Fault.kind_name kind :: !faults;
-                scale_run f run
-              | _ -> run
-            in
-            `Completed run)
+            `Completed
+              ( run,
+                match k with
+                | Some (Fault.Straggler f as kind)
+                | Some (Fault.Corrupt f as kind) ->
+                  faults := Fault.kind_name kind :: !faults;
+                  scale_run f run
+                | _ -> run ))
     in
     match result with
-    | `Completed run -> Completed run
+    | `Completed (measured, run) -> (Completed run, Some measured)
     | `Failed (kind, waste) ->
       (* A failed attempt: record the fault, charge the waste, and either
          back off and retry or abandon the coordinate. *)
-      bump_fault inst kind;
       faults := Fault.kind_name kind :: !faults;
       wasted := !wasted +. waste;
       if n + 1 < retry.rt_max_attempts then begin
-        bump inst (fun i -> i.i_retries);
         backoff :=
           !backoff
           +. (retry.rt_backoff_s *. (retry.rt_backoff_mult ** float_of_int n));
         attempt (n + 1)
       end
-      else begin
-        bump inst (fun i -> i.i_abandoned);
-        Abandoned (Fault.kind_name kind)
-      end
+      else (Abandoned (Fault.kind_name kind), None)
   in
-  let outcome = attempt 0 in
-  {
-    rc_params = params;
-    rc_rep = rep;
-    rc_attempts = !attempts;
-    rc_faults = List.rev !faults;
-    rc_wasted_s = !wasted;
-    rc_backoff_s = !backoff;
-    rc_outcome = outcome;
-  }
+  let outcome, measured = attempt 0 in
+  ( {
+      rc_params = params;
+      rc_rep = rep;
+      rc_attempts = !attempts;
+      rc_faults = List.rev !faults;
+      rc_wasted_s = !wasted;
+      rc_backoff_s = !backoff;
+      rc_outcome = outcome;
+    },
+    measured )
 
 let summarize ~resumed ~interrupted records =
   let fault_counts =
@@ -291,35 +251,34 @@ let summarize ~resumed ~interrupted records =
         0. records;
   }
 
-(* Every campaign.* instrument bump of a coordinate's retry loop is a
-   function of its finished record, so the parallel path can run
-   coordinates with [inst = None] on worker domains and replay the bumps
-   on the submitting domain in design order: [rc_attempts] attempts, one
-   retry per non-final attempt, one fault bump per entry of [rc_faults]
+(* Every campaign.* counter is a function of finished records, counted on
+   the submitting domain in design order: [rc_attempts] attempts, one
+   retry per non-final attempt, one fault per entry of [rc_faults]
    (failed attempts and kept straggler/corrupt completions alike), one
-   abandonment if the outcome is [Abandoned]. *)
-let bump_from_record inst r =
-  match inst with
-  | None -> ()
-  | Some i ->
-    Obs_metrics.add i.i_attempts r.rc_attempts;
-    Obs_metrics.add i.i_retries (r.rc_attempts - 1);
-    List.iter
-      (fun k -> Obs_metrics.incr (List.assoc k i.i_faults))
-      r.rc_faults;
-    (match r.rc_outcome with
-    | Abandoned _ -> Obs_metrics.incr i.i_abandoned
-    | Completed _ -> ())
+   abandonment if the outcome is [Abandoned].  The whole vocabulary is
+   interned first, so a registry shows every counter, at zero when
+   nothing was hit. *)
+let intern_counters reg =
+  List.iter (fun (name, _) -> ignore (Obs_metrics.counter reg name)) counters
 
-(* Events, like instrument bumps, are a function of the finished record:
-   both the serial and the parallel path emit them from the submitting
-   domain in design order, so the stream is deterministic and identical
-   across the two paths (apart from the parallel-only wave events). *)
+let replay_metrics reg r =
+  intern_counters reg;
+  let add name n = Obs_metrics.add (Obs_metrics.counter reg name) n in
+  add "campaign.attempts" r.rc_attempts;
+  add "campaign.retries" (r.rc_attempts - 1);
+  List.iter (fun kind -> add ("campaign.faults." ^ kind) 1) r.rc_faults;
+  match r.rc_outcome with
+  | Abandoned _ -> add "campaign.abandoned" 1
+  | Completed _ -> ()
+
+(* Events, like counters, are a function of the finished record, emitted
+   from the submitting domain in design order: the stream is the same at
+   every job count, apart from the wave events above one job. *)
 let params_str params =
   String.concat ";"
     (List.map (fun (n, v) -> Printf.sprintf "%s=%g" n v) params)
 
-let emit_record_events events r =
+let record_events events r =
   if Obs_events.enabled events then begin
     List.iteri
       (fun i kind ->
@@ -358,12 +317,6 @@ let emit_resume_event events r =
         ]
       "campaign.resume"
 
-(* Public replay faces (the shard merge uses them): re-derive the
-   campaign.* instrument bumps and the fault/record events of an
-   already-finished record, exactly as the executor emits them. *)
-let replay_metrics reg r = bump_from_record (instruments_of (Some reg)) r
-let record_events events r = emit_record_events events r
-
 (* Reject a retry policy at entry, naming the offending field: a
    negative backoff or a sub-1 multiplier would silently *shrink* the
    backoff accounting, and a non-positive hang timeout would credit
@@ -379,162 +332,100 @@ let validate_retry retry =
   if not (retry.rt_hang_timeout_s > 0.) then
     invalid_arg "Measure.Campaign.run: rt_hang_timeout_s must be > 0"
 
-let run ?pool ?metrics ?(trace = Obs_trace.disabled)
+let run ?(pool = Par.Pool.serial) ?metrics ?(trace = Obs_trace.disabled)
     ?(events = Obs_events.disabled) ?(plan = Fault.none)
     ?(retry = default_retry) ?(hang_budget = 1_000_000)
-    ?(done_ : record list = []) ?keep ?limit ?on_record app machine design =
+    ?(done_ : record list = []) ?(keep = fun _ _ -> true) ?limit ?on_record
+    app machine design =
   validate_retry retry;
   (* The campaign counter matches run_design's, so a fault-free campaign
-     leaves the metrics registry in exactly the run_design state. *)
-  (match metrics with
-  | None -> ()
-  | Some reg -> Obs_metrics.incr (Obs_metrics.counter reg "sim.campaigns"));
-  let inst = instruments_of metrics in
+     leaves the sim.* metrics in exactly the run_design state. *)
+  Option.iter
+    (fun reg ->
+      Obs_metrics.incr (Obs_metrics.counter reg "sim.campaigns");
+      intern_counters reg)
+    metrics;
   let restored = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace restored (r.rc_params, r.rc_rep) r) done_;
-  let resumed = ref 0 in
-  let executed = ref 0 in
-  let interrupted = ref false in
-  let records = ref [] in
-  (* [keep] narrows the walk to a subset of the design (shard workers
-     pass their ownership predicate); everything downstream — limit,
-     resume, journal order — sees only the kept coordinates. *)
-  let coords =
-    match keep with
-    | None -> coordinates design
-    | Some f ->
-      List.filter (fun (params, rep) -> f params rep) (coordinates design)
+  (* The walk: restored records as met, fresh coordinates until the
+     (limit+1)-th, which interrupts the campaign.  [keep] narrows it to a
+     subset of the design (shard workers pass their ownership predicate);
+     everything downstream — limit, resume, journal order — sees only the
+     kept coordinates. *)
+  let limit_met executed =
+    match limit with Some l -> executed >= l | None -> false
   in
-  match pool with
-  | Some p when Par.Pool.jobs p > 1 ->
-    (* Parallel execution. The walk below replicates the serial limit
-       semantics exactly (stop where the serial loop raises [Exit], i.e.
-       on meeting the (limit+1)-th new coordinate), then coordinates are
-       executed on the pool in waves. All shared effects stay on the
-       submitting domain, in design order: restored-record accounting,
-       instrument bumps replayed from each record, per-coordinate metric
-       registries merged back, and [on_record] (the journal writer) — so
-       journals and registries are bit-identical to serial, and a kill
-       loses at most the in-flight wave. Workers touch only domain-local
-       state plus the mutex-guarded trace sink. *)
-    let items = ref [] in
-    (try
-       List.iter
-         (fun (params, rep) ->
-           match Hashtbl.find_opt restored (params, rep) with
-           | Some r -> items := `Restored r :: !items
-           | None ->
-             if (match limit with Some l -> !executed >= l | None -> false)
-             then begin
-               interrupted := true;
-               raise Exit
-             end;
-             incr executed;
-             items := `Fresh (params, rep) :: !items)
-         coords
-     with Exit -> ());
-    let items = List.rev !items in
-    let emit = function
-      | `Restored r ->
-        incr resumed;
-        bump inst (fun i -> i.i_resumed);
-        emit_resume_event events r;
-        records := r :: !records
-      | `Done (r, local) ->
-        (match (metrics, local) with
-        | Some reg, Some l -> Obs_metrics.merge ~into:reg l
-        | _ -> ());
-        bump_from_record inst r;
-        emit_record_events events r;
-        (match on_record with None -> () | Some f -> f r);
-        records := r :: !records
-    in
-    let wave_size = Par.Pool.jobs p * 4 in
-    let wave_idx = ref 0 in
-    let rec process = function
-      | [] -> ()
-      | pending ->
-        (* Take one wave: up to [wave_size] fresh coordinates (restored
-           records ride along for free, they cost nothing to emit). *)
-        let rec split taken nfresh = function
-          | it :: rest when
-              (match it with `Restored _ -> true | `Fresh _ -> nfresh < wave_size)
-            ->
-            let nfresh' =
-              match it with `Fresh _ -> nfresh + 1 | `Restored _ -> nfresh
-            in
-            split (it :: taken) nfresh' rest
-          | rest -> (List.rev taken, rest)
-        in
-        let wave, rest = split [] 0 pending in
-        let fresh =
-          List.filter_map
-            (function `Fresh c -> Some c | `Restored _ -> None)
-            wave
-        in
-        if Obs_events.enabled events && fresh <> [] then begin
-          Obs_events.emit events ~severity:Obs_events.Debug
-            ~component:"campaign"
-            ~fields:
-              [
-                ("wave", Obs_events.Int !wave_idx);
-                ("fresh", Obs_events.Int (List.length fresh));
-              ]
-            "campaign.wave";
-          incr wave_idx
-        end;
-        let done_q =
-          Queue.of_seq
-            (List.to_seq
-               (Par.Pool.map p ~chunk:1
-                  (fun (params, rep) ->
-                    let local =
-                      Option.map (fun _ -> Obs_metrics.create ()) metrics
-                    in
-                    let r =
-                      execute_coordinate ?metrics:local ~trace ~inst:None
-                        ~plan ~retry ~hang_budget app machine design ~params
-                        ~rep
-                    in
-                    (r, local))
-                  fresh))
-        in
-        List.iter
-          (function
-            | `Restored _ as it -> emit it
-            | `Fresh _ -> emit (`Done (Queue.pop done_q)))
-          wave;
-        process rest
-    in
-    process items;
-    summarize ~resumed:!resumed ~interrupted:!interrupted (List.rev !records)
-  | _ ->
-    (try
-       List.iter
-         (fun (params, rep) ->
-           match Hashtbl.find_opt restored (params, rep) with
-           | Some r ->
-             incr resumed;
-             bump inst (fun i -> i.i_resumed);
-             emit_resume_event events r;
-             records := r :: !records
-           | None ->
-             if (match limit with Some l -> !executed >= l | None -> false)
-             then begin
-               interrupted := true;
-               raise Exit
-             end;
-             incr executed;
-             let r =
-               execute_coordinate ?metrics ~trace ~inst ~plan ~retry
-                 ~hang_budget app machine design ~params ~rep
-             in
-             emit_record_events events r;
-             (match on_record with None -> () | Some f -> f r);
-             records := r :: !records)
-         coords
-     with Exit -> ());
-    summarize ~resumed:!resumed ~interrupted:!interrupted (List.rev !records)
+  let rec walk executed acc = function
+    | [] -> (List.rev acc, false)
+    | (params, rep) :: rest -> (
+      match Hashtbl.find_opt restored (params, rep) with
+      | Some r -> walk executed (`Restored r :: acc) rest
+      | None when limit_met executed -> (List.rev acc, true)
+      | None -> walk (executed + 1) (`Fresh (params, rep) :: acc) rest)
+  in
+  let items, interrupted =
+    walk 0 []
+      (List.filter (fun (params, rep) -> keep params rep) (coordinates design))
+  in
+  (* Waves: the next [Par.Pool.wave pool] fresh coordinates, with the
+     restored records among and after them riding along.  The wave runs
+     on the pool; then every shared effect happens here, on the
+     submitting domain, in design order: resume accounting, metrics and
+     events derived from each measured run and finished record, and
+     [on_record] (the journal writer).  Records, journals and registries
+     are therefore the same at every job count, and a kill loses at most
+     the in-flight wave — one coordinate on a one-job pool. *)
+  let execute = function
+    | `Restored r -> `Restored r
+    | `Fresh (params, rep) ->
+      `Done
+        (execute_coordinate ~trace ~plan ~retry ~hang_budget app machine
+           design ~params ~rep)
+  in
+  let resumed = ref 0 in
+  let records = ref [] in
+  let commit = function
+    | `Restored r ->
+      incr resumed;
+      Option.iter
+        (fun reg ->
+          Obs_metrics.incr (Obs_metrics.counter reg "campaign.resumed"))
+        metrics;
+      emit_resume_event events r;
+      records := r :: !records
+    | `Done (r, measured) ->
+      Option.iter
+        (fun reg ->
+          Option.iter (Simulator.count reg) measured;
+          replay_metrics reg r)
+        metrics;
+      record_events events r;
+      Option.iter (fun f -> f r) on_record;
+      records := r :: !records
+  in
+  let rec split n wave = function
+    | `Fresh _ :: _ as rest when n = 0 -> (List.rev wave, rest)
+    | (`Fresh _ as it) :: rest -> split (n - 1) (it :: wave) rest
+    | (`Restored _ as it) :: rest -> split n (it :: wave) rest
+    | [] -> (List.rev wave, [])
+  in
+  let rec waves idx = function
+    | [] -> ()
+    | pending ->
+      let wave, rest = split (Par.Pool.wave pool) [] pending in
+      let fresh =
+        List.length (List.filter (function `Fresh _ -> true | _ -> false) wave)
+      in
+      if Par.Pool.jobs pool > 1 && fresh > 0 && Obs_events.enabled events then
+        Obs_events.emit events ~severity:Obs_events.Debug ~component:"campaign"
+          ~fields:
+            [ ("wave", Obs_events.Int idx); ("fresh", Obs_events.Int fresh) ]
+          "campaign.wave";
+      List.iter commit (Par.Pool.map pool ~chunk:1 execute wave);
+      waves (idx + 1) rest
+  in
+  waves 0 items;
+  summarize ~resumed:!resumed ~interrupted (List.rev !records)
 
 (* -- journal --------------------------------------------------------------- *)
 

@@ -65,10 +65,12 @@ val summarize : resumed:int -> interrupted:bool -> record list -> report
     uses this to report on records reassembled from worker journals. *)
 
 val replay_metrics : Obs_metrics.t -> record -> unit
-(** Re-derive the [campaign.*] counter bumps of an already-finished
-    record: [rc_attempts] attempts, one retry per non-final attempt, one
-    fault bump per [rc_faults] entry, one abandonment if abandoned —
-    exactly what executing the coordinate would have bumped. *)
+(** Count one finished record in the [campaign.*] counters:
+    [rc_attempts] attempts, one retry per non-final attempt, one fault
+    per [rc_faults] entry, one abandonment if abandoned.  This is the one
+    place a record is counted — {!run} calls it for every record it
+    executes, the shard merge for every merged record — and it interns
+    the whole {!counters} vocabulary, at zero when nothing was hit. *)
 
 val record_events : Obs_events.sink -> record -> unit
 (** Emit the [campaign.fault] events and the [campaign.record] event of
@@ -101,16 +103,16 @@ val run :
     [events] receives the structured {!event_names} stream.  Record,
     fault and resume events are derived from each finished record and
     emitted on the submitting domain in design order, so the stream is
-    deterministic; the serial and parallel paths differ only in the
-    parallel-only [campaign.wave] events.
+    deterministic; [campaign.wave] events appear only above one job.
 
-    [pool] executes coordinates on a domain pool in waves.  Records,
-    journals and metric registries are bit-identical to serial: results
-    are collected in design order, every shared effect ([on_record],
-    instrument bumps, metric merges) happens on the submitting domain in
-    design order, and faults/noise are deterministic per coordinate.
-    [limit]/resume semantics are unchanged; a kill loses at most the
-    in-flight wave (roughly [4 * jobs] coordinates) instead of one.
+    [pool] (default {!Par.Pool.serial}) executes coordinates in waves of
+    {!Par.Pool.wave} fresh coordinates.  Records, journals and metric
+    registries are the same at every job count: results are collected in
+    design order, every shared effect ([on_record], metrics, events)
+    happens on the submitting domain in design order, and
+    faults/noise are deterministic per coordinate.  A kill loses at most
+    the in-flight wave: one coordinate on a one-job pool, roughly
+    [4 * jobs] above.
     @raise Invalid_argument naming the offending [retry] field when
     [rt_max_attempts < 1], [rt_backoff_s < 0], [rt_backoff_mult < 1],
     or [rt_hang_timeout_s <= 0] (NaN fields are rejected too). *)

@@ -25,7 +25,7 @@ let grid_configs grid =
 
 let configs design = grid_configs design.grid
 
-let run_design ?pool ?metrics app machine design =
+let run_design ?(pool = Par.Pool.serial) ?metrics app machine design =
   (match metrics with
   | None -> ()
   | Some reg -> Obs_metrics.incr (Obs_metrics.counter reg "sim.campaigns"));
@@ -34,31 +34,17 @@ let run_design ?pool ?metrics app machine design =
       (fun params -> List.init design.reps (fun rep -> (params, rep)))
       (configs design)
   in
-  let measure ?metrics (params, rep) =
-    Simulator.measure ~sigma:design.sigma ~seed:design.seed ~rep ?metrics app
-      machine ~params ~mode:design.mode
+  let runs =
+    Par.Pool.map pool
+      (fun (params, rep) ->
+        Simulator.measure ~sigma:design.sigma ~seed:design.seed ~rep app
+          machine ~params ~mode:design.mode)
+      coords
   in
-  match pool with
-  | Some p when Par.Pool.jobs p > 1 ->
-    (* Each coordinate measures into a private registry; the submitter
-       merges them back in design order, so metric float sums accumulate
-       in exactly the serial order. [Simulator.measure] is deterministic
-       in its arguments, so the runs themselves are bit-identical. *)
-    let results =
-      Par.Pool.map p
-        (fun coord ->
-          let local = Option.map (fun _ -> Obs_metrics.create ()) metrics in
-          (measure ?metrics:local coord, local))
-        coords
-    in
-    List.map
-      (fun (run, local) ->
-        (match (metrics, local) with
-        | Some reg, Some l -> Obs_metrics.merge ~into:reg l
-        | _ -> ());
-        run)
-      results
-  | _ -> List.map (fun coord -> measure ?metrics coord) coords
+  (* Counted here, in design order, so metric float sums accumulate in
+     the same order at every job count. *)
+  Option.iter (fun reg -> List.iter (Simulator.count reg) runs) metrics;
+  runs
 
 (** Clean-replay campaign: execute a PIR program at every grid
     configuration through the Plain engine.  Replays are deterministic,

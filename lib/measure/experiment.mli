@@ -23,9 +23,10 @@ val run_design :
   Spec.app -> Mpi_sim.Machine.t -> design -> Simulator.run list
 (** Execute the full-factorial design.  [metrics] counts campaigns and
     runs and accumulates the simulated core-hour cost (see
-    {!Simulator.measure}).  [pool] runs the coordinates on a domain pool;
-    runs and metrics are bit-identical to the serial execution (ordered
-    collection; per-coordinate registries merged in design order). *)
+    {!Simulator.count}).  [pool] (default {!Par.Pool.serial}) runs the
+    coordinates; runs and metrics are bit-identical at every job count
+    (ordered collection; every run counted in design order on the
+    submitting domain). *)
 
 val replay_runs :
   ?config:Interp.Engine.config -> ?world:Mpi_sim.Runtime.world ->

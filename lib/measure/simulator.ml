@@ -54,8 +54,8 @@ let true_time machine ~ranks_per_node (k : Spec.kernel) params =
    interference that a short function cannot amortise. *)
 let per_call_jitter = 4.0e-9
 
-let measure ?(sigma = 0.02) ?(seed = 42) ?(rep = 0) ?metrics app machine
-    ~params ~mode =
+let measure ?(sigma = 0.02) ?(seed = 42) ?(rep = 0) app machine ~params
+    ~mode =
   let ranks_per_node = ranks_per_node_of machine params in
   let base_total = ref 0. in
   let wall = ref 0. in
@@ -98,28 +98,24 @@ let measure ?(sigma = 0.02) ?(seed = 42) ?(rep = 0) ?metrics app machine
       end)
     app.Spec.kernels;
   let rng_total = Noise.create ~seed ~salt:(app.Spec.aname, "$total", params, rep) in
-  let run =
-    {
-      rn_params = params;
-      rn_mode = mode;
-      rn_rep = rep;
-      rn_ranks_per_node = ranks_per_node;
-      rn_kernels = List.rev !kernels;
-      rn_total = Noise.perturb ~floor:1e-4 rng_total ~sigma !wall;
-      rn_base_total = !base_total;
-    }
-  in
-  (match metrics with
-  | None -> ()
-  | Some reg ->
-    (* Tag the campaign with its simulated cost: run count, wall time
-       distribution, and aggregate core-hours (paper Table 3's budget). *)
-    Obs_metrics.incr (Obs_metrics.counter reg "sim.runs");
-    Obs_metrics.observe (Obs_metrics.histogram reg "sim.run_wall_s") run.rn_total;
-    Obs_metrics.add_gauge
-      (Obs_metrics.gauge reg "sim.core_hours")
-      (run.rn_total *. float_of_int (ranks_of params) /. 3600.));
-  run
+  {
+    rn_params = params;
+    rn_mode = mode;
+    rn_rep = rep;
+    rn_ranks_per_node = ranks_per_node;
+    rn_kernels = List.rev !kernels;
+    rn_total = Noise.perturb ~floor:1e-4 rng_total ~sigma !wall;
+    rn_base_total = !base_total;
+  }
+
+(* Tag the campaign with the run's simulated cost: run count, wall time
+   distribution, and aggregate core-hours (paper Table 3's budget). *)
+let count reg run =
+  Obs_metrics.incr (Obs_metrics.counter reg "sim.runs");
+  Obs_metrics.observe (Obs_metrics.histogram reg "sim.run_wall_s") run.rn_total;
+  Obs_metrics.add_gauge
+    (Obs_metrics.gauge reg "sim.core_hours")
+    (run.rn_total *. float_of_int (ranks_of run.rn_params) /. 3600.)
 
 (* -- clean program replay ------------------------------------------------ *)
 

@@ -28,11 +28,14 @@ val ranks_per_node_of : Machine.t -> Spec.params -> int
 val true_time : Machine.t -> ranks_per_node:int -> Spec.kernel -> Spec.params -> float
 
 val measure :
-  ?sigma:float -> ?seed:int -> ?rep:int -> ?metrics:Obs_metrics.t ->
+  ?sigma:float -> ?seed:int -> ?rep:int ->
   Spec.app -> Machine.t -> params:Spec.params -> mode:Instrument.mode -> run
-(** [metrics] tags the campaign with its simulated cost: a [sim.runs]
-    counter, a [sim.run_wall_s] histogram, and an accumulated
-    [sim.core_hours] gauge. *)
+
+val count : Obs_metrics.t -> run -> unit
+(** Count one measured run in the campaign's simulated cost: a
+    [sim.runs] counter, a [sim.run_wall_s] histogram, and an accumulated
+    [sim.core_hours] gauge.  Measurement loops call it on the submitting
+    domain, in design order. *)
 
 type replay = {
   rp_params : Spec.params;

@@ -104,39 +104,6 @@ let observe h v =
   h.h_min <- Float.min h.h_min v;
   h.h_max <- Float.max h.h_max v
 
-(* -- merging ------------------------------------------------------------- *)
-
-(* Fold a registry into another. Registries are single-domain by design
-   (plain mutable cells, no locks); parallel sections therefore give each
-   task its own local registry and the submitting domain merges them back
-   *in task order*, which reproduces the serial accumulation order of
-   every float sum. Counters add; gauges add (the merged paths only use
-   accumulating gauges like [sim.core_hours] — last-written gauges do not
-   cross domain boundaries here); histograms add bucket-wise, which
-   requires both sides to have been created with the same bounds. *)
-let merge ~into src =
-  Hashtbl.iter
-    (fun name c -> if c.c_count <> 0 then add (counter into name) c.c_count)
-    src.m_counters;
-  Hashtbl.iter
-    (fun name g -> if g.g_written then add_gauge (gauge into name) g.g_value)
-    src.m_gauges;
-  Hashtbl.iter
-    (fun name h ->
-      if h.h_count <> 0 then begin
-        let d = histogram into ~bounds:h.h_bounds name in
-        Array.iteri
-          (fun i n -> if i < Array.length d.h_counts then
-              d.h_counts.(i) <- d.h_counts.(i) + n)
-          h.h_counts;
-        d.h_overflow <- d.h_overflow + h.h_overflow;
-        d.h_count <- d.h_count + h.h_count;
-        d.h_sum <- d.h_sum +. h.h_sum;
-        d.h_min <- Float.min d.h_min h.h_min;
-        d.h_max <- Float.max d.h_max h.h_max
-      end)
-    src.m_histograms
-
 (* -- snapshots ----------------------------------------------------------- *)
 
 type hist_snapshot = {

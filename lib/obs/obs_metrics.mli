@@ -7,7 +7,11 @@
     that may run without a registry holds an [instrument option] (or a
     record of them) and matches on it — the [None] branch performs no
     allocation and no hashing, which is what keeps the interpreter's
-    disabled path free. *)
+    disabled path free.
+
+    A registry is single-domain (its instruments are plain mutable
+    cells): parallel code counts on the submitting domain, from the
+    values its tasks return. *)
 
 type t
 (** A registry: a namespace of counters, gauges, and histograms. *)
@@ -48,16 +52,6 @@ val histogram : t -> ?bounds:float array -> string -> histogram
     overflow bucket.  [bounds] is only consulted on first creation. *)
 
 val observe : histogram -> float -> unit
-
-(** {1 Merging} *)
-
-val merge : into:t -> t -> unit
-(** Fold one registry into another: counters add, written gauges add
-    (accumulating-gauge semantics), histograms add bucket-wise (both
-    sides must use the same bounds). Registries are single-domain —
-    instruments are plain mutable cells — so parallel code gives each
-    task a private registry and the submitting domain merges them back in
-    task order, reproducing the serial float-accumulation order exactly. *)
 
 (** {1 Snapshots} *)
 

@@ -3,8 +3,10 @@
 
 type task = unit -> unit
 
-type t = {
-  pjobs : int;
+(* The state a pool with worker domains shares between them; a one-job
+   pool has none, so its [map] cannot touch anything another domain
+   sees. *)
+type workers = {
   mu : Mutex.t;
   cond : Condition.t; (* signalled when the queue grows or closes *)
   queue : task Queue.t;
@@ -15,6 +17,11 @@ type t = {
   done_mu : Mutex.t;
   done_cond : Condition.t;
   remaining : int Atomic.t;
+}
+
+type t = {
+  pjobs : int;
+  workers : workers option; (* [None] exactly when [pjobs = 1] *)
   (* Counters, bumped only from the submitting domain so the registry
      never sees cross-domain writes. *)
   c_pools : Obs_metrics.counter option;
@@ -31,16 +38,16 @@ let counters =
     ("par.tasks", "individual tasks executed through a pool");
   ]
 
-let worker_loop t () =
+let worker_loop w () =
   let rec loop () =
-    Mutex.lock t.mu;
-    while Queue.is_empty t.queue && not t.closed do
-      Condition.wait t.cond t.mu
+    Mutex.lock w.mu;
+    while Queue.is_empty w.queue && not w.closed do
+      Condition.wait w.cond w.mu
     done;
     let job =
-      if Queue.is_empty t.queue then None else Some (Queue.pop t.queue)
+      if Queue.is_empty w.queue then None else Some (Queue.pop w.queue)
     in
-    Mutex.unlock t.mu;
+    Mutex.unlock w.mu;
     match job with
     | None -> () (* closed and drained *)
     | Some task ->
@@ -57,37 +64,56 @@ let create ?metrics ~jobs () =
   let c name =
     Option.map (fun reg -> Obs_metrics.counter reg name) metrics
   in
+  let workers =
+    if pjobs = 1 then None
+    else begin
+      let w =
+        {
+          mu = Mutex.create ();
+          cond = Condition.create ();
+          queue = Queue.create ();
+          closed = false;
+          domains = [];
+          done_mu = Mutex.create ();
+          done_cond = Condition.create ();
+          remaining = Atomic.make 0;
+        }
+      in
+      w.domains <- List.init (pjobs - 1) (fun _ -> Domain.spawn (worker_loop w));
+      Some w
+    end
+  in
   let t =
     {
       pjobs;
-      mu = Mutex.create ();
-      cond = Condition.create ();
-      queue = Queue.create ();
-      closed = false;
-      domains = [];
-      done_mu = Mutex.create ();
-      done_cond = Condition.create ();
-      remaining = Atomic.make 0;
+      workers;
       c_pools = c "par.pools";
       c_maps = c "par.maps";
       c_chunks = c "par.chunks";
       c_tasks = c "par.tasks";
     }
   in
-  t.domains <- List.init (pjobs - 1) (fun _ -> Domain.spawn (worker_loop t));
   Option.iter Obs_metrics.incr t.c_pools;
   t
 
+let serial =
+  { pjobs = 1; workers = None; c_pools = None; c_maps = None; c_chunks = None;
+    c_tasks = None }
+
 let jobs t = t.pjobs
+let wave t = if t.pjobs = 1 then 1 else 4 * t.pjobs
 
 let shutdown t =
-  Mutex.lock t.mu;
-  let ds = t.domains in
-  t.closed <- true;
-  t.domains <- [];
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mu;
-  List.iter Domain.join ds
+  match t.workers with
+  | None -> ()
+  | Some w ->
+    Mutex.lock w.mu;
+    let ds = w.domains in
+    w.closed <- true;
+    w.domains <- [];
+    Condition.broadcast w.cond;
+    Mutex.unlock w.mu;
+    List.iter Domain.join ds
 
 let with_pool ?metrics ~jobs f =
   let t = create ?metrics ~jobs () in
@@ -114,56 +140,60 @@ let map t ?chunk f xs =
     Option.iter Obs_metrics.incr t.c_maps;
     Option.iter (fun c -> Obs_metrics.add c nchunks) t.c_chunks;
     Option.iter (fun c -> Obs_metrics.add c n) t.c_tasks;
-    Atomic.set t.remaining nchunks;
-    let run_chunk lo () =
-      let hi = min n (lo + chunk) in
-      for i = lo to hi - 1 do
-        let r =
-          try Ok (f arr.(i))
-          with e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        results.(i) <- Some r
-      done;
-      (* The fetch-and-add is the release point publishing the slots; the
-         submitter's read of [remaining] acquires them. *)
-      if Atomic.fetch_and_add t.remaining (-1) = 1 then begin
-        Mutex.lock t.done_mu;
-        Condition.broadcast t.done_cond;
-        Mutex.unlock t.done_mu
-      end
+    let run_item i =
+      results.(i) <-
+        Some
+          (try Ok (f arr.(i))
+           with e -> Error (e, Printexc.get_raw_backtrace ()))
     in
-    let chunks = List.init nchunks (fun k -> run_chunk (k * chunk)) in
-    (match chunks with
-    | [] -> ()
-    | first :: rest ->
-      if t.pjobs > 1 && not t.closed then begin
-        Mutex.lock t.mu;
-        List.iter (fun c -> Queue.push c t.queue) rest;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.mu;
-        (* The submitter works too: its first chunk is the head of the
-           list, then it steals from the shared queue until dry. *)
-        first ();
-        let rec help () =
-          Mutex.lock t.mu;
-          let job =
-            if Queue.is_empty t.queue then None else Some (Queue.pop t.queue)
-          in
-          Mutex.unlock t.mu;
-          match job with
-          | Some task ->
-            task ();
-            help ()
-          | None -> ()
-        in
-        help ();
-        Mutex.lock t.done_mu;
-        while Atomic.get t.remaining > 0 do
-          Condition.wait t.done_cond t.done_mu
+    (match t.workers with
+    | Some w when not w.closed ->
+      Atomic.set w.remaining nchunks;
+      let run_chunk lo () =
+        for i = lo to min n (lo + chunk) - 1 do
+          run_item i
         done;
-        Mutex.unlock t.done_mu
-      end
-      else List.iter (fun c -> c ()) chunks);
+        (* The fetch-and-add is the release point publishing the slots;
+           the submitter's read of [remaining] acquires them. *)
+        if Atomic.fetch_and_add w.remaining (-1) = 1 then begin
+          Mutex.lock w.done_mu;
+          Condition.broadcast w.done_cond;
+          Mutex.unlock w.done_mu
+        end
+      in
+      Mutex.lock w.mu;
+      for k = 1 to nchunks - 1 do
+        Queue.push (run_chunk (k * chunk)) w.queue
+      done;
+      Condition.broadcast w.cond;
+      Mutex.unlock w.mu;
+      (* The submitter works too: it runs the first chunk, then steals
+         from the shared queue until dry. *)
+      run_chunk 0 ();
+      let rec help () =
+        Mutex.lock w.mu;
+        let job =
+          if Queue.is_empty w.queue then None else Some (Queue.pop w.queue)
+        in
+        Mutex.unlock w.mu;
+        match job with
+        | Some task ->
+          task ();
+          help ()
+        | None -> ()
+      in
+      help ();
+      Mutex.lock w.done_mu;
+      while Atomic.get w.remaining > 0 do
+        Condition.wait w.done_cond w.done_mu
+      done;
+      Mutex.unlock w.done_mu
+    | _ ->
+      (* A one-job or shut-down pool: a plain in-order loop on the
+         calling domain. *)
+      for i = 0 to n - 1 do
+        run_item i
+      done);
     (* Ordered collection: walk slots in input order; first Error wins,
        which makes the raised exception independent of scheduling. *)
     let out = ref [] in

@@ -8,11 +8,13 @@
     When the tasks themselves are pure (all the call sites in this
     codebase are), the output is bit-identical to serial execution.
 
-    Concurrency contract: a pool is driven by one domain at a time (the
-    one that called {!create}). [map]/[map_init] must not be called
-    reentrantly or from two domains at once; tasks must not submit to
-    the pool they run on. Tasks may only share data through their return
-    value — anything else they touch must be domain-local. *)
+    Concurrency contract: a pool of more than one job is driven by one
+    domain at a time (the one that called {!create}). [map]/[map_init]
+    must not be called reentrantly or from two domains at once; tasks
+    must not submit to the pool they run on. Tasks may only share data
+    through their return value — anything else they touch must be
+    domain-local. A one-job pool without [?metrics], {!serial} included,
+    is exempt: its [map] is a plain loop on the calling domain. *)
 
 type t
 
@@ -23,9 +25,21 @@ val create : ?metrics:Obs_metrics.t -> jobs:int -> unit -> t
     iteration. [?metrics] registers the [par.*] counters in the given
     registry; they are only ever bumped from the submitting domain. *)
 
+val serial : t
+(** The shared one-job pool. Its [map] runs the tasks in input order on
+    the calling domain and touches no shared state, so any number of
+    domains may use it at once, from inside another pool's tasks too.
+    Every consumer that takes [?pool] runs on it when none is given. *)
+
 val jobs : t -> int
 (** Worker-domain count including the submitter (i.e. the [~jobs] given
     to {!create}, clamped). *)
+
+val wave : t -> int
+(** How many items a consumer that commits results between [map]s hands
+    the pool at once: 1 on a one-job pool, so nothing runs ahead of the
+    last commit, and [4 * jobs] otherwise, enough to keep every worker
+    busy. *)
 
 val shutdown : t -> unit
 (** Close the queue and join all worker domains. Idempotent. Any

@@ -69,9 +69,9 @@ val fit :
 (** The cold path a catalog miss pays: execute the fault-injected
     campaign and fit an outlier-robust total-runtime model over the grid
     axes with more than one value (exactly what the [campaign] CLI
-    fits).  Deliberately serial — the daemon parallelizes {e across}
-    concurrent fits on its domain pool, and {!Par.Pool.map} must not be
-    entered reentrantly.
+    fits).  Deliberately serial: it runs on {!Par.Pool.serial}, which any
+    domain may use, while the daemon parallelizes {e across} concurrent
+    fits on its own domain pool.
     @raise Invalid_argument on an invalid retry policy or a dataset the
     search cannot fit (e.g. every coordinate abandoned). *)
 

@@ -28,7 +28,7 @@ let event_names =
 
 type t = {
   catalog : Catalog.t;
-  pool : Par.Pool.t option;
+  pool : Par.Pool.t;
   metrics : Obs_metrics.t;
   events : Obs_events.sink;
   max_core_hours : float option;
@@ -50,8 +50,8 @@ let latency_bounds =
 
 let batch_bounds = [| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
 
-let create ?pool ?metrics ?(events = Obs_events.disabled) ?max_core_hours
-    ~catalog () =
+let create ?(pool = Par.Pool.serial) ?metrics ?(events = Obs_events.disabled)
+    ?max_core_hours ~catalog () =
   let metrics =
     match metrics with Some m -> m | None -> Obs_metrics.create ()
   in
@@ -274,7 +274,7 @@ let handle_batch t lines =
       | Waiting _ -> ())
     lines;
   (* phase 2 — the distinct cold fits, concurrently across the pool;
-     each fit is internally serial (the pool is not reentrant) *)
+     each fit is internally serial, on the shared one-job pool *)
   let tasks = List.rev !fits in
   let run rs =
     ( rs.rs_key,
@@ -285,11 +285,7 @@ let handle_batch t lines =
              ~key:rs.rs_key ())
       with Invalid_argument msg | Failure msg -> Error msg )
   in
-  let results =
-    match t.pool with
-    | Some pool when List.length tasks > 1 -> Par.Pool.map pool run tasks
-    | _ -> List.map run tasks
-  in
+  let results = Par.Pool.map t.pool run tasks in
   (* phase 3 — serial, in first-appearance order: memoize + charge *)
   let completed = Hashtbl.create 8 in
   List.iter

@@ -5,7 +5,7 @@
     Requests drain in batches (everything readable on a connection is
     one batch).  Within a batch, hits are answered immediately; the
     distinct cold fits are executed concurrently on the domain pool
-    (each fit is internally serial — {!Par.Pool} is not reentrant) and
+    (each fit is internally serial, on {!Par.Pool.serial}) and
     memoized in first-appearance order, so the catalog contents and
     every response are bit-identical to handling the same lines one at a
     time.  Duplicate keys within a batch fit once: the first occurrence

@@ -277,6 +277,29 @@ let test_duplicate_parameter () =
       check_failure ~expect:"line 1: duplicate parameter a of @g" [ cmd; path ])
     [ "run"; "analyze" ]
 
+(* An allocation above the cell limit is refused before anything is
+   allocated, with one line naming the size and the limit, up to
+   [max_int] (which [Array.make] itself would refuse with a bare
+   "Array.make"). *)
+let test_alloc_limit () =
+  List.iter
+    (fun size ->
+      with_fixture
+        (Printf.sprintf
+           "func @main(n) {\nentry:\n  %%a = alloc %s\n  ret %%a\n}\n" size)
+      @@ fun path ->
+      List.iter
+        (fun cmd ->
+          check_failure
+            ~expect:
+              (Printf.sprintf
+                 "runtime error: allocation of %s cells exceeds the limit of \
+                  %d cells"
+                 size Interp.Eval.max_alloc_cells)
+            [ cmd; path ])
+        [ "run"; "analyze" ])
+    [ "100000000000"; string_of_int max_int ]
+
 (* Options a subcommand would accept and ignore do not exist: cmdliner
    refuses them by name (its error line plus two usage hint lines). *)
 let test_inert_flags_refused () =
@@ -453,4 +476,6 @@ let tests =
     Alcotest.test_case "inert flags refused" `Quick test_inert_flags_refused;
     Alcotest.test_case "coverage --blocks writes its trace" `Quick
       test_blocks_trace;
+    Alcotest.test_case "alloc above the cell limit refused" `Quick
+      test_alloc_limit;
   ]

@@ -518,6 +518,43 @@ let prop_loop_bodies_nest =
             forest.Ir.Loops.loops)
         p.funcs)
 
+(* A literal of digits with an optional sign that does not fit an [int]
+   is a parse error naming it, not a float.  The extreme ints still
+   parse as ints, and a float of the same magnitude keeps its kind. *)
+let test_out_of_range_int_literal () =
+  let program lit =
+    Printf.sprintf "func @f() {\nentry:\n  %%x = %s\n  ret %%x\n}" lit
+  in
+  List.iter
+    (fun lit ->
+      match Ir.Parser.parse (program lit) with
+      | _ -> Alcotest.failf "%s parsed" lit
+      | exception Ir.Parser.Parse_error { line; message } ->
+        Alcotest.(check int) (lit ^ ": error line") 3 line;
+        let n = String.length lit and m = String.length message in
+        let rec names i =
+          i + n <= m && (String.sub message i n = lit || names (i + 1))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names %s" message lit)
+          true (names 0))
+    [ "9223372036854775807"; "-9223372036854775808";
+      Printf.sprintf "%d0" max_int; "+4611686018427387904" ];
+  List.iter
+    (fun i ->
+      match roundtrip_operand (Int i) with
+      | Int i' -> Alcotest.(check int) "extreme int survives" i i'
+      | op ->
+        Alcotest.failf "int %d reparsed as %s" i
+          (Fmt.str "%a" Ir.Pp.pp_operand op))
+    [ max_int; min_int ];
+  let p = Ir.Parser.parse (program "9223372036854775807.") in
+  match (entry_block (find_func p "f")).instrs with
+  | [ Assign ("x", Float f) ] ->
+    Alcotest.(check (float 0.)) "a float literal keeps its kind"
+      9.223372036854775807e18 f
+  | _ -> Alcotest.fail "float literal lost its kind"
+
 let tests =
   [
     Alcotest.test_case "cfg successors/predecessors" `Quick test_successors;
@@ -573,4 +610,6 @@ let tests =
     Seeded.to_alcotest prop_loop_bodies_nest;
     Alcotest.test_case "validate: duplicate parameter" `Quick
       test_validate_duplicate_parameter;
+    Alcotest.test_case "out-of-range integer literals refused" `Quick
+      test_out_of_range_int_literal;
   ]

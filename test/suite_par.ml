@@ -288,6 +288,112 @@ let test_counter_doc_in_sync () =
         true (contains doc row))
     P.counters
 
+(* -- one loop at every job count ---------------------------------------------- *)
+
+let attempt_spans trace =
+  List.length
+    (List.filter
+       (fun (e : Obs_trace.event) ->
+         e.Obs_trace.ev_ph = Obs_trace.Begin
+         && e.Obs_trace.ev_name = "campaign.attempt")
+       (Obs_trace.events trace))
+
+(* Without workers a campaign commits each coordinate before it executes
+   the next: whenever [on_record] fires, the attempts traced so far are
+   exactly the attempts of the records committed so far.  Its event
+   stream has no [campaign.wave] events; they appear only above one
+   job. *)
+let test_serial_commit_granularity () =
+  let check label pool =
+    let trace = Obs_trace.create () in
+    let events = Obs_events.create ~ts:false () in
+    let calls = ref 0 and committed = ref 0 in
+    let on_record (r : Camp.record) =
+      incr calls;
+      committed := !committed + r.Camp.rc_attempts;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: attempts traced at record %d" label !calls)
+        !committed (attempt_spans trace)
+    in
+    let report =
+      Camp.run ?pool ~trace ~events ~plan:transient_plan ~retry ~on_record
+        tiny_app machine design
+    in
+    Alcotest.(check bool) (label ^ ": no wave events") false
+      (List.exists
+         (fun l -> contains l "campaign.wave")
+         (Obs_events.lines events));
+    Alcotest.(check int)
+      (label ^ ": on_record saw every coordinate")
+      (List.length report.Camp.cp_records)
+      !calls;
+    Alcotest.(check bool) (label ^ ": some coordinate retried") true
+      (report.Camp.cp_retries > 0)
+  in
+  check "no pool" None;
+  P.with_pool ~jobs:1 (fun pool -> check "one-job pool" (Some pool))
+
+(* The whole campaign registry — counters (zeros included), gauges and
+   histograms — is the same with no pool and at every job count. *)
+let test_campaign_registry_identity () =
+  let snapshot pool =
+    let metrics = M.create () in
+    ignore
+      (Camp.run ?pool ~metrics ~plan:transient_plan ~retry tiny_app machine
+         design);
+    M.snapshot metrics
+  in
+  let serial = snapshot None in
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s registered" name)
+        true
+        (M.find_counter serial name <> None))
+    Camp.counters;
+  Alcotest.(check (option int)) "untouched counters read zero" (Some 0)
+    (M.find_counter serial "campaign.journal_torn");
+  Alcotest.(check bool) "sim.core_hours gauge written" true
+    (M.find_gauge serial "sim.core_hours" <> None);
+  Alcotest.(check bool) "sim.run_wall_s histogram present" true
+    (List.mem_assoc "sim.run_wall_s" serial.M.histograms);
+  List.iter
+    (fun jobs ->
+      P.with_pool ~jobs (fun pool ->
+          Alcotest.(check bool)
+            (Printf.sprintf "registry snapshot identical at jobs=%d" jobs)
+            true
+            (compare serial (snapshot (Some pool)) = 0)))
+    jobs_axis
+
+(* A campaign given no pool runs on the shared one-job pool, which any
+   domain may use at once.  Eight such campaigns inside one map on a
+   4-job pool (what [serve --jobs N] does with cold fits) each equal the
+   same campaign run alone. *)
+let test_serial_campaigns_inside_a_pool () =
+  let campaign seed =
+    let metrics = M.create () in
+    let report =
+      Camp.run ~metrics
+        ~plan:{ transient_plan with Fault.fp_seed = seed }
+        ~retry tiny_app machine
+        { design with Exp.seed = seed }
+    in
+    (report, M.snapshot metrics)
+  in
+  let seeds = List.init 8 (fun i -> 100 + i) in
+  let alone = List.map campaign seeds in
+  let inside =
+    P.with_pool ~jobs:4 (fun pool -> P.map pool ~chunk:1 campaign seeds)
+  in
+  List.iteri
+    (fun i (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "campaign %d: report and registry identical" i)
+        true
+        (compare a b = 0))
+    (List.combine alone inside)
+
 let tests =
   [
     Alcotest.test_case "map matches List.map at 1/2/7 jobs" `Quick
@@ -314,4 +420,10 @@ let tests =
       test_fuzz_parallel_identity;
     Alcotest.test_case "par counter table in sync with doc" `Quick
       test_counter_doc_in_sync;
+    Alcotest.test_case "serial campaign commits each coordinate" `Quick
+      test_serial_commit_granularity;
+    Alcotest.test_case "campaign registry identical at every job count"
+      `Quick test_campaign_registry_identity;
+    Alcotest.test_case "serial campaigns inside a pool" `Quick
+      test_serial_campaigns_inside_a_pool;
   ]
