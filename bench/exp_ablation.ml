@@ -108,7 +108,7 @@ let run () =
   let cf = control_flow_ablation () in
   let db_affected = library_db_ablation () in
   let static = static_phase_ablation () in
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"ablation"
     [
       ( "control_flow_losses",

@@ -68,7 +68,7 @@ let run () =
     large.Model.Search.error;
   Exp_common.measured "across-regimes model: %s"
     (E.to_string across.Model.Search.model);
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"c2"
     [
       ("flipping_branches", J.Int (List.length findings));

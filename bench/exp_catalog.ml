@@ -34,7 +34,7 @@ let catalog name (t : Perf_taint.Pipeline.t) app ~selective ~designf
     entries;
   (* The JSON export of the same catalog (checked, not printed). *)
   let json = Perf_taint.Export.models_json entries in
-  let len = String.length (Perf_taint.Export.to_string json) in
+  let len = String.length (Obs_json.to_string json) in
   Exp_common.note "JSON export: %d bytes (Export.models_json)" len;
   let smapes =
     List.map (fun (_, (r : Model.Search.result), _) -> r.Model.Search.error)
@@ -63,7 +63,7 @@ let run () =
       ~designf:Exp_common.milc_design ~model_params:[ "p"; "size" ]
       ~aliases:Exp_common.milc_aliases ~config:Model.Search.extended_config
   in
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   let app name funcs bytes smape =
     J.Obj
       [

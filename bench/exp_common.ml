@@ -56,10 +56,10 @@ let milc_design ~mode = design ~mode "milc"
 let emit_json ~name fields =
   let file = Printf.sprintf "BENCH_%s.json" name in
   let v =
-    Measure.Jsonio.Obj (("experiment", Measure.Jsonio.Str name) :: fields)
+    Obs_json.Obj (("experiment", Obs_json.Str name) :: fields)
   in
   let oc = open_out file in
-  output_string oc (Measure.Jsonio.to_string v);
+  output_string oc (Obs_json.to_string v);
   output_char oc '\n';
   close_out oc;
   Fmt.pr "    machine-readable: %s@." file

@@ -46,7 +46,7 @@ let run () =
     "taint analysis: one run at a small configuration (%d / %d interpreted \
      instructions) — negligible next to the experiment savings"
     la.Perf_taint.Pipeline.steps ma.Perf_taint.Pipeline.steps;
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"cost"
     [
       ("lulesh_full_core_hours", J.Float lulesh_full);

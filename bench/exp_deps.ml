@@ -68,7 +68,7 @@ let run () =
   Exp_common.measured
     "the paper's study narrows further to the 2 broadest parameters \
      (p, size): 25 runs";
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"deps"
     [
       ("iters_direct_functions", J.List (List.map (fun f -> J.Str f) direct));

@@ -99,7 +99,7 @@ let run () =
     "default filter misses %d of %d performance-relevant functions: %s"
     (List.length missed) (List.length relevant)
     (String.concat ", " missed);
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"fig3"
     [
       ("full_max_slowdown", J.Float (List.fold_left Float.max 1. full));

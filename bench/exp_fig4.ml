@@ -21,7 +21,7 @@ let run () =
     "geometric mean overheads — selective: %.1f%%, full: %.1f%%, default: \
      %.1f%%"
     (pct sel) (pct full) (pct dflt);
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"fig4"
     [
       ("selective_geomean_overhead_pct", J.Float (pct sel));

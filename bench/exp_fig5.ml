@@ -61,7 +61,7 @@ let run () =
     (List.filteri (fun i _ -> i < 6) findings);
   if List.length findings > 6 then
     Fmt.pr "    ... and %d more@." (List.length findings - 6);
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"fig5"
     [
       ("time_at_r2_s", J.Float (at 2.));

@@ -53,7 +53,7 @@ let run () =
      (selective): %.0fx inflation"
     (mean_per_call full_runs) (mean_per_call sel_runs)
     (mean_per_call full_runs /. mean_per_call sel_runs);
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"intrusion"
     [
       ("full_model", J.Str (E.to_string full_fit.Model.Search.model));

@@ -82,7 +82,7 @@ let run () =
   | None ->
     Exp_common.measured
       "no crossover below p=4096 at n=1e6 (SpMV stays dominant)");
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"minicg"
     [
       ( "spmv_deps",

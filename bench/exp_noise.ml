@@ -53,7 +53,7 @@ let run () =
 ;
   Exp_common.note
     "black-box both invents false dependencies and (at extreme noise) loses true ones";
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"noise"
     [
       ( "levels",

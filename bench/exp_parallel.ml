@@ -14,7 +14,7 @@ module Exp = Measure.Experiment
 module Camp = Measure.Campaign
 module Fault = Measure.Fault
 module Instr = Measure.Instrument
-module J = Measure.Jsonio
+module J = Obs_json
 
 let machine = Mpi_sim.Machine.skylake_cluster
 let jobs_axis = [ 1; 2; 4; 8 ]

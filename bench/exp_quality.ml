@@ -122,7 +122,7 @@ let run () =
           name (E.to_string v.v_black) (E.to_string v.v_tainted)
       | None -> ())
     [ ("lulesh", lv); ("milc", mv) ];
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   let app name verdicts =
     let sound, black_ok, tainted_ok = summarize verdicts in
     J.Obj

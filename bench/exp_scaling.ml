@@ -55,7 +55,7 @@ let run () =
         (100. *. e.e_share_measured)
         (100. *. e.e_share_projected))
     bugs;
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   Exp_common.emit_json ~name:"scaling"
     [
       ("modeled_functions", J.Int (List.length models));

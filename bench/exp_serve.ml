@@ -9,7 +9,7 @@
     index) must re-serve every hot key byte-identically.  The
     hit-rate-95 sweep must show a >= 10x median-latency speedup. *)
 
-module J = Measure.Jsonio
+module J = Obs_json
 
 let hit_axis = [ 0; 50; 95 ]
 let hot_keys = 12

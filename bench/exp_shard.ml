@@ -13,7 +13,7 @@ module Camp = Measure.Campaign
 module Shard = Measure.Shard
 module Fault = Measure.Fault
 module Instr = Measure.Instrument
-module J = Measure.Jsonio
+module J = Obs_json
 
 let machine = Mpi_sim.Machine.skylake_cluster
 let shard_axis = [ 1; 2; 4; 8 ]

@@ -49,7 +49,7 @@ let run () =
     "(mini apps are ~5x smaller than the originals; the split between the \
      static and dynamic phases and the kernel/comm/MPI categories is the \
      reproduced shape)";
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   let app name (ov : Perf_taint.Report.overview) =
     J.Obj
       [

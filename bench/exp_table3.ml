@@ -41,7 +41,7 @@ let run () =
   in
   Exp_common.measured "MILC parameters detected: %s"
     (String.concat ", " observed);
-  let module J = Measure.Jsonio in
+  let module J = Obs_json in
   let coverage_json t ~params ~combined =
     let rows =
       List.map

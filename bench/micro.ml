@@ -10,7 +10,7 @@ module Fault = Measure.Fault
 
 (* [open Bechamel] below shadows [Measure] (bechamel ships a module of
    that name), so the JSON writer needs its alias taken here. *)
-module J = Measure.Jsonio
+module J = Obs_json
 
 open Bechamel
 open Toolkit

@@ -172,9 +172,9 @@ let analyze_cmd =
     error_guard @@ fun () ->
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     if json then
-      Fmt.pr "%a@."
-        Perf_taint.Export.pp
-        (Perf_taint.Export.analysis_json a ~model_params:t.model_params)
+      print_endline
+        (Obs_json.to_string
+           (Perf_taint.Export.analysis_json a ~model_params:t.model_params))
     else begin
     let ov = Perf_taint.Report.overview a ~model_params:t.model_params in
     Fmt.pr "%a@.@." Perf_taint.Report.pp_overview ov;
@@ -238,18 +238,23 @@ let run_cmd =
              compare a.Interp.Observations.fo_func
                b.Interp.Observations.fo_func)
     in
-    if json then begin
-      Fmt.pr "{\"result\": \"%a\", \"steps\": %d, \"functions\": [@."
-        Ir.Pp.pp_value v steps;
-      List.iteri
-        (fun i (fo : Interp.Observations.func_obs) ->
-          Fmt.pr "  {\"name\": %S, \"calls\": %d, \"instrs\": %d, \
-                  \"work\": %d}%s@."
-            fo.fo_func fo.fo_calls fo.fo_instrs fo.fo_work
-            (if i = List.length funcs - 1 then "" else ","))
-        funcs;
-      Fmt.pr "]}@."
-    end
+    if json then
+      print_endline
+        Obs_json.(
+          to_string
+            (Obj
+               [ ("result", Str (Fmt.str "%a" Ir.Pp.pp_value v));
+                 ("steps", Int steps);
+                 ( "functions",
+                   List
+                     (List.map
+                        (fun (fo : Interp.Observations.func_obs) ->
+                          Obj
+                            [ ("name", Str fo.fo_func);
+                              ("calls", Int fo.fo_calls);
+                              ("instrs", Int fo.fo_instrs);
+                              ("work", Int fo.fo_work) ])
+                        funcs) ) ]))
     else begin
       Fmt.pr "result: %a (%d steps)@." Ir.Pp.pp_value v steps;
       Fmt.pr "%-36s %10s %12s %10s@." "function" "calls" "instructions"
@@ -452,7 +457,7 @@ let profile_cmd =
       Fmt.epr "flamegraph: %d call paths written to %s@."
         (List.length snap.Obs_profile.ps_paths)
         path);
-    if json then print_string (Obs_profile.to_json prof)
+    if json then print_endline (Obs_json.to_string (Obs_profile.to_json prof))
     else begin
       let rows =
         Interp.Observations.func_list a.Perf_taint.Pipeline.obs
@@ -488,7 +493,7 @@ let stats_cmd =
     let metrics = Obs_metrics.create () in
     let a = analyze_target ?config:(config_of max_steps) ~metrics ?trace t in
     if json then
-      Fmt.pr "%a@." Perf_taint.Export.pp (Perf_taint.Export.stats_json a)
+      print_endline (Obs_json.to_string (Perf_taint.Export.stats_json a))
     else begin
       Fmt.pr "self-profile: %s@.@." t.program.Ir.Types.pname;
       Fmt.pr "phase timings:@.";

@@ -1,43 +1,11 @@
 (** Machine-readable export of analysis results and fitted models, as
-    JSON.  A deliberately tiny hand-rolled emitter: the sealed toolchain
-    carries no JSON library, and emission (not parsing) is all the
-    pipeline needs to feed dashboards or the original Extra-P tooling. *)
+    {!Obs_json} values, to feed dashboards or the original Extra-P
+    tooling. *)
 
+open Obs_json
 module SSet = Ir.Cfg.SSet
-module SMap = Ir.Cfg.SMap
 
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-(* NaN and the infinities have no JSON representation — "%g" would print
-   "nan"/"inf" and corrupt the document — so they all become null. *)
-let float_repr f =
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
-
-let rec pp ppf = function
-  | Null -> Fmt.string ppf "null"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.string ppf (float_repr f)
-  | String s -> Fmt.pf ppf "\"%s\"" (Obs_json.escape s)
-  | List items ->
-    Fmt.pf ppf "@[<hv 2>[%a]@]" Fmt.(list ~sep:(any ",@ ") pp) items
-  | Obj fields ->
-    let pfield ppf (k, v) = Fmt.pf ppf "\"%s\": %a" (Obs_json.escape k) pp v in
-    Fmt.pf ppf "@[<hv 2>{%a}@]" Fmt.(list ~sep:(any ",@ ") pfield) fields
-
-let to_string j = Fmt.str "%a" pp j
-
-let strings ss = List (List.map (fun s -> String s) ss)
+let strings ss = List (List.map (fun s -> Str s) ss)
 
 (* -- model expressions ------------------------------------------------------ *)
 
@@ -63,7 +31,7 @@ let model_json (m : Model.Expr.model) =
                           t.Model.Expr.factors) );
                  ])
              m.Model.Expr.terms) );
-      ("human_readable", String (Model.Expr.to_string m));
+      ("human_readable", Str (Model.Expr.to_string m));
     ]
 
 let result_json (r : Model.Search.result) =
@@ -108,7 +76,7 @@ let func_deps_json (fd : Deps.func_deps) =
       ( "multiplicative_pairs",
         List
           (List.map
-             (fun (a, b) -> List [ String a; String b ])
+             (fun (a, b) -> List [ Str a; Str b ])
              fd.Deps.fd_multiplicative) );
       ( "loops",
         List
@@ -116,8 +84,8 @@ let func_deps_json (fd : Deps.func_deps) =
              (fun (ld : Deps.loop_dep) ->
                Obj
                  [
-                   ("header", String ld.Deps.ld_header);
-                   ("callpath", String ld.Deps.ld_callpath);
+                   ("header", Str ld.Deps.ld_header);
+                   ("callpath", Str ld.Deps.ld_callpath);
                    ("depth", Int ld.Deps.ld_depth);
                    ("iterations", Int ld.Deps.ld_iters);
                    ("entries", Int ld.Deps.ld_entries);
@@ -133,7 +101,7 @@ let analysis_json (t : Pipeline.t) ~model_params =
   let ov = Report.overview t ~model_params in
   Obj
     [
-      ("program", String t.program.Ir.Types.pname);
+      ("program", Str t.program.Ir.Types.pname);
       ("model_parameters", strings model_params);
       ( "taint_run",
         Obj
@@ -177,7 +145,7 @@ let analysis_json (t : Pipeline.t) ~model_params =
                  | Some fd -> func_deps_json fd
                  | None -> Obj []
                in
-               (fname, Obj [ ("status", String status); ("deps", deps) ]))
+               (fname, Obj [ ("status", Str status); ("deps", deps) ]))
              (Pipeline.function_names t)) );
       ( "warnings",
         strings t.static.Static_an.Classify.warnings );
@@ -226,7 +194,7 @@ let stats_json (t : Pipeline.t) =
   let labels = List.length (Taint.Label.sources t.Pipeline.labels) in
   Obj
     [
-      ("program", String t.Pipeline.program.Ir.Types.pname);
+      ("program", Str t.Pipeline.program.Ir.Types.pname);
       ( "phases",
         Obj (List.map (fun (n, v) -> (n, Float v)) (Pipeline.phases t)) );
       ( "instructions",

@@ -1,33 +1,21 @@
 (** Machine-readable (JSON) export of analysis results, datasets and
-    fitted models. *)
+    fitted models, as {!Obs_json} values. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
+val model_json : Model.Expr.model -> Obs_json.t
+val result_json : Model.Search.result -> Obs_json.t
+val dataset_json : Model.Dataset.t -> Obs_json.t
+val func_deps_json : Deps.func_deps -> Obs_json.t
 
-val pp : json Fmt.t
-val to_string : json -> string
-
-val model_json : Model.Expr.model -> json
-val result_json : Model.Search.result -> json
-val dataset_json : Model.Dataset.t -> json
-val func_deps_json : Deps.func_deps -> json
-
-val analysis_json : Pipeline.t -> model_params:string list -> json
+val analysis_json : Pipeline.t -> model_params:string list -> Obs_json.t
 (** Program summary, per-function classification/dependencies, warnings. *)
 
-val snapshot_json : Obs_metrics.snapshot -> json
+val snapshot_json : Obs_metrics.snapshot -> Obs_json.t
 (** Counters, gauges, and histograms keyed by metric name. *)
 
-val stats_json : Pipeline.t -> json
+val stats_json : Pipeline.t -> Obs_json.t
 (** Self-profile of one analysis: phase durations, instruction counts by
     class, label-table size, full metrics snapshot. *)
 
 val models_json :
-  (string * Model.Search.result * Model.Dataset.t) list -> json
+  (string * Model.Search.result * Model.Dataset.t) list -> Obs_json.t
 (** Fitted models of a campaign, with quality statistics. *)

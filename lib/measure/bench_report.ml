@@ -25,13 +25,13 @@ let meta_key = function "experiment" | "tolerance" -> true | _ -> false
 let flatten j =
   let acc = ref [] in
   let rec go prefix = function
-    | Jsonio.Obj fields ->
+    | Obs_json.Obj fields ->
       List.iter
         (fun (k, v) ->
           let p = if prefix = "" then k else prefix ^ "." ^ k in
           go p v)
         fields
-    | Jsonio.List items ->
+    | Obs_json.List items ->
       List.iteri (fun i v -> go (Printf.sprintf "%s[%d]" prefix i) v) items
     | leaf -> acc := (prefix, leaf) :: !acc
   in
@@ -39,12 +39,12 @@ let flatten j =
   List.rev !acc
 
 let leaf_repr = function
-  | Jsonio.Null -> "null"
-  | Jsonio.Bool b -> string_of_bool b
-  | Jsonio.Int i -> string_of_int i
-  | Jsonio.Float f -> Printf.sprintf "%.6g" f
-  | Jsonio.Str s -> s
-  | (Jsonio.List _ | Jsonio.Obj _) as j -> Jsonio.to_string j
+  | Obs_json.Null -> "null"
+  | Obs_json.Bool b -> string_of_bool b
+  | Obs_json.Int i -> string_of_int i
+  | Obs_json.Float f -> Printf.sprintf "%.6g" f
+  | Obs_json.Str s -> s
+  | (Obs_json.List _ | Obs_json.Obj _) as j -> Obs_json.to_string j
 
 (* -- comparison ------------------------------------------------------------ *)
 
@@ -60,11 +60,6 @@ let close ~tolerance a b =
   else
     let scale = Float.max (Float.abs a) (Float.abs b) in
     Float.abs (a -. b) <= Float.max 1e-12 (tolerance *. scale)
-
-let num = function
-  | Jsonio.Int i -> Some (float_of_int i)
-  | Jsonio.Float f -> Some f
-  | _ -> None
 
 (** Mismatches of [actual] against [expected], in baseline key order.
     Keys present only in [actual] are not mismatches. *)
@@ -86,7 +81,7 @@ let compare_values ~tolerance ~expected ~actual =
         match List.assoc_opt path actual_leaves with
         | None -> mk "missing from actual" "<missing>"
         | Some act_leaf -> (
-          match (num exp_leaf, num act_leaf) with
+          match (Obs_json.to_float exp_leaf, Obs_json.to_float act_leaf) with
           | Some e, Some a ->
             if close ~tolerance e a then None
             else
@@ -114,7 +109,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let parse_file path =
-  match Jsonio.parse (String.trim (read_file path)) with
+  match Obs_json.parse (String.trim (read_file path)) with
   | Ok j -> Ok j
   | Error e -> Error (path ^ ": " ^ e)
 
@@ -123,12 +118,14 @@ let check_baseline ?(tolerance = default_tolerance) ~baseline ~actual () =
   | Error e -> Error e
   | Ok base ->
     let tolerance =
-      match Option.bind (Jsonio.member "tolerance" base) Jsonio.to_float with
+      match
+        Option.bind (Obs_json.member "tolerance" base) Obs_json.to_float
+      with
       | Some t -> t
       | None -> tolerance
     in
     let name =
-      match Option.bind (Jsonio.member "experiment" base) Jsonio.to_str with
+      match Option.bind (Obs_json.member "experiment" base) Obs_json.to_str with
       | Some n -> n
       | None -> Filename.basename baseline
     in
@@ -213,7 +210,7 @@ let buf_addf buf fmt = Printf.ksprintf (Buffer.add_string buf) fmt
    and delta columns when a baseline value exists for the path. *)
 let render_bench buf ~baseline file j =
   let name =
-    match Option.bind (Jsonio.member "experiment" j) Jsonio.to_str with
+    match Option.bind (Obs_json.member "experiment" j) Obs_json.to_str with
     | Some n -> n
     | None -> Filename.basename file
   in
@@ -237,7 +234,7 @@ let render_bench buf ~baseline file j =
         if not (meta_key p) then
           let base = List.assoc_opt p base_leaves in
           let delta =
-            match (Option.bind base num, num v) with
+            match (Option.bind base Obs_json.to_float, Obs_json.to_float v) with
             | Some b, Some a when b <> 0. ->
               Printf.sprintf "%+.2f%%" (100. *. (a -. b) /. Float.abs b)
             | Some b, Some a when a = b -> "+0.00%"
@@ -250,20 +247,20 @@ let render_bench buf ~baseline file j =
   end;
   Buffer.add_char buf '\n'
 
-(* Campaign-journal summary, computed from the raw JSON lines (no
-   dependence on the run mode: only attempt/fault/outcome fields are
-   read). *)
+(* Campaign-journal summary.  Records decode through the journal's own
+   reader; only attempt/fault/outcome fields are summed, so the run mode
+   it is given does not matter. *)
 let render_journal buf path =
   match String.split_on_char '\n' (read_file path) with
   | [] -> ()
   | header :: body ->
     buf_addf buf "## campaign journal `%s`\n\n" (Filename.basename path);
-    (match Jsonio.parse (String.trim header) with
+    (match Obs_json.parse (String.trim header) with
     | Ok h ->
-      (match Option.bind (Jsonio.member "app" h) Jsonio.to_str with
+      (match Option.bind (Obs_json.member "app" h) Obs_json.to_str with
       | Some app -> buf_addf buf "app: `%s`" app
       | None -> ());
-      (match Option.bind (Jsonio.member "faults" h) Jsonio.to_str with
+      (match Option.bind (Obs_json.member "faults" h) Obs_json.to_str with
       | Some f when f <> "" -> buf_addf buf ", faults: `%s`" f
       | _ -> ());
       buf_addf buf "\n\n"
@@ -273,41 +270,23 @@ let render_journal buf path =
     let faults = Hashtbl.create 4 in
     List.iter
       (fun line ->
-        if String.trim line <> "" then
-          match Jsonio.parse (String.trim line) with
-          | Error _ -> ()
-          | Ok j -> (
-            match Option.bind (Jsonio.member "outcome" j) Jsonio.to_str with
-            | None -> ()
-            | Some outcome ->
-              incr records;
-              if outcome = "completed" then incr completed else incr abandoned;
-              (match
-                 Option.bind (Jsonio.member "attempts" j) Jsonio.to_int
-               with
-              | Some a -> attempts := !attempts + a
-              | None -> ());
-              (match
-                 Option.bind (Jsonio.member "wasted_s" j) Jsonio.to_float
-               with
-              | Some w -> wasted := !wasted +. w
-              | None -> ());
-              (match
-                 Option.bind (Jsonio.member "backoff_s" j) Jsonio.to_float
-               with
-              | Some b -> backoff := !backoff +. b
-              | None -> ());
-              (match Option.bind (Jsonio.member "faults" j) Jsonio.to_list with
-              | Some fs ->
-                List.iter
-                  (fun f ->
-                    match Jsonio.to_str f with
-                    | Some k ->
-                      Hashtbl.replace faults k
-                        (1 + Option.value ~default:0 (Hashtbl.find_opt faults k))
-                    | None -> ())
-                  fs
-              | None -> ())))
+        match
+          Campaign.record_of_line ~mode:Instrument.Full (String.trim line)
+        with
+        | Error _ -> ()
+        | Ok r ->
+          incr records;
+          (match r.Campaign.rc_outcome with
+          | Campaign.Completed _ -> incr completed
+          | Campaign.Abandoned _ -> incr abandoned);
+          attempts := !attempts + r.Campaign.rc_attempts;
+          wasted := !wasted +. r.Campaign.rc_wasted_s;
+          backoff := !backoff +. r.Campaign.rc_backoff_s;
+          List.iter
+            (fun k ->
+              Hashtbl.replace faults k
+                (1 + Option.value ~default:0 (Hashtbl.find_opt faults k)))
+            r.Campaign.rc_faults)
       body;
     buf_addf buf "| records | completed | abandoned | attempts | wasted s | backoff s |\n";
     buf_addf buf "|---|---|---|---|---|---|\n";
@@ -330,11 +309,11 @@ let render_stats buf path =
   | Ok j ->
     buf_addf buf "## metrics snapshot `%s`\n\n" (Filename.basename path);
     let metrics =
-      match Jsonio.member "metrics" j with Some m -> m | None -> j
+      match Obs_json.member "metrics" j with Some m -> m | None -> j
     in
     let table title key =
-      match Jsonio.member key metrics with
-      | Some (Jsonio.Obj fields) when fields <> [] ->
+      match Obs_json.member key metrics with
+      | Some (Obs_json.Obj fields) when fields <> [] ->
         buf_addf buf "### %s\n\n| name | value |\n|---|---|\n" title;
         List.iter
           (fun (n, v) -> buf_addf buf "| `%s` | %s |\n" n (leaf_repr v))
@@ -344,15 +323,15 @@ let render_stats buf path =
     in
     table "counters" "counters";
     table "gauges" "gauges";
-    (match Jsonio.member "histograms" metrics with
-    | Some (Jsonio.Obj hists) when hists <> [] ->
+    (match Obs_json.member "histograms" metrics with
+    | Some (Obs_json.Obj hists) when hists <> [] ->
       buf_addf buf
         "### histograms\n\n| name | n | sum | min | p50 | p95 | p99 | max |\n";
       buf_addf buf "|---|---|---|---|---|---|---|---|\n";
       List.iter
         (fun (n, h) ->
           let fld k =
-            match Option.bind (Jsonio.member k h) num with
+            match Option.bind (Obs_json.member k h) Obs_json.to_float with
             | Some f -> Printf.sprintf "%.4g" f
             | None -> ""
           in

@@ -7,7 +7,7 @@ val default_tolerance : float
 (** Relative tolerance for numeric comparisons (0.05).  A baseline file
     may override it for itself with a top-level ["tolerance"] key. *)
 
-val flatten : Jsonio.t -> (string * Jsonio.t) list
+val flatten : Obs_json.t -> (string * Obs_json.t) list
 (** Scalar leaves as (dotted path, value) pairs in document order; list
     elements index as [path[i]]. *)
 
@@ -19,7 +19,7 @@ type mismatch = {
 }
 
 val compare_values :
-  tolerance:float -> expected:Jsonio.t -> actual:Jsonio.t -> mismatch list
+  tolerance:float -> expected:Obs_json.t -> actual:Obs_json.t -> mismatch list
 (** Baseline-key-ordered mismatches: numbers compare within the relative
     tolerance (absolute floor [1e-12] near zero), strings and booleans
     exactly; a baseline key missing from [actual] is a mismatch, extra

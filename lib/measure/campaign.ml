@@ -432,205 +432,166 @@ let run ?(pool = Par.Pool.serial) ?metrics ?(trace = Obs_trace.disabled)
 let journal_magic = "perf-taint-campaign-journal"
 let journal_version = 1
 
+module J = Obs_json
+
+let ( let* ) = Result.bind
+
 let json_of_params params =
-  Jsonio.List
-    (List.map
-       (fun (n, v) -> Jsonio.List [ Jsonio.Str n; Jsonio.Float v ])
-       params)
+  J.List (List.map (fun (n, v) -> J.List [ J.Str n; J.Float v ]) params)
 
 let params_of_json j =
-  match Jsonio.to_list j with
-  | None -> None
-  | Some items ->
-    let pair = function
-      | Jsonio.List [ Jsonio.Str n; v ] ->
-        Option.map (fun f -> (n, f)) (Jsonio.to_float v)
-      | _ -> None
-    in
-    let rec all acc = function
-      | [] -> Some (List.rev acc)
-      | x :: rest -> (
-        match pair x with None -> None | Some p -> all (p :: acc) rest)
-    in
-    all [] items
+  let* items = J.list j in
+  J.each
+    (function
+      | J.List [ J.Str n; v ] -> Result.map (fun f -> (n, f)) (J.float v)
+      | _ -> Error "expected [name, value] pairs")
+    items
 
 let json_of_run (r : Simulator.run) =
-  Jsonio.Obj
+  J.Obj
     [
-      ("rpn", Jsonio.Int r.Simulator.rn_ranks_per_node);
+      ("rpn", J.Int r.Simulator.rn_ranks_per_node);
       ( "kernels",
-        Jsonio.List
+        J.List
           (List.map
              (fun (km : Simulator.kernel_measurement) ->
-               Jsonio.Obj
+               J.Obj
                  [
-                   ("name", Jsonio.Str km.Simulator.km_name);
-                   ("calls", Jsonio.Float km.Simulator.km_calls);
-                   ("per_call", Jsonio.Float km.Simulator.km_per_call);
-                   ("total", Jsonio.Float km.Simulator.km_total);
+                   ("name", J.Str km.Simulator.km_name);
+                   ("calls", J.Float km.Simulator.km_calls);
+                   ("per_call", J.Float km.Simulator.km_per_call);
+                   ("total", J.Float km.Simulator.km_total);
                  ])
              r.Simulator.rn_kernels) );
-      ("total", Jsonio.Float r.Simulator.rn_total);
-      ("base_total", Jsonio.Float r.Simulator.rn_base_total);
+      ("total", J.Float r.Simulator.rn_total);
+      ("base_total", J.Float r.Simulator.rn_base_total);
     ]
 
 (** One completed run as a single deterministic JSON line — the CLI's
     [--dump] format, byte-comparable across invocations. *)
 let run_to_line (r : Simulator.run) =
-  Jsonio.to_string
-    (Jsonio.Obj
+  J.to_string
+    (J.Obj
        [
          ("params", json_of_params r.Simulator.rn_params);
-         ("rep", Jsonio.Int r.Simulator.rn_rep);
+         ("rep", J.Int r.Simulator.rn_rep);
          ("run", json_of_run r);
        ])
 
+let kernel_of_json kj =
+  let* km_name = J.field "name" J.str kj in
+  let* km_calls = J.field "calls" J.float kj in
+  let* km_per_call = J.field "per_call" J.float kj in
+  let* km_total = J.field "total" J.float kj in
+  Ok { Simulator.km_name; km_calls; km_per_call; km_total }
+
 let run_of_json ~params ~rep ~mode j =
-  let open Jsonio in
-  match
-    ( Option.bind (member "rpn" j) to_int,
-      Option.bind (member "kernels" j) to_list,
-      Option.bind (member "total" j) to_float,
-      Option.bind (member "base_total" j) to_float )
-  with
-  | Some rpn, Some kernels, Some total, Some base_total ->
-    let kernel kj =
-      match
-        ( Option.bind (member "name" kj) to_str,
-          Option.bind (member "calls" kj) to_float,
-          Option.bind (member "per_call" kj) to_float,
-          Option.bind (member "total" kj) to_float )
-      with
-      | Some name, Some calls, Some per_call, Some ktotal ->
-        Some
-          {
-            Simulator.km_name = name;
-            km_calls = calls;
-            km_per_call = per_call;
-            km_total = ktotal;
-          }
-      | _ -> None
-    in
-    let rec all acc = function
-      | [] -> Some (List.rev acc)
-      | x :: rest -> (
-        match kernel x with None -> None | Some k -> all (k :: acc) rest)
-    in
-    Option.map
-      (fun kms ->
-        {
-          Simulator.rn_params = params;
-          rn_mode = mode;
-          rn_rep = rep;
-          rn_ranks_per_node = rpn;
-          rn_kernels = kms;
-          rn_total = total;
-          rn_base_total = base_total;
-        })
-      (all [] kernels)
-  | _ -> None
+  let* rn_ranks_per_node = J.field "rpn" J.int j in
+  let* kernels = J.field "kernels" J.list j in
+  let* rn_kernels = J.each kernel_of_json kernels in
+  let* rn_total = J.field "total" J.float j in
+  let* rn_base_total = J.field "base_total" J.float j in
+  Ok
+    {
+      Simulator.rn_params = params;
+      rn_mode = mode;
+      rn_rep = rep;
+      rn_ranks_per_node;
+      rn_kernels;
+      rn_total;
+      rn_base_total;
+    }
 
 let record_to_line r =
-  let open Jsonio in
   let base =
     [
       ("params", json_of_params r.rc_params);
-      ("rep", Int r.rc_rep);
-      ("attempts", Int r.rc_attempts);
-      ("faults", List (List.map (fun f -> Str f) r.rc_faults));
-      ("wasted_s", Float r.rc_wasted_s);
-      ("backoff_s", Float r.rc_backoff_s);
+      ("rep", J.Int r.rc_rep);
+      ("attempts", J.Int r.rc_attempts);
+      ("faults", J.List (List.map (fun f -> J.Str f) r.rc_faults));
+      ("wasted_s", J.Float r.rc_wasted_s);
+      ("backoff_s", J.Float r.rc_backoff_s);
     ]
   in
   let outcome =
     match r.rc_outcome with
-    | Completed run -> [ ("outcome", Str "completed"); ("run", json_of_run run) ]
+    | Completed run ->
+      [ ("outcome", J.Str "completed"); ("run", json_of_run run) ]
     | Abandoned reason ->
-      [ ("outcome", Str "abandoned"); ("reason", Str reason) ]
+      [ ("outcome", J.Str "abandoned"); ("reason", J.Str reason) ]
   in
-  to_string (Obj (base @ outcome))
+  J.to_string (J.Obj (base @ outcome))
 
 let record_of_line ~mode line =
-  let open Jsonio in
-  match parse line with
-  | Error msg -> Error ("bad journal line: " ^ msg)
-  | Ok j -> (
-    let str key = Option.bind (member key j) to_str in
-    match
-      ( Option.bind (member "params" j) params_of_json,
-        Option.bind (member "rep" j) to_int,
-        Option.bind (member "attempts" j) to_int,
-        Option.bind (member "faults" j) to_list,
-        Option.bind (member "wasted_s" j) to_float,
-        Option.bind (member "backoff_s" j) to_float,
-        str "outcome" )
-    with
-    | ( Some params,
-        Some rep,
-        Some attempts,
-        Some faults,
-        Some wasted_s,
-        Some backoff_s,
-        Some outcome ) -> (
-      let faults = List.filter_map to_str faults in
-      let mk rc_outcome =
-        Ok
-          {
-            rc_params = params;
-            rc_rep = rep;
-            rc_attempts = attempts;
-            rc_faults = faults;
-            rc_wasted_s = wasted_s;
-            rc_backoff_s = backoff_s;
-            rc_outcome;
-          }
-      in
-      match outcome with
-      | "completed" -> (
-        match Option.bind (member "run" j) (run_of_json ~params ~rep ~mode) with
-        | Some run -> mk (Completed run)
-        | None -> Error "bad journal line: malformed run object")
-      | "abandoned" ->
-        mk (Abandoned (Option.value ~default:"unknown" (str "reason")))
-      | o -> Error (Printf.sprintf "bad journal line: unknown outcome %S" o))
-    | _ -> Error "bad journal line: missing field")
+  Result.map_error (fun msg -> "bad journal line: " ^ msg)
+  @@
+  let* j = J.parse line in
+  let* rc_params = J.field "params" params_of_json j in
+  let* rc_rep = J.field "rep" J.int j in
+  let* rc_attempts = J.field "attempts" J.int j in
+  let* faults = J.field "faults" J.list j in
+  let* rc_faults = J.each (J.within "field \"faults\"" J.str) faults in
+  let* rc_wasted_s = J.field "wasted_s" J.float j in
+  let* rc_backoff_s = J.field "backoff_s" J.float j in
+  let* outcome = J.field "outcome" J.str j in
+  let* rc_outcome =
+    match outcome with
+    | "completed" ->
+      Result.map
+        (fun run -> Completed run)
+        (J.field "run" (run_of_json ~params:rc_params ~rep:rc_rep ~mode) j)
+    | "abandoned" ->
+      Result.map
+        (fun reason -> Abandoned reason)
+        (J.field_or "reason" "unknown" J.str j)
+    | o -> Error (Printf.sprintf "unknown outcome %S" o)
+  in
+  Ok
+    {
+      rc_params;
+      rc_rep;
+      rc_attempts;
+      rc_faults;
+      rc_wasted_s;
+      rc_backoff_s;
+      rc_outcome;
+    }
 
 (* The header pins everything that decides the campaign's content;
    resuming under a different design / plan / policy would silently mix
    incompatible measurements, so it is an error instead. *)
 let header_line ~app_name ~plan ~retry (design : Experiment.design) =
-  let open Jsonio in
-  to_string
-    (Obj
+  J.to_string
+    (J.Obj
        [
-         ("journal", Str journal_magic);
-         ("version", Int journal_version);
-         ("app", Str app_name);
+         ("journal", J.Str journal_magic);
+         ("version", J.Int journal_version);
+         ("app", J.Str app_name);
          ( "design",
-           Obj
+           J.Obj
              [
                ( "grid",
-                 List
+                 J.List
                    (List.map
                       (fun (n, vs) ->
-                        List
+                        J.List
                           [
-                            Str n; List (List.map (fun v -> Float v) vs);
+                            J.Str n; J.List (List.map (fun v -> J.Float v) vs);
                           ])
                       design.Experiment.grid) );
-               ("reps", Int design.Experiment.reps);
-               ("mode", Str (Instrument.mode_name design.Experiment.mode));
-               ("sigma", Float design.Experiment.sigma);
-               ("seed", Int design.Experiment.seed);
+               ("reps", J.Int design.Experiment.reps);
+               ("mode", J.Str (Instrument.mode_name design.Experiment.mode));
+               ("sigma", J.Float design.Experiment.sigma);
+               ("seed", J.Int design.Experiment.seed);
              ] );
-         ("faults", Str (Fault.spec_of plan));
+         ("faults", J.Str (Fault.spec_of plan));
          ( "retry",
-           Obj
+           J.Obj
              [
-               ("max_attempts", Int retry.rt_max_attempts);
-               ("backoff_s", Float retry.rt_backoff_s);
-               ("backoff_mult", Float retry.rt_backoff_mult);
-               ("hang_timeout_s", Float retry.rt_hang_timeout_s);
+               ("max_attempts", J.Int retry.rt_max_attempts);
+               ("backoff_s", J.Float retry.rt_backoff_s);
+               ("backoff_mult", J.Float retry.rt_backoff_mult);
+               ("hang_timeout_s", J.Float retry.rt_hang_timeout_s);
              ] );
        ])
 

@@ -134,6 +134,8 @@ val run_to_line : Simulator.run -> string
 
 val record_of_line :
   mode:Instrument.mode -> string -> (record, string) result
+(** Inverse of {!record_to_line}, bit-for-bit.  Errors read
+    ["bad journal line: "] plus the parse error or the field at fault. *)
 
 val load_journal :
   mode:Instrument.mode -> expected_header:string -> string ->

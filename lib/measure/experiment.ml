@@ -56,16 +56,15 @@ let replay_runs ?config ?world program ~grid =
     (fun params -> Simulator.replay ?config ?world program ~params)
     (grid_configs grid)
 
-(** Modeling dataset for one kernel: one point per configuration, one
-    repetition per run.  Configurations where the kernel was not observed
-    (filtered out by the instrumentation mode) produce no points — the
-    false-negative effect of bad filters. *)
-let kernel_dataset runs ~params ~kernel =
+(* One point per configuration (restricted to [params]), in order of
+   first appearance, holding the [value] of each run that has one, in
+   run order. *)
+let dataset runs ~params value =
   let tbl : (Spec.params, float list) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
   List.iter
     (fun (r : Simulator.run) ->
-      match Simulator.kernel_time r kernel with
+      match value r with
       | None -> ()
       | Some t ->
         let key = List.filter (fun (n, _) -> List.mem n params) r.rn_params in
@@ -78,21 +77,16 @@ let kernel_dataset runs ~params ~kernel =
   Model.Dataset.of_rows params
     (List.rev_map (fun key -> (key, List.rev (Hashtbl.find tbl key))) !order)
 
+(** Modeling dataset for one kernel: one point per configuration, one
+    repetition per run.  Configurations where the kernel was not observed
+    (filtered out by the instrumentation mode) produce no points — the
+    false-negative effect of bad filters. *)
+let kernel_dataset runs ~params ~kernel =
+  dataset runs ~params (fun r -> Simulator.kernel_time r kernel)
+
 (** Dataset of total application wall time. *)
 let total_dataset runs ~params =
-  let tbl : (Spec.params, float list) Hashtbl.t = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun (r : Simulator.run) ->
-      let key = List.filter (fun (n, _) -> List.mem n params) r.rn_params in
-      match Hashtbl.find_opt tbl key with
-      | None ->
-        order := key :: !order;
-        Hashtbl.replace tbl key [ r.rn_total ]
-      | Some ts -> Hashtbl.replace tbl key (r.rn_total :: ts))
-    runs;
-  Model.Dataset.of_rows params
-    (List.rev_map (fun key -> (key, List.rev (Hashtbl.find tbl key))) !order)
+  dataset runs ~params (fun (r : Simulator.run) -> Some r.rn_total)
 
 (** Aggregate cost of an experiment campaign in core-hours: each run
     occupies p cores for its (instrumented) wall time. *)

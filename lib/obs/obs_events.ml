@@ -11,7 +11,14 @@ let severity_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-type value = Int of int | Float of float | Str of string | Bool of bool
+type value = Obs_json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of value list
+  | Obj of (string * value) list
 
 type recorder = {
   e_mu : Mutex.t;
@@ -47,14 +54,6 @@ let close = function
   | Recording r -> (
     match r.e_oc with None -> () | Some oc -> close_out oc)
 
-let value_repr = function
-  | Int i -> string_of_int i
-  | Float f ->
-    if Float.is_nan f || not (Float.is_finite f) then "null"
-    else Printf.sprintf "%.12g" f
-  | Str s -> Printf.sprintf "\"%s\"" (Obs_json.escape s)
-  | Bool b -> if b then "true" else "false"
-
 let emit sink ?(severity = Info) ~component ?(fields = []) event =
   match sink with
   | Disabled -> ()
@@ -63,28 +62,23 @@ let emit sink ?(severity = Info) ~component ?(fields = []) event =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock r.e_mu)
       (fun () ->
-        let buf = Buffer.create 128 in
-        Buffer.add_string buf (Printf.sprintf "{\"seq\": %d" r.e_seq);
+        let ts =
+          if r.e_ts then
+            [ ( "ts_s",
+                Float
+                  (Int64.to_float (Int64.sub (Obs_clock.now_ns ()) r.e_t0)
+                  *. 1e-9) ) ]
+          else []
+        in
+        let line =
+          Obs_json.to_string
+            (Obj
+               ((("seq", Int r.e_seq) :: ts)
+               @ [ ("severity", Str (severity_name severity));
+                   ("component", Str component); ("event", Str event) ]
+               @ fields))
+        in
         r.e_seq <- r.e_seq + 1;
-        if r.e_ts then
-          Buffer.add_string buf
-            (Printf.sprintf ", \"ts_s\": %.6f"
-               (Int64.to_float (Int64.sub (Obs_clock.now_ns ()) r.e_t0)
-               *. 1e-9));
-        Buffer.add_string buf
-          (Printf.sprintf
-             ", \"severity\": \"%s\", \"component\": \"%s\", \"event\": \"%s\""
-             (severity_name severity)
-             (Obs_json.escape component)
-             (Obs_json.escape event));
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_string buf
-              (Printf.sprintf ", \"%s\": %s" (Obs_json.escape k)
-                 (value_repr v)))
-          fields;
-        Buffer.add_char buf '}';
-        let line = Buffer.contents buf in
         r.e_rev <- line :: r.e_rev;
         match r.e_oc with
         | None -> ()

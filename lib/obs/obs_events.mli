@@ -16,7 +16,14 @@ type severity = Debug | Info | Warn | Error
 
 val severity_name : severity -> string
 
-type value = Int of int | Float of float | Str of string | Bool of bool
+type value = Obs_json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of value list
+  | Obj of (string * value) list
 (** A typed event field. *)
 
 type sink

@@ -218,28 +218,22 @@ let json_fields =
 
 let to_json t =
   let s = snapshot t in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"interval\": %d, \"samples\": %d, \"funcs\": ["
-       s.ps_interval s.ps_samples);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "{\"func\": \"%s\", \"self\": %d, \"total\": %d}"
-           (Obs_json.escape r.pr_func) r.pr_self r.pr_total))
-    s.ps_funcs;
-  Buffer.add_string buf "], \"paths\": [";
-  List.iteri
-    (fun i (path, count) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "{\"stack\": [";
-      List.iteri
-        (fun j f ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "\"%s\"" (Obs_json.escape f)))
-        path;
-      Buffer.add_string buf (Printf.sprintf "], \"samples\": %d}" count))
-    s.ps_paths;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  Obs_json.(
+    Obj
+      [ ("interval", Int s.ps_interval); ("samples", Int s.ps_samples);
+        ( "funcs",
+          List
+            (List.map
+               (fun r ->
+                 Obj
+                   [ ("func", Str r.pr_func); ("self", Int r.pr_self);
+                     ("total", Int r.pr_total) ])
+               s.ps_funcs) );
+        ( "paths",
+          List
+            (List.map
+               (fun (path, count) ->
+                 Obj
+                   [ ("stack", List (List.map (fun f -> Str f) path));
+                     ("samples", Int count) ])
+               s.ps_paths) ) ])

@@ -77,9 +77,9 @@ val pp_table : ?top:int -> snapshot Fmt.t
 (** Top-N table (default 20 rows): function, self and total samples,
     self percentage. *)
 
-val to_json : t -> string
-(** The profile as a single JSON document; see {!json_fields} for the
-    schema vocabulary. *)
+val to_json : t -> Obs_json.t
+(** The profile as one JSON object; see {!json_fields} for the schema
+    vocabulary. *)
 
 val json_fields : (string * string) list
 (** The [profile.*] output-field vocabulary (name, meaning) — kept in

@@ -2,7 +2,15 @@
     prepended to a list (reversed on read); timestamps are monotonic
     nanoseconds relative to sink creation. *)
 
-type arg = Int of int | Float of float | String of string
+type arg = Obs_json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of arg list
+  | Obj of (string * arg) list
+
 type phase = Begin | End | Instant
 
 type event = {
@@ -163,61 +171,41 @@ let balanced evs =
 
 (* -- Chrome trace_event serialization ------------------------------------ *)
 
-let arg_repr = function
-  | Int i -> string_of_int i
-  | Float f ->
-    if Float.is_nan f || not (Float.is_finite f) then "null"
-    else Printf.sprintf "%.12g" f
-  | String s -> Printf.sprintf "\"%s\"" (Obs_json.escape s)
+let event_json ev =
+  let ph = match ev.ev_ph with Begin -> "B" | End -> "E" | Instant -> "i" in
+  Obj
+    ([ ("name", Str ev.ev_name); ("ph", Str ph);
+       ("ts", Float (Int64.to_float ev.ev_ts_ns /. 1e3));
+       ("pid", Int 1); ("tid", Int (ev.ev_tid + 1)) ]
+    @ (if ev.ev_cat = "" then [] else [ ("cat", Str ev.ev_cat) ])
+    (* Instant events need a scope; thread scope renders as a tick mark. *)
+    @ (if ev.ev_ph = Instant then [ ("s", Str "t") ] else [])
+    @ if ev.ev_args = [] then [] else [ ("args", Obj ev.ev_args) ])
 
-let ts_us ns = Int64.to_float ns /. 1e3
-
-let event_repr buf ev =
-  let ph =
-    match ev.ev_ph with Begin -> "B" | End -> "E" | Instant -> "i"
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \"pid\": 1, \"tid\": %d"
-       (Obs_json.escape ev.ev_name) ph (ts_us ev.ev_ts_ns) (ev.ev_tid + 1));
-  if ev.ev_cat <> "" then
-    Buffer.add_string buf
-      (Printf.sprintf ", \"cat\": \"%s\"" (Obs_json.escape ev.ev_cat));
-  (* Instant events need a scope; thread scope renders as a tick mark. *)
-  if ev.ev_ph = Instant then Buffer.add_string buf ", \"s\": \"t\"";
-  (match ev.ev_args with
-  | [] -> ()
-  | args ->
-    Buffer.add_string buf ", \"args\": {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\": %s" (Obs_json.escape k) (arg_repr v)))
-      args;
-    Buffer.add_string buf "}");
-  Buffer.add_string buf "}"
-
-let to_chrome_string sink =
-  let evs = events sink in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\": [";
+(* Each event is built and printed before the next, so a large trace is
+   never held as one JSON tree; only the envelope is written by hand. *)
+let write_chrome add sink =
+  add "{\"traceEvents\":[";
   List.iteri
     (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",\n ";
-      event_repr buf ev)
-    evs;
-  Buffer.add_string buf "],\n \"displayTimeUnit\": \"ms\"";
+      if i > 0 then add ",\n";
+      add (Obs_json.to_string (event_json ev)))
+    (events sink);
+  add "],\"displayTimeUnit\":\"ms\"";
   let d = dropped_events sink in
-  if d > 0 then
-    Buffer.add_string buf (Printf.sprintf ",\n \"droppedEvents\": %d" d);
-  Buffer.add_string buf "}\n";
+  if d > 0 then add (",\"droppedEvents\":" ^ string_of_int d);
+  add "}\n"
+
+let to_chrome_string sink =
+  let buf = Buffer.create 4096 in
+  write_chrome (Buffer.add_string buf) sink;
   Buffer.contents buf
 
 let write_file sink path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome_string sink))
+    (fun () -> write_chrome (output_string oc) sink)
 
 (* -- summary ------------------------------------------------------------- *)
 

@@ -15,7 +15,14 @@
     {!span_totals} match Begin/End pairs within each lane, and the
     Chrome export maps lanes to ["tid"]s. *)
 
-type arg = Int of int | Float of float | String of string
+type arg = Obs_json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of arg list
+  | Obj of (string * arg) list
 (** A typed event argument (the Chrome trace ["args"] payload). *)
 
 type phase = Begin | End | Instant
@@ -66,12 +73,12 @@ val balanced : event list -> bool
     every per-domain lane? *)
 
 val to_chrome_string : sink -> string
-(** The Chrome trace: [{"traceEvents": [...], ...}] with ["ph"] of
-    ["B"]/["E"]/["i"] and microsecond ["ts"], loadable by Perfetto and
-    [chrome://tracing]. *)
+(** The Chrome trace: [{"traceEvents":[...],...}], one {!Obs_json}
+    event object per line, with ["ph"] of ["B"]/["E"]/["i"] and
+    microsecond ["ts"], loadable by Perfetto and [chrome://tracing]. *)
 
 val write_file : sink -> string -> unit
-(** Serialize {!to_chrome_string} to a file. *)
+(** Stream {!to_chrome_string} to a file, one event at a time. *)
 
 type span_total = {
   st_name : string;

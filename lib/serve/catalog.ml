@@ -1,10 +1,10 @@
 (* The content-addressed model catalog.  An entry is the full answer a
    cold fit produces — model, fit quality, campaign counters — written
-   as one JSON line via Measure.Jsonio (exact float round-trip), so a
+   as one JSON line via Obs_json (exact float round-trip), so a
    cache hit from memory, disk, or a restarted process is bit-identical
    to refitting. *)
 
-module J = Measure.Jsonio
+module J = Obs_json
 
 let default_capacity = 64
 
@@ -64,113 +64,75 @@ let model_to_json (m : Model.Expr.model) =
              m.terms) );
     ]
 
-let entry_to_line e =
-  J.to_string
-    (J.Obj
-       [
-         ("key", J.Str e.e_key);
-         ("app", J.Str e.e_app);
-         ("model", model_to_json e.e_model);
-         ("error", J.Float e.e_error);
-         ("rss", J.Float e.e_rss);
-         ("hypotheses", J.Int e.e_hypotheses);
-         ("rejected", J.Int e.e_rejected);
-         ("runs", J.Int e.e_runs);
-         ("core_hours", J.Float e.e_core_hours);
-         ("attempts", J.Int e.e_attempts);
-         ("retries", J.Int e.e_retries);
-         ("abandoned", J.Int e.e_abandoned);
-         ("faults", J.Obj (List.map (fun (k, n) -> (k, J.Int n)) e.e_faults));
-         ("wasted_core_hours", J.Float e.e_wasted_core_hours);
-         ("backoff_core_hours", J.Float e.e_backoff_core_hours);
-       ])
+let entry_json e =
+  J.Obj
+    [
+      ("key", J.Str e.e_key);
+      ("app", J.Str e.e_app);
+      ("model", model_to_json e.e_model);
+      ("error", J.Float e.e_error);
+      ("rss", J.Float e.e_rss);
+      ("hypotheses", J.Int e.e_hypotheses);
+      ("rejected", J.Int e.e_rejected);
+      ("runs", J.Int e.e_runs);
+      ("core_hours", J.Float e.e_core_hours);
+      ("attempts", J.Int e.e_attempts);
+      ("retries", J.Int e.e_retries);
+      ("abandoned", J.Int e.e_abandoned);
+      ("faults", J.Obj (List.map (fun (k, n) -> (k, J.Int n)) e.e_faults));
+      ("wasted_core_hours", J.Float e.e_wasted_core_hours);
+      ("backoff_core_hours", J.Float e.e_backoff_core_hours);
+    ]
+
+let entry_to_line e = J.to_string (entry_json e)
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match J.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let str_field name j =
-  let* v = field name j in
-  match J.to_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S: expected a string" name)
-
-let float_field name j =
-  let* v = field name j in
-  match J.to_float v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S: expected a number" name)
-
-let int_field name j =
-  let* v = field name j in
-  match J.to_int v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S: expected an integer" name)
-
-let list_field name j =
-  let* v = field name j in
-  match J.to_list v with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "field %S: expected a list" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let factor_of_json j =
-  let* p = str_field "param" j in
-  let* expo = float_field "expo" j in
-  let* logexp = int_field "logexp" j in
+  let* p = J.field "param" J.str j in
+  let* expo = J.field "expo" J.float j in
+  let* logexp = J.field "logexp" J.int j in
   Ok (p, { Model.Expr.expo; logexp })
 
 let term_of_json j =
-  let* coeff = float_field "coeff" j in
-  let* fs = list_field "factors" j in
-  let* factors = map_result factor_of_json fs in
+  let* coeff = J.field "coeff" J.float j in
+  let* fs = J.field "factors" J.list j in
+  let* factors = J.each factor_of_json fs in
   Ok { Model.Expr.coeff; factors }
 
 let model_of_json j =
-  let* const = float_field "const" j in
-  let* ts = list_field "terms" j in
-  let* terms = map_result term_of_json ts in
+  let* const = J.field "const" J.float j in
+  let* ts = J.field "terms" J.list j in
+  let* terms = J.each term_of_json ts in
   Ok { Model.Expr.const; terms }
-
-let faults_of_json j =
-  match j with
-  | J.Obj pairs ->
-      map_result
-        (fun (k, v) ->
-          match J.to_int v with
-          | Some n -> Ok (k, n)
-          | None -> Error (Printf.sprintf "fault %S: expected an integer" k))
-        pairs
-  | _ -> Error "field \"faults\": expected an object"
 
 let entry_of_line line =
   let* j = J.parse line in
-  let* e_key = str_field "key" j in
-  let* e_app = str_field "app" j in
-  let* m = field "model" j in
+  let* e_key = J.field "key" J.str j in
+  let* e_app = J.field "app" J.str j in
+  (* the model's own fields name themselves in its errors *)
+  let* m = J.field "model" Result.ok j in
   let* e_model = model_of_json m in
-  let* e_error = float_field "error" j in
-  let* e_rss = float_field "rss" j in
-  let* e_hypotheses = int_field "hypotheses" j in
-  let* e_rejected = int_field "rejected" j in
-  let* e_runs = int_field "runs" j in
-  let* e_core_hours = float_field "core_hours" j in
-  let* e_attempts = int_field "attempts" j in
-  let* e_retries = int_field "retries" j in
-  let* e_abandoned = int_field "abandoned" j in
-  let* f = field "faults" j in
-  let* e_faults = faults_of_json f in
-  let* e_wasted_core_hours = float_field "wasted_core_hours" j in
-  let* e_backoff_core_hours = float_field "backoff_core_hours" j in
+  let* e_error = J.field "error" J.float j in
+  let* e_rss = J.field "rss" J.float j in
+  let* e_hypotheses = J.field "hypotheses" J.int j in
+  let* e_rejected = J.field "rejected" J.int j in
+  let* e_runs = J.field "runs" J.int j in
+  let* e_core_hours = J.field "core_hours" J.float j in
+  let* e_attempts = J.field "attempts" J.int j in
+  let* e_retries = J.field "retries" J.int j in
+  let* e_abandoned = J.field "abandoned" J.int j in
+  let* faults = J.field "faults" J.obj j in
+  let* e_faults =
+    J.each
+      (fun (k, v) ->
+        Result.map
+          (fun n -> (k, n))
+          (J.within (Printf.sprintf "fault %S" k) J.int v))
+      faults
+  in
+  let* e_wasted_core_hours = J.field "wasted_core_hours" J.float j in
+  let* e_backoff_core_hours = J.field "backoff_core_hours" J.float j in
   Ok
     {
       e_key;

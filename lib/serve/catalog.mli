@@ -8,7 +8,7 @@
     restart — is bit-identical to the entry a cold fit produces: the
     model expression and coefficients, the fit-quality numbers, and the
     campaign counters all survive the round trip exactly (floats are
-    serialized with ["%.17g"] via {!Measure.Jsonio}).  The
+    serialized with ["%.17g"] via {!Obs_json}).  The
     [serve-identity] fuzz oracle and the [serve] bench enforce this. *)
 
 (** {1 Keys} *)
@@ -50,8 +50,11 @@ val total_core_hours : entry -> float
 (** Everything the fit's campaign burned: completed runs plus wasted
     attempts plus backoff — the admission-budget charge. *)
 
+val entry_json : entry -> Obs_json.t
+(** The entry as one JSON object; floats print exactly (["%.17g"]). *)
+
 val entry_to_line : entry -> string
-(** One JSON object on one line; floats printed exactly (["%.17g"]). *)
+(** {!entry_json} on one line. *)
 
 val entry_of_line : string -> (entry, string) result
 (** Exact inverse of {!entry_to_line}: [entry_of_line (entry_to_line e)]

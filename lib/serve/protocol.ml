@@ -1,4 +1,4 @@
-module J = Measure.Jsonio
+module J = Obs_json
 
 type fit_spec = {
   fs_app : string;
@@ -31,124 +31,58 @@ let ops =
 
 let ( let* ) = Result.bind
 
-let opt_field name j = J.member name j
+let coord (k, v) =
+  Result.map
+    (fun f -> (k, f))
+    (J.within (Printf.sprintf "coordinate %S" k) J.float v)
 
-let str_field name j =
-  match J.member name j with
-  | Some v -> (
-      match J.to_str v with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "field %S: expected a string" name))
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let opt_int name ~default j =
-  match opt_field name j with
-  | None -> Ok default
-  | Some v -> (
-      match J.to_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S: expected an integer" name))
-
-let opt_float name ~default j =
-  match opt_field name j with
-  | None -> Ok default
-  | Some v -> (
-      match J.to_float v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field %S: expected a number" name))
-
-let opt_str name ~default j =
-  match opt_field name j with
-  | None -> Ok default
-  | Some v -> (
-      match J.to_str v with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "field %S: expected a string" name))
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let coords_of_json j =
-  match j with
-  | J.Obj pairs ->
-      map_result
-        (fun (k, v) ->
-          match J.to_float v with
-          | Some f -> Ok (k, f)
-          | None ->
-              Error (Printf.sprintf "coordinate %S: expected a number" k))
-        pairs
-  | _ -> Error "field \"coords\": expected an object"
-
-let grid_of_json j =
-  match j with
-  | J.Obj pairs ->
-      map_result
-        (fun (k, v) ->
-          match J.to_list v with
-          | Some vs -> (
-              match map_result (fun x ->
-                  match J.to_float x with
-                  | Some f -> Ok f
-                  | None ->
-                      Error
-                        (Printf.sprintf "grid axis %S: expected numbers" k))
-                  vs
-              with
-              | Ok [] -> Error (Printf.sprintf "grid axis %S: empty" k)
-              | r -> r)
-              |> Result.map (fun fs -> (k, fs))
-          | None ->
-              Error (Printf.sprintf "grid axis %S: expected a list" k))
-        pairs
-  | _ -> Error "field \"grid\": expected an object"
+let axis (k, v) =
+  let* vs = J.within (Printf.sprintf "grid axis %S" k) J.list v in
+  let number x =
+    Option.to_result (J.to_float x)
+      ~none:(Printf.sprintf "grid axis %S: expected numbers" k)
+  in
+  match J.each number vs with
+  | Ok [] -> Error (Printf.sprintf "grid axis %S: empty" k)
+  | r -> Result.map (fun fs -> (k, fs)) r
 
 let fit_spec_of j =
-  let* fs_app = str_field "app" j in
+  let* fs_app = J.field "app" J.str j in
   let* fs_grid =
-    match opt_field "grid" j with
+    match J.member "grid" j with
     | None -> Ok None
-    | Some g -> Result.map Option.some (grid_of_json g)
+    | Some _ ->
+        let* axes = J.field "grid" J.obj j in
+        Result.map Option.some (J.each axis axes)
   in
-  let* fs_reps = opt_int "reps" ~default:5 j in
-  let* fs_sigma = opt_float "sigma" ~default:0.02 j in
-  let* fs_seed = opt_int "seed" ~default:42 j in
-  let* fs_faults = opt_str "faults" ~default:"" j in
-  let* fs_retries = opt_int "retries" ~default:3 j in
-  let* fs_backoff = opt_float "backoff" ~default:30. j in
+  let* fs_reps = J.field_or "reps" 5 J.int j in
+  let* fs_sigma = J.field_or "sigma" 0.02 J.float j in
+  let* fs_seed = J.field_or "seed" 42 J.int j in
+  let* fs_faults = J.field_or "faults" "" J.str j in
+  let* fs_retries = J.field_or "retries" 3 J.int j in
+  let* fs_backoff = J.field_or "backoff" 30. J.float j in
   Ok { fs_app; fs_grid; fs_reps; fs_sigma; fs_seed; fs_faults; fs_retries;
        fs_backoff }
 
 let request_of_line line =
   let* j = J.parse line in
-  let* op = str_field "op" j in
+  let* op = J.field "op" J.str j in
   match op with
   | "predict" ->
       let* spec = fit_spec_of j in
-      let* coords =
-        match opt_field "coords" j with
-        | Some c -> coords_of_json c
-        | None -> Error "missing field \"coords\""
-      in
+      let* coords = J.field "coords" J.obj j in
+      let* coords = J.each coord coords in
       if coords = [] then Error "field \"coords\": empty"
       else Ok (Predict (spec, coords))
   | "fit" ->
       let* spec = fit_spec_of j in
       Ok (Fit spec)
   | "invalidate" -> (
-      match (opt_field "key" j, opt_field "app" j) with
-      | Some k, None -> (
-          match J.to_str k with
-          | Some s -> Ok (Invalidate_key s)
-          | None -> Error "field \"key\": expected a string")
-      | None, Some a -> (
-          match J.to_str a with
-          | Some s -> Ok (Invalidate_app s)
-          | None -> Error "field \"app\": expected a string")
+      match (J.member "key" j, J.member "app" j) with
+      | Some _, None ->
+          Result.map (fun k -> Invalidate_key k) (J.field "key" J.str j)
+      | None, Some _ ->
+          Result.map (fun a -> Invalidate_app a) (J.field "app" J.str j)
       | Some _, Some _ -> Error "invalidate: give \"key\" or \"app\", not both"
       | None, None -> Error "invalidate: missing \"key\" or \"app\"")
   | "stats" -> Ok Stats
@@ -160,46 +94,30 @@ let request_of_line line =
 let error_line msg =
   J.to_string (J.Obj [ ("ok", J.Bool false); ("error", J.Str msg) ])
 
+(* Every success answer opens with "ok" and the op it answers. *)
+let ok_line op fields =
+  J.to_string (J.Obj (("ok", J.Bool true) :: ("op", J.Str op) :: fields))
+
 let predict_line ~key ~cached ~app ~prediction ~model ~smape =
-  J.to_string
-    (J.Obj
-       [
-         ("ok", J.Bool true);
-         ("op", J.Str "predict");
-         ("key", J.Str key);
-         ("cached", J.Bool cached);
-         ("app", J.Str app);
-         ("prediction", J.Float prediction);
-         ("model", J.Str model);
-         ("smape", J.Float smape);
-       ])
+  ok_line "predict"
+    [
+      ("key", J.Str key);
+      ("cached", J.Bool cached);
+      ("app", J.Str app);
+      ("prediction", J.Float prediction);
+      ("model", J.Str model);
+      ("smape", J.Float smape);
+    ]
 
 let fit_line ~cached (e : Catalog.entry) =
-  let entry_json =
-    match J.parse (Catalog.entry_to_line e) with
-    | Ok j -> j
-    | Error _ -> J.Null (* entry_to_line always parses *)
-  in
-  J.to_string
-    (J.Obj
-       [
-         ("ok", J.Bool true);
-         ("op", J.Str "fit");
-         ("key", J.Str e.Catalog.e_key);
-         ("cached", J.Bool cached);
-         ("app", J.Str e.Catalog.e_app);
-         ("entry", entry_json);
-       ])
+  ok_line "fit"
+    [
+      ("key", J.Str e.Catalog.e_key);
+      ("cached", J.Bool cached);
+      ("app", J.Str e.Catalog.e_app);
+      ("entry", Catalog.entry_json e);
+    ]
 
-let invalidate_line ~removed =
-  J.to_string
-    (J.Obj
-       [ ("ok", J.Bool true); ("op", J.Str "invalidate");
-         ("removed", J.Int removed) ])
-
-let shutdown_line =
-  J.to_string (J.Obj [ ("ok", J.Bool true); ("op", J.Str "shutdown") ])
-
-let stats_line fields =
-  J.to_string
-    (J.Obj ([ ("ok", J.Bool true); ("op", J.Str "stats") ] @ fields))
+let invalidate_line ~removed = ok_line "invalidate" [ ("removed", J.Int removed) ]
+let shutdown_line = ok_line "shutdown" []
+let stats_line fields = ok_line "stats" fields

@@ -1,5 +1,5 @@
 (** The daemon's wire protocol: one JSON object per line in each
-    direction, reusing {!Measure.Jsonio} (exact float round-trip).  The
+    direction, written and read by {!Obs_json} (exact float round-trip).  The
     grammar is documented in doc/SERVE.md; a drift test keeps the two in
     sync via {!ops}. *)
 
@@ -52,5 +52,5 @@ val fit_line : cached:bool -> Catalog.entry -> string
 val invalidate_line : removed:int -> string
 val shutdown_line : string
 
-val stats_line : (string * Measure.Jsonio.t) list -> string
+val stats_line : (string * Obs_json.t) list -> string
 (** [{"ok":true,"op":"stats",...fields}]. *)

@@ -1,4 +1,4 @@
-module J = Measure.Jsonio
+module J = Obs_json
 
 let counters =
   [
@@ -190,11 +190,17 @@ let handle_batch t lines =
     | K_fit -> Protocol.fit_line ~cached e
     | K_predict coords -> (
         match Model.Expr.eval e.Catalog.e_model coords with
-        | v ->
+        | v when Float.is_finite v ->
             Protocol.predict_line ~key:e.Catalog.e_key ~cached
               ~app:e.Catalog.e_app ~prediction:v
               ~model:(Model.Expr.to_string e.Catalog.e_model)
               ~smape:e.Catalog.e_error
+        | v ->
+            let at (p, x) = Printf.sprintf "%s=%g" p x in
+            Protocol.error_line
+              (Printf.sprintf "prediction at %s is not finite (%g)"
+                 (String.concat "," (List.map at coords))
+                 v)
         | exception Invalid_argument msg -> Protocol.error_line msg)
   in
   (* phase 1 — serial, in request order: parse, resolve, classify.
@@ -420,25 +426,84 @@ let rec write_all fd s off len =
     write_all fd s (off + n) (len - n)
   end
 
-(* complete lines before the last '\n', and the unfinished remainder *)
-let split_complete s =
-  match String.rindex_opt s '\n' with
-  | None -> ([], s)
-  | Some i ->
-      let head = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      (String.split_on_char '\n' head, rest)
+let max_line_bytes = 1 lsl 20
+
+let too_long_line =
+  Protocol.error_line
+    (Printf.sprintf "request line exceeds the limit of %d bytes" max_line_bytes)
+
+(* A connection's unfinished line; [skipping] drops the rest of a line
+   that outgrew [max_line_bytes], through its newline. *)
+type conn = { pending : Buffer.t; mutable skipping : bool }
+
+(* The first [n] bytes of [chunk] as the lines they complete, in order:
+   [Some line], or [None] for a line that crossed the limit. *)
+let feed c chunk n =
+  let lines = ref [] in
+  let rec go i =
+    if i < n then begin
+      let nl =
+        match Bytes.index_from_opt chunk i '\n' with
+        | Some j when j < n -> j
+        | _ -> n
+      in
+      if not c.skipping then begin
+        Buffer.add_subbytes c.pending chunk i (nl - i);
+        if Buffer.length c.pending > max_line_bytes then begin
+          Buffer.reset c.pending;
+          c.skipping <- true;
+          lines := None :: !lines
+        end
+      end;
+      if nl < n then begin
+        if not c.skipping then
+          lines := Some (Buffer.contents c.pending) :: !lines;
+        Buffer.clear c.pending;
+        c.skipping <- false
+      end;
+      go (nl + 1)
+    end
+  in
+  go 0;
+  List.rev !lines
 
 let serve_loop ?max_requests t listen_fd =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let conns : (Unix.file_descr, Buffer.t) Hashtbl.t = Hashtbl.create 8 in
+  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
   let chunk = Bytes.create 65536 in
   let handled = ref 0 in
   let stop = ref false in
   let close_conn fd =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Hashtbl.remove conns fd
+  in
+  (* Answer the lines in order: runs of requests drain as one batch, and
+     an over-long line gets its error between them. *)
+  let answer lines =
+    let out = ref [] and batch = ref [] in
+    let drain () =
+      if !batch <> [] then begin
+        let responses, shutdown = handle_batch t (List.rev !batch) in
+        handled := !handled + List.length responses;
+        out := List.rev_append responses !out;
+        batch := [];
+        if shutdown then stop := true
+      end
+    in
+    List.iter
+      (function
+        | Some l -> if String.trim l <> "" then batch := l :: !batch
+        | None ->
+            drain ();
+            incr handled;
+            out := too_long_line :: !out)
+      lines;
+    drain ();
+    (match max_requests with
+    | Some m when !handled >= m -> stop := true
+    | _ -> ());
+    List.rev !out
   in
   while not !stop do
     let fds =
@@ -451,38 +516,27 @@ let serve_loop ?max_requests t listen_fd =
           (fun fd ->
             if fd == listen_fd || fd = listen_fd then begin
               match Unix.accept listen_fd with
-              | conn, _ -> Hashtbl.replace conns conn (Buffer.create 256)
+              | conn, _ ->
+                  Hashtbl.replace conns conn
+                    { pending = Buffer.create 256; skipping = false }
               | exception Unix.Unix_error _ -> ()
             end
             else
               match Hashtbl.find_opt conns fd with
               | None -> ()
-              | Some buf -> (
+              | Some c -> (
                   let n =
                     try Unix.read fd chunk 0 (Bytes.length chunk)
                     with Unix.Unix_error _ -> 0
                   in
                   if n = 0 then close_conn fd
-                  else begin
-                    Buffer.add_subbytes buf chunk 0 n;
-                    let lines, rest = split_complete (Buffer.contents buf) in
-                    Buffer.clear buf;
-                    Buffer.add_string buf rest;
-                    let lines =
-                      List.filter (fun l -> String.trim l <> "") lines
-                    in
-                    if lines <> [] then begin
-                      let responses, shutdown = handle_batch t lines in
-                      handled := !handled + List.length lines;
-                      let out = String.concat "\n" responses ^ "\n" in
-                      (try write_all fd out 0 (String.length out)
-                       with Unix.Unix_error _ -> close_conn fd);
-                      if shutdown then stop := true;
-                      match max_requests with
-                      | Some m when !handled >= m -> stop := true
-                      | _ -> ()
-                    end
-                  end))
+                  else
+                    match answer (feed c chunk n) with
+                    | [] -> ()
+                    | responses -> (
+                        let out = String.concat "\n" responses ^ "\n" in
+                        try write_all fd out 0 (String.length out)
+                        with Unix.Unix_error _ -> close_conn fd)))
           ready
   done;
   Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())

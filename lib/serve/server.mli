@@ -69,8 +69,14 @@ val connect :
 (** Client side.  Retries connection-refused/not-found every 50 ms up to
     [attempts] (default 100) — the daemon may still be binding. *)
 
+val max_line_bytes : int
+(** The longest request line the daemon buffers: 1 MiB. *)
+
 val serve_loop : ?max_requests:int -> t -> Unix.file_descr -> unit
 (** Accept connections and answer until a [shutdown] request arrives (or
     [max_requests] lines have been handled).  A malformed line gets a
     one-line JSON error and the connection survives; a disconnecting
-    client never stops the loop. *)
+    client never stops the loop.  A line that grows past
+    {!max_line_bytes} is answered with one error naming the limit as
+    soon as it crosses it; its remaining bytes through the next newline
+    are discarded, and the connection stays open. *)

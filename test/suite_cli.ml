@@ -329,12 +329,12 @@ let test_blocks_trace () =
   Alcotest.(check int) (Printf.sprintf "exit 0: %s" errs) 0 code;
   Alcotest.(check bool) "block report" true (contains out "block coverage:");
   Alcotest.(check bool) "trace file written" true (Sys.file_exists path);
-  match Measure.Jsonio.parse (read_file path) with
+  match Obs_json.parse (read_file path) with
   | Error msg -> Alcotest.fail ("trace does not parse: " ^ msg)
   | Ok j ->
     let events =
-      Option.bind (Measure.Jsonio.member "traceEvents" j)
-        Measure.Jsonio.to_list
+      Option.bind (Obs_json.member "traceEvents" j)
+        Obs_json.to_list
     in
     Alcotest.(check bool) "trace holds events" true
       (match events with Some (_ :: _) -> true | _ -> false)

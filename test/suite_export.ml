@@ -1,8 +1,8 @@
 (** Tests of the JSON export: escaping, structure, and a validity check
-    of the full analysis report (balanced braces, parsable by a tiny
-    recogniser). *)
+    of the full analysis report (parsable by {!Obs_json.parse}). *)
 
-module J = Perf_taint.Export
+module J = Obs_json
+module E = Perf_taint.Export
 
 let str j = J.to_string j
 
@@ -25,7 +25,8 @@ let test_non_finite_floats () =
   Alcotest.(check string) "+inf becomes null" "null" (str (J.Float Float.infinity));
   Alcotest.(check string) "-inf becomes null" "null"
     (str (J.Float Float.neg_infinity));
-  Alcotest.(check string) "huge finite survives" "1e+300" (str (J.Float 1e300));
+  Alcotest.(check string) "huge finite survives" "1.0000000000000001e+300"
+    (str (J.Float 1e300));
   let s =
     str
       (J.Obj
@@ -36,47 +37,27 @@ let test_non_finite_floats () =
   Alcotest.(check bool) "no nan token" false (contains s "nan")
 
 let test_escaping () =
-  Alcotest.(check string) "quotes" "\"a\\\"b\"" (str (J.String "a\"b"));
-  Alcotest.(check string) "backslash" "\"a\\\\b\"" (str (J.String "a\\b"));
-  Alcotest.(check string) "newline" "\"a\\nb\"" (str (J.String "a\nb"));
-  Alcotest.(check string) "carriage return" "\"a\\rb\"" (str (J.String "a\rb"));
-  Alcotest.(check string) "tab" "\"a\\tb\"" (str (J.String "a\tb"));
+  Alcotest.(check string) "quotes" "\"a\\\"b\"" (str (J.Str "a\"b"));
+  Alcotest.(check string) "backslash" "\"a\\\\b\"" (str (J.Str "a\\b"));
+  Alcotest.(check string) "newline" "\"a\\nb\"" (str (J.Str "a\nb"));
+  Alcotest.(check string) "carriage return" "\"a\\rb\"" (str (J.Str "a\rb"));
+  Alcotest.(check string) "tab" "\"a\\tb\"" (str (J.Str "a\tb"));
   Alcotest.(check string) "control chars take the \\u path" "\"a\\u0001\\u001fb\""
-    (str (J.String "a\x01\x1fb"));
+    (str (J.Str "a\x01\x1fb"));
   (* Non-ASCII bytes pass through untouched: the emitter writes UTF-8
      strings byte for byte. *)
   Alcotest.(check string) "utf-8 passthrough" "\"\xc3\xa9\""
-    (str (J.String "\xc3\xa9"));
+    (str (J.Str "\xc3\xa9"));
   (* Keys are escaped with the same machinery as values. *)
-  Alcotest.(check string) "escaped key" "{\"a\\nb\": 1}"
+  Alcotest.(check string) "escaped key" "{\"a\\nb\":1}"
     (str (J.Obj [ ("a\nb", J.Int 1) ]))
 
 let test_structure () =
-  let j = J.Obj [ ("xs", J.List [ J.Int 1; J.Int 2 ]); ("k", J.String "v") ] in
+  let j = J.Obj [ ("xs", J.List [ J.Int 1; J.Int 2 ]); ("k", J.Str "v") ] in
   let s = str j in
   Alcotest.(check bool) "contains key" true (contains s "\"xs\":")
 
-(* A minimal JSON well-formedness recogniser (strings, escapes, nesting). *)
-let json_well_formed s =
-  let n = String.length s in
-  let depth = ref 0 and in_str = ref false and esc = ref false and ok = ref true in
-  String.iteri
-    (fun _ c ->
-      if !esc then esc := false
-      else if !in_str then begin
-        if c = '\\' then esc := true else if c = '"' then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-          decr depth;
-          if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  ignore n;
-  !ok && !depth = 0 && not !in_str
+let json_well_formed s = Result.is_ok (J.parse s)
 
 let test_model_json () =
   let m =
@@ -85,17 +66,17 @@ let test_model_json () =
         [ { Model.Expr.coeff = 2.;
             factors = [ ("p", { Model.Expr.expo = 0.5; logexp = 1 }) ] } ] }
   in
-  let s = str (J.model_json m) in
+  let s = str (E.model_json m) in
   Alcotest.(check bool) "well formed" true (json_well_formed s);
   Alcotest.(check bool) "has coefficient" true
-    (contains s "\"coefficient\": 2.0")
+    (contains s "\"coefficient\":2.0")
 
 let test_analysis_json_well_formed () =
   let t =
     Perf_taint.Pipeline.analyze ~world:Apps.Lulesh.taint_world
       Apps.Lulesh.program ~args:Apps.Lulesh.taint_args
   in
-  let s = str (J.analysis_json t ~model_params:[ "p"; "size" ]) in
+  let s = str (E.analysis_json t ~model_params:[ "p"; "size" ]) in
   Alcotest.(check bool) "lulesh report well formed" true (json_well_formed s);
   Alcotest.(check bool) "mentions CalcQ" true
     (contains s "calc_q_for_elems")
@@ -105,7 +86,7 @@ let test_dataset_json () =
     Model.Dataset.of_rows [ "p" ]
       [ ([ ("p", 2.) ], [ 1.; 1.1 ]); ([ ("p", 4.) ], [ 2. ]) ]
   in
-  let s = str (J.dataset_json data) in
+  let s = str (E.dataset_json data) in
   Alcotest.(check bool) "well formed" true (json_well_formed s);
   Alcotest.(check bool) "has measurements" true
     (contains s "\"measurements\"")

@@ -107,26 +107,7 @@ let test_event_cap_stays_balanced () =
   Alcotest.(check bool) "balanced after cap" true (T.balanced evs);
   Alcotest.(check bool) "dropped counted" true (T.dropped_events sink > 0)
 
-(* Minimal well-formedness recogniser shared with suite_export's idea:
-   balanced nesting outside strings. *)
-let json_well_formed s =
-  let depth = ref 0 and in_str = ref false and esc = ref false and ok = ref true in
-  String.iter
-    (fun c ->
-      if !esc then esc := false
-      else if !in_str then begin
-        if c = '\\' then esc := true else if c = '"' then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-          decr depth;
-          if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !depth = 0 && not !in_str
+let json_well_formed s = Result.is_ok (Obs_json.parse s)
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -136,14 +117,15 @@ let contains haystack needle =
 let test_chrome_export () =
   let sink = T.create () in
   T.with_span sink ~cat:"pipeline" "phase" (fun () ->
-      T.instant sink ~args:[ ("n", T.Int 3); ("who", T.String "x\"y") ] "mark");
+      T.instant sink ~args:[ ("n", T.Int 3); ("who", T.Str "x\"y") ] "mark");
   let s = T.to_chrome_string sink in
   Alcotest.(check bool) "well formed" true (json_well_formed s);
-  Alcotest.(check bool) "traceEvents array" true (contains s "\"traceEvents\": [");
-  Alcotest.(check bool) "has B" true (contains s "\"ph\": \"B\"");
-  Alcotest.(check bool) "has E" true (contains s "\"ph\": \"E\"");
-  Alcotest.(check bool) "has instant" true (contains s "\"ph\": \"i\"");
-  Alcotest.(check bool) "instant has scope" true (contains s "\"s\": \"t\"");
+  Alcotest.(check bool) "traceEvents array" true
+    (contains s "\"traceEvents\":[");
+  Alcotest.(check bool) "has B" true (contains s "\"ph\":\"B\"");
+  Alcotest.(check bool) "has E" true (contains s "\"ph\":\"E\"");
+  Alcotest.(check bool) "has instant" true (contains s "\"ph\":\"i\"");
+  Alcotest.(check bool) "instant has scope" true (contains s "\"s\":\"t\"");
   Alcotest.(check bool) "escaped arg" true (contains s "x\\\"y")
 
 let test_write_file () =
@@ -224,7 +206,7 @@ let test_stats_json_path () =
     (fun (name, program, args, world) ->
       let metrics = M.create () in
       let a = Perf_taint.Pipeline.analyze ~metrics ~world program ~args in
-      let s = Perf_taint.Export.to_string (Perf_taint.Export.stats_json a) in
+      let s = Obs_json.to_string (Perf_taint.Export.stats_json a) in
       Alcotest.(check bool) (name ^ " stats well formed") true
         (json_well_formed s);
       List.iter

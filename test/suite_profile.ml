@@ -13,7 +13,7 @@ module Spec = Measure.Spec
 module Instr = Measure.Instrument
 module Camp = Measure.Campaign
 module BR = Measure.Bench_report
-module J = Measure.Jsonio
+module J = Obs_json
 
 (* -- shared fixtures -------------------------------------------------------- *)
 
@@ -196,7 +196,7 @@ let event_lines f =
 (* Drop the parallel-only wave events and the sequence numbers they
    consume: what remains must match the serial stream line for line. *)
 let is_wave line =
-  let needle = "\"event\": \"campaign.wave\"" in
+  let needle = "\"event\":\"campaign.wave\"" in
   let nh = String.length line and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.sub line i nn = needle || at (i + 1)) in
   at 0
@@ -236,7 +236,7 @@ let with_temp_journal f =
     (fun () -> f path)
 
 let has_event name lines =
-  let needle = Printf.sprintf "\"event\": \"%s\"" name in
+  let needle = Printf.sprintf "\"event\":\"%s\"" name in
   List.exists
     (fun l ->
       let nh = String.length l and nn = String.length needle in

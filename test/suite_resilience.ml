@@ -549,11 +549,11 @@ let test_campaign_counter_doc_in_sync () =
     Camp.counters
 
 (* -- journal JSON round-trip --------------------------------------------------
-   The checkpoint journal (and now the serving catalog and the daemon's
-   wire protocol) all ride [Measure.Jsonio]; its string escaping must
-   round-trip every byte — control characters, quotes, backslashes and
-   non-ASCII bytes included — or a resumed campaign would diverge on the
-   first awkward app name. *)
+   The checkpoint journal, the serving catalog and the daemon's wire
+   protocol all ride [Obs_json]; its string escaping must round-trip
+   every byte — control characters, quotes, backslashes and non-ASCII
+   bytes included — or a resumed campaign would diverge on the first
+   awkward app name. *)
 
 let any_string = QCheck.string_gen QCheck.Gen.char
 
@@ -561,28 +561,60 @@ let prop_jsonio_string_roundtrip =
   QCheck.Test.make ~count:1000
     ~name:"Jsonio string escaping round-trips arbitrary bytes" any_string
     (fun s ->
-      match Measure.Jsonio.(parse (to_string (Str s))) with
-      | Ok (Measure.Jsonio.Str s') -> String.equal s s'
+      match Obs_json.(parse (to_string (Str s))) with
+      | Ok (Obs_json.Str s') -> String.equal s s'
       | _ -> false)
+
+(* Values are strings or floats of every kind: random bit patterns, NaN,
+   the infinities, and integral values around the 1e15 switch from
+   "%.1f" to "%.17g". *)
+let any_value =
+  let print = function
+    | Obs_json.Float f -> Printf.sprintf "Float %h" f
+    | v -> Obs_json.to_string v
+  in
+  QCheck.make ~print
+    QCheck.Gen.(
+      oneof
+        [ map (fun s -> Obs_json.Str s) (string_of char);
+          map
+            (fun f -> Obs_json.Float f)
+            (oneof
+               [ float; map Int64.float_of_bits ui64;
+                 oneofl
+                   [ Float.nan; Float.infinity; Float.neg_infinity; -0.;
+                     1e15 -. 1.; 1e15; 3e16; 1e17 ] ]) ])
+
+(* A non-finite float reads back as [Null], a finite one bit for bit
+   through [to_float] (an integral float from 1e15 up to 1e17 prints
+   without a fraction and parses as [Int]). *)
+let same_value v v' =
+  match v with
+  | Obs_json.Float f when not (Float.is_finite f) -> v' = Obs_json.Null
+  | Obs_json.Float f -> (
+    match Obs_json.to_float v' with
+    | Some g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+    | None -> false)
+  | v -> v = v'
 
 let prop_jsonio_obj_roundtrip =
   QCheck.Test.make ~count:500
     ~name:"Jsonio object with arbitrary keys/values round-trips"
-    QCheck.(small_list (pair any_string any_string))
+    QCheck.(small_list (pair any_string any_value))
     (fun fields ->
-      let v =
-        Measure.Jsonio.Obj
-          (List.map (fun (k, x) -> (k, Measure.Jsonio.Str x)) fields)
-      in
-      match Measure.Jsonio.parse (Measure.Jsonio.to_string v) with
-      | Ok v' -> v = v'
-      | Error _ -> false)
+      match Obs_json.(parse (to_string (Obj fields))) with
+      | Ok (Obs_json.Obj fields') ->
+        List.length fields = List.length fields'
+        && List.for_all2
+             (fun (k, v) (k', v') -> String.equal k k' && same_value v v')
+             fields fields'
+      | _ -> false)
 
 let test_jsonio_adversarial_strings () =
   List.iter
     (fun s ->
-      match Measure.Jsonio.(parse (to_string (Str s))) with
-      | Ok (Measure.Jsonio.Str s') ->
+      match Obs_json.(parse (to_string (Str s))) with
+      | Ok (Obs_json.Str s') ->
         Alcotest.(check string) (Printf.sprintf "round-trip %S" s) s s'
       | Ok _ -> Alcotest.fail (Printf.sprintf "%S came back as a non-string" s)
       | Error e -> Alcotest.fail (Printf.sprintf "%S: %s" s e))

@@ -434,6 +434,82 @@ let test_connect_gives_up () =
   | Ok _ -> Alcotest.fail "connected to nothing"
   | Error e -> Alcotest.(check bool) "error mentions connect" true (e <> "")
 
+(* -- non-finite predictions and over-long request lines ---------------------- *)
+
+let parse_response resp =
+  match Obs_json.parse resp with
+  | Ok j -> j
+  | Error e -> Alcotest.fail (Printf.sprintf "response %S: %s" resp e)
+
+(* A model that is not finite at the asked coordinates gets one error
+   line naming them, never a number JSON cannot carry. *)
+let test_predict_non_finite () =
+  with_tmp_dir @@ fun dir ->
+  match Cat.open_ ~dir () with
+  | Error e -> Alcotest.fail e
+  | Ok cat ->
+    Fun.protect ~finally:(fun () -> Cat.close cat) @@ fun () ->
+    let server = Server.create ~catalog:cat () in
+    let fit, _ = Server.handle_line server (req "fit") in
+    let key =
+      match Obs_json.member "key" (parse_response fit) with
+      | Some (Obs_json.Str k) -> k
+      | _ -> Alcotest.fail fit
+    in
+    (* 0.1 + p^(2/3)·log2(p)/3: NaN at p = 0 and at p < 0 *)
+    Cat.insert cat (entry ~key ());
+    List.iter
+      (fun (coords, named) ->
+        let resp, _ =
+          Server.handle_line server
+            (req ~extra:(Printf.sprintf {|,"coords":%s|} coords) "predict")
+        in
+        let j = parse_response resp in
+        Alcotest.(check bool) (resp ^ " is an error") true
+          (Obs_json.member "ok" j = Some (Obs_json.Bool false));
+        Alcotest.(check bool) (resp ^ " names the coordinates") true
+          (contains resp named))
+      [ ({|{"p":0,"size":16}|}, "p=0,size=16");
+        ({|{"p":-4,"size":16}|}, "p=-4,size=16") ]
+
+(* A request line past the limit is answered with one error naming the
+   limit; the rest of that line is dropped and the next request on the
+   same connection is answered. *)
+let test_request_line_limit () =
+  with_server @@ fun dir server ->
+  let ep = Server.Unix_socket (Filename.concat dir "serve.sock") in
+  match Server.bind_endpoint ep with
+  | Error e -> Alcotest.fail e
+  | Ok fd ->
+    let loop =
+      Domain.spawn (fun () -> Server.serve_loop ~max_requests:2 server fd)
+    in
+    let responses =
+      Fun.protect
+        ~finally:(fun () ->
+          Domain.join loop;
+          Server.close_endpoint ep fd)
+        (fun () ->
+          match Server.connect ep with
+          | Error e -> Alcotest.fail e
+          | Ok (ic, oc) ->
+            Unix.setsockopt_float (Unix.descr_of_in_channel ic)
+              Unix.SO_RCVTIMEO 60.;
+            output_string oc (String.make (Server.max_line_bytes + 1) 'x');
+            output_string oc "\n{\"op\":\"stats\"}\n";
+            flush oc;
+            let first = input_line ic in
+            let second = input_line ic in
+            close_in ic;
+            (first, second))
+    in
+    let over, stats = responses in
+    Alcotest.(check bool) (over ^ " names the limit") true
+      (Obs_json.member "ok" (parse_response over) = Some (Obs_json.Bool false)
+      && contains over (string_of_int Server.max_line_bytes));
+    Alcotest.(check bool) (stats ^ " answers stats") true
+      (contains stats {|"op":"stats"|})
+
 (* -- documentation drift ------------------------------------------------------ *)
 
 let doc_lists path what vocabulary () =
@@ -487,4 +563,8 @@ let tests =
       (doc_lists "doc/OBSERVABILITY.md" "event" Server.event_names);
     Alcotest.test_case "protocol op table in sync with doc" `Quick
       (doc_lists "doc/SERVE.md" "op" Protocol.ops);
+    Alcotest.test_case "non-finite prediction is an error" `Quick
+      test_predict_non_finite;
+    Alcotest.test_case "over-long request line: error, then next" `Quick
+      test_request_line_limit;
   ]
