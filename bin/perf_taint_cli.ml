@@ -322,6 +322,16 @@ let coverage_cmd =
     Term.(
       ret (const run $ target () $ blocks_arg $ trace_arg $ max_steps_arg))
 
+(* A --func naming neither a function the program defines nor one of
+   the routines it [calls] is one error line naming it. *)
+let check_func (t : Apps.Registry.t) ~calls what =
+  Option.iter (fun f ->
+      if
+        not
+          (List.exists (fun (g : Ir.Types.func) -> g.fname = f) t.program.funcs
+          || Ir.Cfg.SSet.mem f calls)
+      then failwith (Printf.sprintf "--func %s: %s %s" f t.name what))
+
 let volume_cmd =
   let func_arg =
     let doc = "Function whose iteration volume to print (default: all)." in
@@ -329,6 +339,7 @@ let volume_cmd =
   in
   let run (t : Apps.Registry.t) func trace max_steps =
     error_guard @@ fun () ->
+    check_func t ~calls:Ir.Cfg.SSet.empty "defines no such function" func;
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     (match func with
     | Some f ->
@@ -373,6 +384,8 @@ let model_cmd =
     let m = measured t in
     let fit_params = m.spec.Measure.Spec.model_params in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
+    check_func t ~calls:(Perf_taint.Pipeline.mpi_routines_used a)
+      "neither defines nor calls it" func;
     let selective =
       Perf_taint.Pipeline.selection a ~model_params:t.model_params
     in
@@ -766,6 +779,8 @@ let campaign_cmd =
         Measure.Campaign.rt_max_attempts = retries;
         rt_backoff_s = backoff }
     in
+    (* before any journal is written or shard worker spawned *)
+    Measure.Campaign.check_design ~retry design;
     Par.Pool.with_pool ~jobs @@ fun pool ->
     with_events events @@ fun events ->
     match worker with
@@ -939,6 +954,11 @@ let fuzz_cmd =
   in
   let run seed budget corpus files events max_steps jobs =
     error_guard @@ fun () ->
+    let config =
+      Option.map
+        (fun n -> { Fuzz.Oracle.interp_config with max_steps = n })
+        max_steps
+    in
     match files with
     | _ :: _ ->
       let failed = ref 0 in
@@ -952,14 +972,14 @@ let fuzz_cmd =
               | Fuzz.Oracle.Fail msg ->
                 incr failed;
                 Fmt.pr "  %-18s FAIL: %s@." name msg)
-            (Fuzz.Driver.replay_file ?max_steps file))
+            (Fuzz.Driver.replay_file ?config file))
         files;
       if !failed > 0 then exit 1
     | [] ->
       Par.Pool.with_pool ~jobs @@ fun pool ->
       with_events events @@ fun events ->
       let report =
-        Fuzz.Driver.run_campaign ~pool ?max_steps ~events ~seed ~budget ()
+        Fuzz.Driver.run_campaign ~pool ?config ~events ~seed ~budget ()
       in
       Fmt.pr "fuzz campaign: seed %d, budget %d@." seed budget;
       List.iter
@@ -983,12 +1003,17 @@ let fuzz_cmd =
       end
   in
   let doc =
-    "Fuzz the pipeline with random PIR programs checked against \
-     differential oracles (taint soundness under parameter perturbation, \
-     printer/parser round trip, validator/interpreter agreement, static \
-     vs dynamic trip counts, observability invariance, Taint-vs-Plain \
-     policy agreement, coverage accounting).  Counterexamples are \
-     minimized and saved to the corpus; pass corpus files to replay them."
+    "Fuzz the pipeline with random PIR programs checked against 13 \
+     differential and metamorphic oracles: taint soundness under \
+     parameter perturbation, printer/parser round trip, \
+     validator/interpreter agreement, static vs dynamic trip counts, \
+     observability invariance, Taint-vs-Plain policy agreement, \
+     compiled-tier vs interpreter identity, coverage accounting, \
+     fault-free campaign identity, campaign recovery from transient \
+     faults, parallel-vs-serial campaign and search identity, \
+     sharded-vs-single campaign identity, and served-model identity.  \
+     Counterexamples are minimized and saved to the corpus; pass corpus \
+     files to replay them."
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(

@@ -23,18 +23,18 @@ let count_lines s =
   String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
   + if s <> "" && s.[String.length s - 1] <> '\n' then 1 else 0
 
-let make_cx oracle ~index p0 =
+let make_cx ?config oracle ~index p0 =
   (* Shrink against this oracle only; the minimized program must still
      fail it (minimize only moves between failing programs). *)
   let failing q =
-    match Oracle.check oracle (Gen.to_program q) with
+    match Oracle.check ?config oracle (Gen.to_program q) with
     | Oracle.Fail _ -> true
     | Oracle.Pass -> false
   in
   let small = Shrink.minimize failing p0 in
   let prog = Gen.to_program small in
   let message =
-    match Oracle.check oracle prog with
+    match Oracle.check ?config oracle prog with
     | Oracle.Fail m -> m
     | Oracle.Pass -> "unshrunk failure (minimized form passes?)"
   in
@@ -48,14 +48,6 @@ let make_cx oracle ~index p0 =
     cx_lines = count_lines text;
   }
 
-(* [max_steps] rebuilds the default oracle set under an explicit budget;
-   an explicit [oracles] list wins when both are given. *)
-let oracle_set oracles max_steps =
-  match (oracles, max_steps) with
-  | Some os, _ -> os
-  | None, Some n -> Oracle.all_with ~max_steps:n
-  | None, None -> Oracle.all
-
 let oneline s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
@@ -67,9 +59,8 @@ let event_names =
     ("fuzz.counterexample", "a minimized counterexample for one oracle");
   ]
 
-let run_campaign ?(pool = Par.Pool.serial) ?oracles ?max_steps
+let run_campaign ?(pool = Par.Pool.serial) ?(oracles = Oracle.all) ?config
     ?(events = Obs_events.disabled) ~seed ~budget () =
-  let oracles = oracle_set oracles max_steps in
   let st = Random.State.make [| seed |] in
   let slots = List.map (fun o -> (o, ref 0, ref None)) oracles in
   (* Waves of [Par.Pool.wave pool] cases.  Generation is one serial pass
@@ -94,7 +85,9 @@ let run_campaign ?(pool = Par.Pool.serial) ?oracles ?max_steps
       Par.Pool.map pool ~chunk:1
         (fun (index, p) ->
           let prog = Gen.to_program p in
-          (index, p, List.map (fun (o, _, _) -> Oracle.check o prog) live))
+          ( index,
+            p,
+            List.map (fun (o, _, _) -> Oracle.check ?config o prog) live ))
         cases
       |> List.iter (fun (index, p, verdicts) ->
              List.iter2
@@ -103,7 +96,7 @@ let run_campaign ?(pool = Par.Pool.serial) ?oracles ?max_steps
                    incr runs;
                    match verdict with
                    | Oracle.Pass -> ()
-                   | Oracle.Fail _ -> cx := Some (make_cx o ~index p)
+                   | Oracle.Fail _ -> cx := Some (make_cx ?config o ~index p)
                  end)
                live verdicts);
       waves (index + List.length cases)
@@ -165,7 +158,6 @@ let save ~dir ~seed cx =
   close_out oc;
   path
 
-let replay_file ?oracles ?max_steps path =
-  let oracles = oracle_set oracles max_steps in
+let replay_file ?(oracles = Oracle.all) ?config path =
   let prog = Ir.Parser.parse_file path in
-  List.map (fun o -> (o.Oracle.name, Oracle.check o prog)) oracles
+  List.map (fun o -> (o.Oracle.name, Oracle.check ?config o prog)) oracles

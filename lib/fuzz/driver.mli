@@ -22,15 +22,15 @@ val event_names : (string * string) list
     sync with doc/OBSERVABILITY.md by a drift test. *)
 
 val run_campaign :
-  ?pool:Par.Pool.t -> ?oracles:Oracle.t list -> ?max_steps:int ->
-  ?events:Obs_events.sink -> seed:int -> budget:int -> unit -> report
+  ?pool:Par.Pool.t -> ?oracles:Oracle.t list ->
+  ?config:Interp.Machine.config -> ?events:Obs_events.sink -> seed:int ->
+  budget:int -> unit -> report
 (** Generate [budget] programs from [seed] and check each against every
-    oracle.  An oracle stops checking after its first failure, which is
-    shrunk with {!Shrink.minimize} before being reported.  Generation
-    consumes the PRNG identically regardless of oracle outcomes, so a
-    campaign is reproducible from its seed alone.  [max_steps] runs the
-    default oracle set under an explicit interpreter budget
-    ({!Oracle.all_with}); an explicit [oracles] list takes precedence.
+    oracle of [oracles] (default {!Oracle.all}) under [config] (as in
+    {!Oracle.check}).  An oracle stops checking after its first failure,
+    which is shrunk with {!Shrink.minimize} before being reported.
+    Generation consumes the PRNG identically regardless of oracle
+    outcomes, so a campaign is reproducible from its seed alone.
 
     [pool] (default {!Par.Pool.serial}) checks cases in waves of
     {!Par.Pool.wave}: generation remains one serial PRNG pass (identical
@@ -50,7 +50,7 @@ val save : dir:string -> seed:int -> counterexample -> string
     path. *)
 
 val replay_file :
-  ?oracles:Oracle.t list -> ?max_steps:int -> string ->
+  ?oracles:Oracle.t list -> ?config:Interp.Machine.config -> string ->
   (string * Oracle.verdict) list
-(** Parse a corpus [.pir] file and run each oracle on it.  [max_steps]
-    as in {!run_campaign}. *)
+(** Parse a corpus [.pir] file and run each oracle on it.  [oracles] and
+    [config] as in {!run_campaign}. *)

@@ -6,8 +6,6 @@
     an unexpected exception is itself a finding, not a campaign abort. *)
 
 module M = Interp.Machine
-module P = Interp.Plain
-module C = Interp.Coverage
 module O = Interp.Observations
 module L = Taint.Label
 module T = Static_an.Tripcount
@@ -15,7 +13,7 @@ open Ir.Types
 
 type verdict = Pass | Fail of string
 
-type t = { name : string; check : Ir.Types.program -> verdict }
+type t = { name : string; check : M.config -> Ir.Types.program -> verdict }
 
 (* A deliberately small budget: generated loop nests can be exponential in
    depth, and a campaign must never hang.  Budget exhaustion is a skip
@@ -26,24 +24,7 @@ let interp_config = { M.default_config with max_steps = 500_000 }
 let base_value = VInt 3
 let perturbed_value = VInt 7
 
-(* Every engine an oracle runs lives in the simulated MPI world, as under
-   the pipeline, so programs calling MPI routines (the bundled apps,
-   [examples/heat.pir]) execute instead of trapping on an unknown
-   primitive.  Generated programs call only [taint:] primitives. *)
-let create (type a) (module E : Interp.Engine.S with type t = a) ?metrics
-    ?trace ?profile ~config p =
-  let m = E.create ~config ?metrics ?trace ?profile p in
-  Mpi_sim.Runtime.install_host (module E) Mpi_sim.Runtime.default_world m;
-  m
-
-type exec_result = Finished of M.t * value | Budget | Crash of string
-
-let exec ?(config = interp_config) ?metrics ?trace prog args =
-  let m = create (module M) ?metrics ?trace ~config prog in
-  match M.run m args with
-  | v, _ -> Finished (m, v)
-  | exception M.Budget_exceeded _ -> Budget
-  | exception M.Runtime_error msg -> Crash msg
+let verdict = function Some msg -> Fail msg | None -> Pass
 
 let entry_func p = List.find_opt (fun f -> f.fname = p.entry) p.funcs
 
@@ -51,6 +32,154 @@ let entry_params p =
   match entry_func p with Some f -> f.fparams | None -> []
 
 let base_args p = List.map (fun _ -> base_value) (entry_params p)
+
+(* -- the run record -------------------------------------------------------- *)
+
+(* Everything one engine run shows, with every label spelled as its
+   sorted source names, so runs on different engines compare with
+   [compare]: the engine oracles read or compare nothing else. *)
+type outcome = Value of value * string list | Trap of string | Budget of int
+
+type loop = {
+  l_key : string * string;  (* (callpath key, header): the observation key *)
+  l_func : string;
+  l_depth : int;
+  l_parent : string option;
+  l_iters : int;
+  l_entries : int;
+  l_labels : string list;
+  l_enclosing : (string * string) list;  (* sorted keys *)
+}
+
+type branch = {
+  b_key : string * string;  (* (callpath key, block) *)
+  b_func : string;
+  b_taken : int;
+  b_not_taken : int;
+  b_labels : string list;
+}
+
+type event = {
+  e_func : string;
+  e_path : string;
+  e_prim : string;
+  e_args : (value * string list) list;
+}
+
+type run = {
+  outcome : outcome;
+  loops : loop list;  (* sorted by key, as are branches and funcs *)
+  branches : branch list;
+  funcs : O.func_obs list;
+  events : event list;  (* in execution order *)
+  steps : int;
+  metrics : Obs_metrics.snapshot option;
+  profile : Obs_profile.snapshot option;
+  sources : string list;  (* registration order, which fixes label bits *)
+  blocks : ((string * string) * int) list;  (* Coverage policy hit tables *)
+  edges : ((string * string * string) * int) list;
+}
+
+(* Run [p] on engine [E] in the simulated MPI world, as under the
+   pipeline, so programs calling MPI routines (the bundled apps,
+   [examples/heat.pir]) execute instead of trapping on an unknown
+   primitive; generated programs call only [taint:] primitives.  [hits]
+   reads a Coverage policy's block and edge tables. *)
+let run (type a s) ?metrics ?trace ?profile ?(hits = fun _ -> ([], []))
+    (module E : Interp.Engine.S with type t = a and type pstate = s) config p
+    args =
+  let m = E.create ~config ?metrics ?trace ?profile p in
+  Mpi_sim.Runtime.install_host (module E) Mpi_sim.Runtime.default_world m;
+  let names = L.names (E.label_table m) in
+  let outcome =
+    match E.run m args with
+    | v, l -> Value (v, names l)
+    | exception M.Budget_exceeded n -> Budget n
+    | exception M.Runtime_error msg -> Trap msg
+    | exception Ir_error msg -> Trap ("invalid IR: " ^ msg)
+  in
+  let obs = E.observations m and key = O.callpath_key in
+  let blocks, edges = hits (E.policy_state m) in
+  {
+    outcome;
+    loops =
+      List.sort compare
+        (List.map
+           (fun (lo : O.loop_obs) ->
+             {
+               l_key = (key lo.lo_callpath, lo.lo_header);
+               l_func = lo.lo_func;
+               l_depth = lo.lo_depth;
+               l_parent = lo.lo_parent;
+               l_iters = lo.lo_iters;
+               l_entries = lo.lo_entries;
+               l_labels = names lo.lo_dep;
+               l_enclosing = List.sort compare lo.lo_enclosing;
+             })
+           (O.loop_list obs));
+    branches =
+      List.sort compare
+        (List.map
+           (fun (bo : O.branch_obs) ->
+             {
+               b_key = (key bo.br_callpath, bo.br_block);
+               b_func = bo.br_func;
+               b_taken = bo.br_taken;
+               b_not_taken = bo.br_not_taken;
+               b_labels = names bo.br_dep;
+             })
+           (O.branch_list obs));
+    funcs = List.sort compare (O.func_list obs);
+    events =
+      List.map
+        (fun (ev : O.event) ->
+          {
+            e_func = ev.ev_func;
+            e_path = key ev.ev_callpath;
+            e_prim = ev.ev_prim;
+            e_args = List.map (fun (v, l) -> (v, names l)) ev.ev_args;
+          })
+        (O.event_list obs);
+    steps = E.steps_executed m;
+    metrics = Option.map Obs_metrics.snapshot metrics;
+    profile = Option.map Obs_profile.snapshot profile;
+    sources = L.sources (E.label_table m);
+    blocks;
+    edges;
+  }
+
+let hit_tables s = Interp.Coverage_policy.(block_hits s, edge_hits s)
+
+let finished r =
+  match r.outcome with Value _ -> true | Trap _ | Budget _ -> false
+
+let outcome_text = function
+  | Value (v, labels) ->
+    Fmt.str "value %a {%s}" Ir.Pp.pp_value v (String.concat "," labels)
+  | Trap msg -> msg
+  | Budget n -> Printf.sprintf "budget after %d" n
+
+(* The first component on which two runs differ, if any. *)
+let diff a b =
+  let ne x y = compare x y <> 0 in
+  List.assoc_opt true
+    [
+      ( ne a.outcome b.outcome,
+        Printf.sprintf "outcome (%s vs %s)" (outcome_text a.outcome)
+          (outcome_text b.outcome) );
+      ( ne a.steps b.steps,
+        Printf.sprintf "step count (%d vs %d)" a.steps b.steps );
+      (ne a.loops b.loops, "loop observations");
+      (ne a.branches b.branches, "branch observations");
+      (ne a.funcs b.funcs, "function statistics");
+      (ne a.events b.events, "primitive events");
+      (ne a.metrics b.metrics, "metric counters");
+      (ne a.profile b.profile, "profiler samples");
+      (ne a.sources b.sources, "taint-source registry");
+      (ne (a.blocks, a.edges) (b.blocks, b.edges), "coverage hit tables");
+    ]
+
+let find_loop r key = List.find_opt (fun l -> l.l_key = key) r.loops
 
 (* -- taint soundness ------------------------------------------------------ *)
 
@@ -70,33 +199,19 @@ let marked_params p =
           blk.instrs)
       f.blocks
 
-(* Does the loop observation (or, transitively, a dynamically enclosing
-   loop) carry the base label of [pname]? *)
-let loop_carries m pname key0 =
-  let obs = M.observations m and tbl = M.label_table m in
+(* Does the loop row (or, transitively, a dynamically enclosing loop)
+   carry the base label of [pname]? *)
+let loop_carries r pname key0 =
   let rec go seen key =
-    match Hashtbl.find_opt obs.O.loops key with
+    match find_loop r key with
     | None -> false
-    | Some lo ->
-      L.has tbl lo.O.lo_dep pname
+    | Some l ->
+      List.mem pname l.l_labels
       || List.exists
            (fun k -> (not (List.mem k seen)) && go (key :: seen) k)
-           lo.O.lo_enclosing
+           l.l_enclosing
   in
   go [] key0
-
-let loop_keys m =
-  Hashtbl.fold (fun k _ acc -> k :: acc) (M.observations m).O.loops []
-
-let loop_counts m key =
-  match Hashtbl.find_opt (M.observations m).O.loops key with
-  | None -> (0, 0)
-  | Some lo -> (lo.O.lo_iters, lo.O.lo_entries)
-
-let loop_func m key =
-  match Hashtbl.find_opt (M.observations m).O.loops key with
-  | None -> None
-  | Some lo -> Some lo.O.lo_func
 
 (* The soundness rule mirrors what the analysis actually guarantees.
    Control taint is scoped to a function (it does not flow into callees),
@@ -106,70 +221,63 @@ let loop_func m key =
    argument.  For entry-function loops every count difference (iterations
    or entries) must be reflected in the loop's labels or those of a
    dynamically enclosing loop. *)
-let soundness_violation m1 m2 ~entry ~pname =
-  let keys = List.sort_uniq compare (loop_keys m1 @ loop_keys m2) in
+let soundness_violation r1 r2 ~entry ~pname =
+  let keys = List.map (fun l -> l.l_key) (r1.loops @ r2.loops) in
   List.find_map
     (fun key ->
-      let i1, e1 = loop_counts m1 key and i2, e2 = loop_counts m2 key in
-      if (i1, e1) = (i2, e2) then None
+      let l1 = find_loop r1 key and l2 = find_loop r2 key in
+      let counts = function
+        | None -> (0, 0)
+        | Some l -> (l.l_iters, l.l_entries)
+      in
+      let (i1, e1), (i2, e2) = (counts l1, counts l2) in
+      (* [key] is a row of [r1] or of [r2] *)
+      let func = (match l1 with Some l -> l | None -> Option.get l2).l_func in
+      if
+        (i1, e1) = (i2, e2)
+        (* a helper loop only when both runs called it equally often *)
+        || (func <> entry && e1 <> e2)
+        || loop_carries r1 pname key
+        || loop_carries r2 pname key
+      then None
       else
-        let func =
-          match loop_func m1 key with
-          | Some f -> Some f
-          | None -> loop_func m2 key
-        in
-        let checkable =
-          match func with
-          | Some f when f = entry -> true
-          | Some _ -> e1 = e2 (* helper loop: only when call counts agree *)
-          | None -> false
-        in
-        if not checkable then None
-        else if loop_carries m1 pname key || loop_carries m2 pname key then
-          None
-        else
-          let cp, header = key in
-          Some
-            (Printf.sprintf
-               "loop %s at %s: iters %d vs %d (entries %d vs %d) when \
-                perturbing %s, but its labels never mention %s"
-               header cp i1 i2 e1 e2 pname pname))
-    keys
+        let cp, header = key in
+        Some
+          (Printf.sprintf
+             "loop %s at %s: iters %d vs %d (entries %d vs %d) when \
+              perturbing %s, but its labels never mention %s"
+             header cp i1 i2 e1 e2 pname pname))
+    (List.sort_uniq compare keys)
 
-let taint_soundness_with config =
-  let check p =
-    let marked = marked_params p in
-    if marked = [] then Pass
-    else
-      let formals = entry_params p in
-      match exec ~config p (base_args p) with
-      | Budget | Crash _ -> Pass
-      | Finished (m1, _) ->
-        let rec try_params = function
-          | [] -> Pass
-          | (formal, pname) :: rest -> (
-            let args =
-              List.map
-                (fun f -> if f = formal then perturbed_value else base_value)
-                formals
-            in
-            match exec ~config p args with
-            | Budget | Crash _ -> try_params rest
-            | Finished (m2, _) -> (
-              match soundness_violation m1 m2 ~entry:p.entry ~pname with
-              | Some msg -> Fail msg
-              | None -> try_params rest))
-        in
-        try_params marked
+let taint_soundness =
+  let check config p =
+    let run_perturbing formal =
+      run (module M) config p
+        (List.map
+           (fun f -> if Some f = formal then perturbed_value else base_value)
+           (entry_params p))
+    in
+    match marked_params p with
+    | [] -> Pass
+    | marked ->
+      let r1 = run_perturbing None in
+      if not (finished r1) then Pass
+      else
+        verdict
+          (List.find_map
+             (fun (formal, pname) ->
+               let r2 = run_perturbing (Some formal) in
+               if finished r2 then
+                 soundness_violation r1 r2 ~entry:p.entry ~pname
+               else None)
+             marked)
   in
   { name = "taint-soundness"; check }
-
-let taint_soundness = taint_soundness_with interp_config
 
 (* -- printer/parser round trip ------------------------------------------- *)
 
 let printer_roundtrip =
-  let check p =
+  let check _ p =
     let text = Ir.Pp.program_to_string p in
     match Ir.Parser.parse text with
     | exception Ir.Parser.Parse_error { line; message } ->
@@ -186,198 +294,93 @@ let printer_roundtrip =
 
 (* -- validator / interpreter agreement ------------------------------------ *)
 
-let validator_interp_with config =
-  let check p =
+let validator_interp =
+  let check config p =
     match Ir.Validate.errors (Ir.Validate.check_program p) with
-    | _ :: _ as errs ->
-      let e = List.hd errs in
+    | e :: _ ->
       Fail
         (Printf.sprintf "validator rejects a generated program: %s: %s"
            e.Ir.Validate.where e.Ir.Validate.message)
     | [] -> (
-      match exec ~config p (base_args p) with
-      | Finished _ | Budget -> Pass
-      | Crash msg ->
-        Fail (Printf.sprintf "validated program crashed the interpreter: %s" msg))
+      match (run (module M) config p (base_args p)).outcome with
+      | Value _ | Budget _ -> Pass
+      | Trap msg ->
+        Fail ("validated program crashed the interpreter: " ^ msg))
   in
   { name = "validator-interp"; check }
 
-let validator_interp = validator_interp_with interp_config
-
 (* -- static trip counts vs dynamic iteration counts ----------------------- *)
 
-let tripcount_with config =
-  let check p =
+let tripcount =
+  let check config p =
     let static = T.analyze_program p in
-    match exec ~config p (base_args p) with
-    | Budget | Crash _ -> Pass
-    | Finished (m, _) ->
-      let obs = M.observations m in
-      let bad =
-        Hashtbl.fold
-          (fun _ (lo : O.loop_obs) acc ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-              let summary =
-                List.find_opt
-                  (fun (s : T.loop_summary) ->
-                    s.T.ls_func = lo.O.lo_func
-                    && s.T.ls_header = lo.O.lo_header)
-                  static
-              in
-              match summary with
-              | Some { T.ls_trip = T.Constant n; _ }
-                when lo.O.lo_iters <> n * lo.O.lo_entries ->
-                Some
-                  (Printf.sprintf
-                     "static trip count of %s.%s is %d but dynamics saw %d \
-                      iters over %d entries"
-                     lo.O.lo_func lo.O.lo_header n lo.O.lo_iters
-                     lo.O.lo_entries)
-              | _ -> None))
-          obs.O.loops None
-      in
-      (match bad with Some msg -> Fail msg | None -> Pass)
+    let r = run (module M) config p (base_args p) in
+    if not (finished r) then Pass
+    else
+      verdict
+        (List.find_map
+           (fun l ->
+             let header = snd l.l_key in
+             match
+               List.find_opt
+                 (fun (s : T.loop_summary) ->
+                   s.ls_func = l.l_func && s.ls_header = header)
+                 static
+             with
+             | Some { T.ls_trip = T.Constant n; _ }
+               when l.l_iters <> n * l.l_entries ->
+               Some
+                 (Printf.sprintf
+                    "static trip count of %s.%s is %d but dynamics saw %d \
+                     iters over %d entries"
+                    l.l_func header n l.l_iters l.l_entries)
+             | _ -> None)
+           r.loops)
   in
   { name = "tripcount"; check }
 
-let tripcount = tripcount_with interp_config
-
 (* -- metamorphic: observability must not change observations --------------- *)
 
-type snapshot = {
-  sn_value : value;
-  sn_loops : (string * string * int * int * string list) list;
-  sn_funcs : (string * int * int * int) list;
-  sn_events : int;
-  sn_steps : int;
-}
-
-let snapshot m v =
-  let obs = M.observations m and tbl = M.label_table m in
-  {
-    sn_value = v;
-    sn_loops =
-      O.loop_list obs
-      |> List.map (fun (lo : O.loop_obs) ->
-             ( O.callpath_key lo.O.lo_callpath,
-               lo.O.lo_header,
-               lo.O.lo_iters,
-               lo.O.lo_entries,
-               L.names tbl lo.O.lo_dep ))
-      |> List.sort compare;
-    sn_funcs =
-      O.func_list obs
-      |> List.map (fun (fo : O.func_obs) ->
-             (fo.O.fo_func, fo.O.fo_calls, fo.O.fo_instrs, fo.O.fo_work))
-      |> List.sort compare;
-    sn_events = List.length (O.event_list obs);
-    sn_steps = M.steps_executed m;
-  }
-
-let obs_invariance_with config =
-  let check p =
+let obs_invariance =
+  let check config p =
     let args = base_args p in
-    let plain = exec ~config p args in
-    let instrumented =
-      exec ~config
-        ~metrics:(Obs_metrics.create ())
-        ~trace:(Obs_trace.create ())
-        p args
+    let plain = run (module M) config p args in
+    let traced =
+      run ~metrics:(Obs_metrics.create ()) ~trace:(Obs_trace.create ())
+        (module M) config p args
     in
-    match (plain, instrumented) with
-    | Budget, Budget -> Pass
-    | Crash a, Crash b when String.equal a b -> Pass
-    | Finished (m1, v1), Finished (m2, v2) ->
-      if compare (snapshot m1 v1) (snapshot m2 v2) = 0 then Pass
-      else Fail "enabling metrics+trace instrumentation changed observations"
-    | _ ->
-      Fail "enabling metrics+trace instrumentation changed the run outcome"
+    match diff plain { traced with metrics = None } with
+    | None -> Pass
+    | Some what ->
+      Fail ("enabling metrics+trace instrumentation changed the " ^ what)
   in
   { name = "obs-invariance"; check }
 
-let obs_invariance = obs_invariance_with interp_config
-
 (* -- differential: Taint vs Plain policies --------------------------------- *)
 
-(* Label-free view of one run: result value, loop and branch dynamics per
-   callpath, per-function statistics, event and step counts — everything
-   the two policies must agree on ("identical modulo labels"). *)
-type clean_snapshot = {
-  cl_value : value;
-  cl_loops : (string * string * int * int) list;
-  cl_branches : (string * string * int * int) list;
-  cl_funcs : (string * int * int * int) list;
-  cl_events : int;
-  cl_steps : int;
-}
-
-let clean_of (obs : O.t) steps v =
+(* The run with every label and the source registry erased: the two
+   policies must agree on everything else ("identical modulo labels"). *)
+let unlabelled r =
   {
-    cl_value = v;
-    cl_loops =
-      O.loop_list obs
-      |> List.map (fun (lo : O.loop_obs) ->
-             ( O.callpath_key lo.O.lo_callpath,
-               lo.O.lo_header,
-               lo.O.lo_iters,
-               lo.O.lo_entries ))
-      |> List.sort compare;
-    cl_branches =
-      O.branch_list obs
-      |> List.map (fun (bo : O.branch_obs) ->
-             ( O.callpath_key bo.O.br_callpath,
-               bo.O.br_block,
-               bo.O.br_taken,
-               bo.O.br_not_taken ))
-      |> List.sort compare;
-    cl_funcs =
-      O.func_list obs
-      |> List.map (fun (fo : O.func_obs) ->
-             (fo.O.fo_func, fo.O.fo_calls, fo.O.fo_instrs, fo.O.fo_work))
-      |> List.sort compare;
-    cl_events = List.length (O.event_list obs);
-    cl_steps = steps;
+    r with
+    outcome = (match r.outcome with Value (v, _) -> Value (v, []) | o -> o);
+    loops = List.map (fun l -> { l with l_labels = [] }) r.loops;
+    branches = List.map (fun b -> { b with b_labels = [] }) r.branches;
+    events =
+      List.map
+        (fun e -> { e with e_args = List.map (fun (v, _) -> (v, [])) e.e_args })
+        r.events;
+    sources = [];
   }
 
-let exec_clean (type a) (module E : Interp.Engine.S with type t = a) ~config p
-    args =
-  let m = create (module E) ~config p in
-  match E.run m args with
-  | v, _ -> `Finished (clean_of (E.observations m) (E.steps_executed m) v)
-  | exception M.Budget_exceeded _ -> `Budget
-  | exception M.Runtime_error msg -> `Crash msg
-
-let diff_component a b =
-  if a.cl_value <> b.cl_value then Some "result value"
-  else if a.cl_loops <> b.cl_loops then Some "loop observations"
-  else if a.cl_branches <> b.cl_branches then Some "branch observations"
-  else if a.cl_funcs <> b.cl_funcs then Some "function statistics"
-  else if a.cl_events <> b.cl_events then Some "event count"
-  else if a.cl_steps <> b.cl_steps then Some "step count"
-  else None
-
-let taint_vs_plain_with config =
-  let check p =
-    let args = base_args p in
-    let taint = exec_clean (module M) ~config p args in
-    match (taint, exec_clean (module P) ~config p args) with
-    | `Budget, `Budget -> Pass
-    | `Crash a, `Crash b when String.equal a b -> Pass
-    | `Finished a, `Finished b -> (
-      match diff_component a b with
-      | None -> Pass
-      | Some what ->
-        Fail
-          (Printf.sprintf
-             "Taint and Plain policies disagree on %s (steps %d vs %d)" what
-             a.cl_steps b.cl_steps))
-    | _ -> Fail "Taint and Plain policy runs diverged in outcome"
+let taint_vs_plain =
+  let check config p =
+    let erased e = unlabelled (run e config p (base_args p)) in
+    match diff (erased (module M)) (erased (module Interp.Plain)) with
+    | None -> Pass
+    | Some what -> Fail ("Taint and Plain policies disagree on the " ^ what)
   in
   { name = "taint-vs-plain"; check }
-
-let taint_vs_plain = taint_vs_plain_with interp_config
 
 (* -- coverage accounting vs observations ----------------------------------- *)
 
@@ -385,52 +388,69 @@ let taint_vs_plain = taint_vs_plain_with interp_config
    summed over callpaths, a branch block is arrived at exactly
    taken + not-taken times, and a loop header exactly
    iterations + entries times. *)
-let coverage_consistency_with config =
-  let check p =
-    let m = create (module C) ~config p in
-    match C.run m (base_args p) with
-    | exception M.Budget_exceeded _ -> Pass
-    | exception M.Runtime_error _ -> Pass
-    | _ ->
-      let cov = C.policy_state m in
-      let obs = C.observations m in
-      let sum tbl key n =
-        Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+let coverage_consistency =
+  let check config p =
+    let r =
+      run ~hits:hit_tables (module Interp.Coverage) config p (base_args p)
+    in
+    let expect =
+      List.map
+        (fun l -> (("loop", l.l_func, snd l.l_key), l.l_iters + l.l_entries))
+        r.loops
+      @ List.map
+          (fun b ->
+            (("branch", b.b_func, snd b.b_key), b.b_taken + b.b_not_taken))
+          r.branches
+    in
+    let mismatch ((kind, func, block) as k) =
+      let n =
+        List.fold_left (fun acc (k', n) -> if k' = k then acc + n else acc) 0
+          expect
+      and hits =
+        Option.value ~default:0 (List.assoc_opt (func, block) r.blocks)
       in
-      let expect = Hashtbl.create 32 in
-      Hashtbl.iter
-        (fun _ (lo : O.loop_obs) ->
-          sum expect
-            ("loop", lo.O.lo_func, lo.O.lo_header)
-            (lo.O.lo_iters + lo.O.lo_entries))
-        obs.O.loops;
-      Hashtbl.iter
-        (fun _ (bo : O.branch_obs) ->
-          sum expect
-            ("branch", bo.O.br_func, bo.O.br_block)
-            (bo.O.br_taken + bo.O.br_not_taken))
-        obs.O.branches;
-      let bad =
-        Hashtbl.fold
-          (fun (kind, func, block) n acc ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              let hits = Interp.Coverage_policy.hits_of cov ~func ~block in
-              if hits = n then None
-              else
-                Some
-                  (Printf.sprintf
-                     "%s block %s.%s: coverage counted %d arrivals but \
-                      observations imply %d"
-                     kind func block hits n))
-          expect None
-      in
-      (match bad with Some msg -> Fail msg | None -> Pass)
+      if hits = n then None
+      else
+        Some
+          (Printf.sprintf
+             "%s block %s.%s: coverage counted %d arrivals but observations \
+              imply %d"
+             kind func block hits n)
+    in
+    if not (finished r) then Pass
+    else
+      verdict
+        (List.find_map mismatch (List.sort_uniq compare (List.map fst expect)))
   in
   { name = "coverage-consistency"; check }
 
-let coverage_consistency = coverage_consistency_with interp_config
+(* -- differential: compiled tier vs the interpreter ------------------------- *)
+
+(* The compiled tier must reproduce the interpreter's whole run record
+   bit for bit under every bundled policy, with metrics and the profiler
+   attached. *)
+let compile_identity =
+  let check config p =
+    let tier ?hits e =
+      run ~metrics:(Obs_metrics.create ()) ~profile:(Obs_profile.create ())
+        ?hits e config p (base_args p)
+    in
+    let pair ?hits policy interp compiled () =
+      Option.map
+        (Printf.sprintf "compiled %s run differs from interpreter: %s" policy)
+        (diff (tier ?hits interp) (tier ?hits compiled))
+    in
+    verdict
+      (List.find_map
+         (fun f -> f ())
+         [
+           pair "Taint" (module M) (module Interp.Compiled.Taint);
+           pair "Plain" (module Interp.Plain) (module Interp.Compiled.Plain);
+           pair ~hits:hit_tables "Coverage" (module Interp.Coverage)
+             (module Interp.Compiled.Coverage);
+         ])
+  in
+  { name = "compile-identity"; check }
 
 (* -- campaign resilience --------------------------------------------------- *)
 
@@ -477,6 +497,20 @@ let campaign_fixture p =
   in
   (app, Mpi_sim.Machine.skylake_cluster, design, h)
 
+(* The transient-fault plan of the campaign-layer oracles: crashes and
+   hangs that each last two attempts, under a retry policy of three, so
+   every coordinate recovers. *)
+let transient_faults h =
+  ( {
+      Flt.none with
+      Flt.fp_seed = h mod 9001;
+      fp_crash = 0.06;
+      fp_hang = 0.04;
+      fp_persistent = 0.;
+      fp_transient_attempts = 2;
+    },
+    { Camp.default_retry with Camp.rt_max_attempts = 3 } )
+
 let term_shape (m : Model.Expr.model) =
   List.sort compare (List.map (fun t -> t.Model.Expr.factors) m.Model.Expr.terms)
 
@@ -491,7 +525,7 @@ let campaign_search_config =
   }
 
 let campaign_identity =
-  let check p =
+  let check _ p =
     let app, machine, design, _ = campaign_fixture p in
     let clean = Exp.run_design app machine design in
     let report = Camp.run app machine design in
@@ -507,19 +541,9 @@ let campaign_identity =
    the clean runs and the robust (median + MAD) fit must land on the
    same best model term as the classic fit of the clean campaign. *)
 let campaign_recovery =
-  let check p =
+  let check _ p =
     let app, machine, design, h = campaign_fixture p in
-    let plan =
-      {
-        Flt.none with
-        Flt.fp_seed = h mod 9001;
-        fp_crash = 0.06;
-        fp_hang = 0.04;
-        fp_persistent = 0.;
-        fp_transient_attempts = 2;
-      }
-    in
-    let retry = { Camp.default_retry with Camp.rt_max_attempts = 3 } in
+    let plan, retry = transient_faults h in
     let clean = Exp.run_design app machine design in
     let report = Camp.run ~plan ~retry app machine design in
     if compare report.Camp.cp_runs clean <> 0 then
@@ -554,19 +578,9 @@ let campaign_recovery =
    collection, exercised across the fuzz corpus's designs and fault
    draws. *)
 let par_identity =
-  let check p =
+  let check _ p =
     let app, machine, design, h = campaign_fixture p in
-    let plan =
-      {
-        Flt.none with
-        Flt.fp_seed = h mod 7919;
-        fp_crash = 0.05;
-        fp_hang = 0.03;
-        fp_persistent = 0.;
-        fp_transient_attempts = 2;
-      }
-    in
-    let retry = { Camp.default_retry with Camp.rt_max_attempts = 3 } in
+    let plan, retry = transient_faults h in
     Par.Pool.with_pool ~jobs:3 (fun pool ->
         let serial = Camp.run ~plan ~retry app machine design in
         let parallel = Camp.run ~pool ~plan ~retry app machine design in
@@ -622,19 +636,9 @@ let shard_identity =
     output_string oc (String.sub content 0 keep);
     close_out oc
   in
-  let check p =
+  let check _ p =
     let app, machine, design, h = campaign_fixture p in
-    let plan =
-      {
-        Flt.none with
-        Flt.fp_seed = h mod 6007;
-        fp_crash = 0.05;
-        fp_hang = 0.03;
-        fp_persistent = 0.;
-        fp_transient_attempts = 2;
-      }
-    in
-    let retry = { Camp.default_retry with Camp.rt_max_attempts = 3 } in
+    let plan, retry = transient_faults h in
     let header = Camp.header_line ~app_name:app.Sp.aname ~plan ~retry design in
     let shards = 2 + (h mod 3) in
     let base_metrics = Obs_metrics.create () in
@@ -742,19 +746,9 @@ let shard_identity =
    exercises ever-different catalog keys. *)
 let serve_identity =
   let module Cat = Serve.Catalog in
-  let check p =
+  let check _ p =
     let app, machine, design, h = campaign_fixture p in
-    let plan =
-      {
-        Flt.none with
-        Flt.fp_seed = h mod 4999;
-        fp_crash = 0.05;
-        fp_hang = 0.03;
-        fp_persistent = 0.;
-        fp_transient_attempts = 2;
-      }
-    in
-    let retry = { Camp.default_retry with Camp.rt_max_attempts = 3 } in
+    let plan, retry = transient_faults h in
     let program_text = Ir.Pp.program_to_string p in
     let key =
       Cat.key ~app_name:app.Sp.aname ~program_text ~design ~plan ~retry
@@ -819,161 +813,18 @@ let serve_identity =
   in
   { name = "serve-identity"; check }
 
-(* -- differential: compiled tier vs the interpreter ------------------------- *)
-
-(* The full-fidelity view of one run that the compiled tier must
-   reproduce bit-for-bit: outcome (including trap messages and budget
-   behavior), result value and label, every observation with its
-   dependency label names, metric counters, profiler samples, and the
-   taint sources in registration order (which fixes every label's
-   bits). *)
-type tier_snapshot = {
-  ts_outcome : string;
-  ts_value : (value * string list) option;
-  ts_loops :
-    (string * string * int * string option * int * int * string list
-    * (string * string) list)
-    list;
-  ts_branches : (string * string * int * int * string list) list;
-  ts_funcs : (string * int * int * int) list;
-  ts_events : (string * string * string * (value * string list) list) list;
-  ts_steps : int;
-  ts_metrics : Obs_metrics.snapshot;
-  ts_profile : Obs_profile.snapshot;
-  ts_sources : string list;
-}
-
-let tier_snapshot (type a) (module E : Interp.Engine.S with type t = a)
-    ~config p args =
-  let metrics = Obs_metrics.create () in
-  let profile = Obs_profile.create () in
-  let m = create (module E) ~metrics ~profile ~config p in
-  let outcome, value =
-    match E.run m args with
-    | v, l -> ("finished", Some (v, L.names (E.label_table m) l))
-    | exception M.Budget_exceeded n -> (Printf.sprintf "budget after %d" n, None)
-    | exception M.Runtime_error msg -> ("runtime error: " ^ msg, None)
-    | exception Ir_error msg -> ("invalid IR: " ^ msg, None)
-  in
-  let obs = E.observations m in
-  let tbl = E.label_table m in
-  {
-    ts_outcome = outcome;
-    ts_value = value;
-    ts_loops =
-      O.loop_list obs
-      |> List.map (fun (lo : O.loop_obs) ->
-             ( O.callpath_key lo.O.lo_callpath,
-               lo.O.lo_header,
-               lo.O.lo_depth,
-               lo.O.lo_parent,
-               lo.O.lo_iters,
-               lo.O.lo_entries,
-               L.names tbl lo.O.lo_dep,
-               List.sort compare lo.O.lo_enclosing ))
-      |> List.sort compare;
-    ts_branches =
-      O.branch_list obs
-      |> List.map (fun (bo : O.branch_obs) ->
-             ( O.callpath_key bo.O.br_callpath,
-               bo.O.br_block,
-               bo.O.br_taken,
-               bo.O.br_not_taken,
-               L.names tbl bo.O.br_dep ))
-      |> List.sort compare;
-    ts_funcs =
-      O.func_list obs
-      |> List.map (fun (fo : O.func_obs) ->
-             (fo.O.fo_func, fo.O.fo_calls, fo.O.fo_instrs, fo.O.fo_work))
-      |> List.sort compare;
-    ts_events =
-      O.event_list obs
-      |> List.map (fun (ev : O.event) ->
-             ( ev.O.ev_func,
-               O.callpath_key ev.O.ev_callpath,
-               ev.O.ev_prim,
-               List.map (fun (v, l) -> (v, L.names tbl l)) ev.O.ev_args ));
-    ts_steps = E.steps_executed m;
-    ts_metrics = Obs_metrics.snapshot metrics;
-    ts_profile = Obs_profile.snapshot profile;
-    ts_sources = L.sources tbl;
-  }
-
-let tier_diff a b =
-  if a.ts_outcome <> b.ts_outcome then
-    Some (Printf.sprintf "outcome (%s vs %s)" a.ts_outcome b.ts_outcome)
-  else if compare a.ts_value b.ts_value <> 0 then Some "result value or label"
-  else if a.ts_steps <> b.ts_steps then
-    Some (Printf.sprintf "step count (%d vs %d)" a.ts_steps b.ts_steps)
-  else if compare a.ts_loops b.ts_loops <> 0 then Some "loop observations"
-  else if compare a.ts_branches b.ts_branches <> 0 then
-    Some "branch observations"
-  else if compare a.ts_funcs b.ts_funcs <> 0 then Some "function statistics"
-  else if compare a.ts_events b.ts_events <> 0 then Some "primitive events"
-  else if compare a.ts_metrics b.ts_metrics <> 0 then Some "metric counters"
-  else if compare a.ts_profile b.ts_profile <> 0 then Some "profiler samples"
-  else if a.ts_sources <> b.ts_sources then Some "taint-source registry"
-  else None
-
-(* Coverage runs additionally compare the policy's own block/edge hit
-   tables, which live outside the engine's observations. *)
-let coverage_hits (type a)
-    (module E : Interp.Engine.S
-      with type t = a and type pstate = Interp.Coverage_policy.state) ~config p
-    args =
-  let m = create (module E) ~config p in
-  let outcome =
-    match E.run m args with
-    | _ -> "finished"
-    | exception M.Budget_exceeded n -> Printf.sprintf "budget after %d" n
-    | exception M.Runtime_error msg -> "runtime error: " ^ msg
-    | exception Ir_error msg -> "invalid IR: " ^ msg
-  in
-  let cov = E.policy_state m in
-  ( outcome,
-    Interp.Coverage_policy.block_hits cov,
-    Interp.Coverage_policy.edge_hits cov )
-
-let compile_identity_with config =
-  let check p =
-    let args = base_args p in
-    let it = tier_snapshot (module M) ~config p args in
-    let ct = tier_snapshot (module Interp.Compiled.Taint) ~config p args in
-    match tier_diff it ct with
-    | Some what ->
-      Fail (Printf.sprintf "compiled Taint run differs from interpreter: %s" what)
-    | None -> (
-      let ip = tier_snapshot (module P) ~config p args in
-      let cp = tier_snapshot (module Interp.Compiled.Plain) ~config p args in
-      match tier_diff ip cp with
-      | Some what ->
-        Fail
-          (Printf.sprintf "compiled Plain run differs from interpreter: %s" what)
-      | None ->
-        let ic = coverage_hits (module C) ~config p args in
-        let cc =
-          coverage_hits (module Interp.Compiled.Coverage) ~config p args
-        in
-        if compare ic cc <> 0 then
-          Fail "compiled Coverage run differs from interpreter (hit tables)"
-        else Pass)
-  in
-  { name = "compile-identity"; check }
-
-let compile_identity = compile_identity_with interp_config
-
 (* -- suites ---------------------------------------------------------------- *)
 
-let oracles_with config =
+let all =
   [
-    taint_soundness_with config;
+    taint_soundness;
     printer_roundtrip;
-    validator_interp_with config;
-    tripcount_with config;
-    obs_invariance_with config;
-    taint_vs_plain_with config;
-    compile_identity_with config;
-    coverage_consistency_with config;
+    validator_interp;
+    tripcount;
+    obs_invariance;
+    taint_vs_plain;
+    compile_identity;
+    coverage_consistency;
     campaign_identity;
     campaign_recovery;
     par_identity;
@@ -981,12 +832,8 @@ let oracles_with config =
     serve_identity;
   ]
 
-let all_with ~max_steps = oracles_with { interp_config with max_steps }
-
-let all = oracles_with interp_config
-
-let check o p =
-  match o.check p with
+let check ?(config = interp_config) o p =
+  match o.check config p with
   | v -> v
   | exception exn ->
     Fail (Printf.sprintf "oracle raised %s" (Printexc.to_string exn))

@@ -4,18 +4,27 @@
     apply to freshly generated programs and to replayed [.pir] corpus
     files.  Every engine an oracle runs has the simulated MPI world
     ({!Mpi_sim.Runtime.default_world}) installed, so replayed files may
-    call MPI routines.  Run the oracles through {!check}, which converts
-    an unexpected exception into a [Fail] — in differential testing an
-    escaping exception is a finding, not an abort. *)
+    call MPI routines.  The engine oracles compare or read one record of
+    each run — outcome, observations with their label names, step count,
+    metric and profiler snapshots, taint sources — under the engine
+    configuration {!check} passes them.  Run the oracles through {!check},
+    which converts an unexpected exception into a [Fail] — in
+    differential testing an escaping exception is a finding, not an
+    abort. *)
 
 type verdict = Pass | Fail of string
 
-type t = { name : string; check : Ir.Types.program -> verdict }
+type t = {
+  name : string;
+  check : Interp.Machine.config -> Ir.Types.program -> verdict;
+      (** the configuration the oracle's engine runs execute under; the
+          oracles that run no engine ignore it *)
+}
 
 val interp_config : Interp.Machine.config
-(** Oracle execution budget (500k steps): exhausting it is a skip, not a
-    finding — generated loop nests can be exponential in depth and a
-    campaign must never hang. *)
+(** The default oracle configuration, with a 500k-step budget: exhausting
+    it is a skip, not a finding — generated loop nests can be exponential
+    in depth and a campaign must never hang. *)
 
 val marked_params : Ir.Types.program -> (string * string) list
 (** Entry parameters marked as taint sources, as
@@ -29,12 +38,8 @@ val taint_soundness : t
     labels (or in a dynamically enclosing loop's).  Loops outside the
     entry function are only required to be labelled when both runs
     entered them equally often, because control taint is function-scoped
-    and does not flow into callees. *)
-
-val taint_soundness_with : Interp.Machine.config -> t
-(** {!taint_soundness} under an explicit interpreter configuration —
-    used by the suite to demonstrate that the oracle catches the
-    [control_flow_taint = false] ablation as a genuine soundness bug. *)
+    and does not flow into callees.  Under [control_flow_taint = false]
+    it catches the ablation as a genuine soundness bug. *)
 
 val printer_roundtrip : t
 (** Printing and reparsing must reproduce the program exactly. *)
@@ -50,13 +55,13 @@ val tripcount : t
 
 val obs_invariance : t
 (** Metamorphic: enabling the [lib/obs] metrics and trace instrumentation
-    must not change the result value, observations, or step count. *)
+    must not change anything of the run but the metric counters. *)
 
 val taint_vs_plain : t
 (** Differential: running through the Taint policy ({!Interp.Machine})
-    and the Plain policy ({!Interp.Plain}) must produce the same result
-    value, loop/branch dynamics, function statistics, event count and
-    step count — identical runs modulo taint labels. *)
+    and the Plain policy ({!Interp.Plain}) must produce the same run with
+    every label and the taint-source registry erased — outcome,
+    loop/branch/event/function observations, step count. *)
 
 val compile_identity : t
 (** Differential: the compiled tier ({!Interp.Compiled}) must be
@@ -66,8 +71,6 @@ val compile_identity : t
     dependency label names, step counts, metric counters, profiler
     samples, the taint sources in registration order, and the Coverage
     policy's block/edge hit tables. *)
-
-val compile_identity_with : Interp.Machine.config -> t
 
 val coverage_consistency : t
 (** The Coverage policy's block hit counts must be consistent with the
@@ -108,21 +111,10 @@ val serve_identity : t
     from a fresh catalog reopening the on-disk index (the daemon-restart
     path).  The key binds the generated program's printed text. *)
 
-val validator_interp_with : Interp.Machine.config -> t
-val tripcount_with : Interp.Machine.config -> t
-val obs_invariance_with : Interp.Machine.config -> t
-val taint_vs_plain_with : Interp.Machine.config -> t
-val coverage_consistency_with : Interp.Machine.config -> t
-
-val oracles_with : Interp.Machine.config -> t list
-(** Every oracle, executing under the given configuration. *)
-
-val all_with : max_steps:int -> t list
-(** {!oracles_with} at the default oracle configuration with an explicit
-    step budget — the CLI's [--max-steps]. *)
-
 val all : t list
-(** [oracles_with interp_config]. *)
+(** Every oracle, in report order. *)
 
-val check : t -> Ir.Types.program -> verdict
-(** Exception-safe oracle application. *)
+val check :
+  ?config:Interp.Machine.config -> t -> Ir.Types.program -> verdict
+(** Exception-safe oracle application; the engine runs execute under
+    [config] (default {!interp_config}). *)

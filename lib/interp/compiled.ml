@@ -22,8 +22,6 @@ open Lower
 module Label = Taint.Label
 module Obs = Observations
 
-let max_call_depth = 10_000
-
 (* Physically unique sentinel for "no enclosing-context merge applied
    yet" — never [==] to a runtime active-loops list (including [[]]). *)
 let merge_pending = [ ("", "") ]
@@ -572,7 +570,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
      cache (the root callpath is never shared). *)
   and call t callee argv =
     t.call_depth <- t.call_depth + 1;
-    if t.call_depth > max_call_depth then Eval.error "call depth exceeded";
+    if t.call_depth > Eval.max_call_depth then Eval.call_depth_exceeded ();
     let idx = match callee with CIdx i -> i | CTrap e -> raise e in
     let cf = compiled_of t idx in
     let fname = t.funcs.(idx).fname in
@@ -596,7 +594,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
      and check — after the depth guard. *)
   and call_site t frame callee site nargs =
     t.call_depth <- t.call_depth + 1;
-    if t.call_depth > max_call_depth then Eval.error "call depth exceeded";
+    if t.call_depth > Eval.max_call_depth then Eval.call_depth_exceeded ();
     let idx = match callee with CIdx i -> i | CTrap e -> raise e in
     let cf = compiled_of t idx in
     let fname = t.funcs.(idx).fname in

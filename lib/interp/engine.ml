@@ -172,8 +172,6 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
 
   and prim_fn = t -> frame -> (value * Label.t) list -> value * Label.t
 
-  let max_call_depth = 10_000
-
   (* Cached [find_func]; the fallback keeps the original error message
      for unknown functions. *)
   let func_named t fname =
@@ -361,7 +359,7 @@ module Make (P : POLICY) : S with type pstate = P.state = struct
 
   and call ?(enclosing = []) ?parent_key t callpath fname argv =
     t.call_depth <- t.call_depth + 1;
-    if t.call_depth > max_call_depth then Eval.error "call depth exceeded";
+    if t.call_depth > Eval.max_call_depth then Eval.call_depth_exceeded ();
     let f = func_named t fname in
     if List.length f.fparams <> List.length argv then
       Eval.error "arity mismatch calling %s: %d formals, %d actuals" fname

@@ -25,6 +25,11 @@ let alloc_size v =
       max_alloc_cells;
   n
 
+let max_call_depth = 10_000
+
+let call_depth_exceeded () =
+  error "call depth exceeds the limit of %d frames" max_call_depth
+
 let as_float = function
   | VFloat f -> f
   | v -> error "expected float, got %s" (value_kind v)

@@ -25,6 +25,13 @@ val alloc_size : Ir.Types.value -> int
     @raise Runtime_error naming the size and {!max_alloc_cells} when the
     request exceeds it. *)
 
+val max_call_depth : int
+(** The most frames one run may hold, the entry function's included. *)
+
+val call_depth_exceeded : unit -> 'a
+(** @raise Runtime_error naming {!max_call_depth}; both tiers raise it
+    on entering a frame beyond the limit. *)
+
 val vint : int -> Ir.Types.value
 (** [VInt i], shared from a pre-boxed pool for small [i] (values are
     immutable, so sharing is unobservable). *)

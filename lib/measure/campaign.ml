@@ -332,12 +332,16 @@ let validate_retry retry =
   if not (retry.rt_hang_timeout_s > 0.) then
     invalid_arg "Measure.Campaign.run: rt_hang_timeout_s must be > 0"
 
+let check_design ~retry design =
+  validate_retry retry;
+  Experiment.check_design design
+
 let run ?(pool = Par.Pool.serial) ?metrics ?(trace = Obs_trace.disabled)
     ?(events = Obs_events.disabled) ?(plan = Fault.none)
     ?(retry = default_retry) ?(hang_budget = 1_000_000)
     ?(done_ : record list = []) ?(keep = fun _ _ -> true) ?limit ?on_record
     app machine design =
-  validate_retry retry;
+  check_design ~retry design;
   (* The campaign counter matches run_design's, so a fault-free campaign
      leaves the sim.* metrics in exactly the run_design state. *)
   Option.iter
@@ -636,6 +640,7 @@ let run_journaled ?pool ?metrics ?trace ?(events = Obs_events.disabled) ?plan
     ?retry ?hang_budget ?keep ?limit ~journal ~resume app machine design =
   let plan_v = Option.value ~default:Fault.none plan in
   let retry_v = Option.value ~default:default_retry retry in
+  check_design ~retry:retry_v design;
   let header =
     header_line ~app_name:app.Spec.aname ~plan:plan_v ~retry:retry_v design
   in

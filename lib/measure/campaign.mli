@@ -77,6 +77,12 @@ val record_events : Obs_events.sink -> record -> unit
     a finished record, exactly as the executor does — replaying merged
     records through this in design order reproduces the serial stream. *)
 
+val check_design : retry:retry -> Experiment.design -> unit
+(** The entry check of {!run} and {!run_journaled}, callable on its own
+    before any side effect (a journal, a shard worker).
+    @raise Invalid_argument naming the offending [retry] or design
+    field; see {!run}. *)
+
 val run :
   ?pool:Par.Pool.t ->
   ?metrics:Obs_metrics.t ->
@@ -115,7 +121,8 @@ val run :
     [4 * jobs] above.
     @raise Invalid_argument naming the offending [retry] field when
     [rt_max_attempts < 1], [rt_backoff_s < 0], [rt_backoff_mult < 1],
-    or [rt_hang_timeout_s <= 0] (NaN fields are rejected too). *)
+    or [rt_hang_timeout_s <= 0] (NaN fields are rejected too), and on a
+    design {!Experiment.check_design} refuses (see {!check_design}). *)
 
 (** {1 Checkpoint journal} *)
 
@@ -168,6 +175,7 @@ val run_journaled :
     [campaign.journal_torn] counter and reported as a
     [campaign.journal_torn] event.  [events] additionally carries a
     [campaign.checkpoint] event per flushed record.
+    @raise Invalid_argument before touching the journal, as {!run} does.
     @raise Failure when resuming from an unreadable or mismatched
     journal. *)
 

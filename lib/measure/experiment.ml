@@ -25,7 +25,22 @@ let grid_configs grid =
 
 let configs design = grid_configs design.grid
 
+(* Refuse a design that measures nothing or draws its noise from a
+   negative or non-finite sigma, naming the field and its value; the
+   sigma test is written so NaN fails it too. *)
+let check_design design =
+  if design.reps < 1 then
+    invalid_arg
+      (Printf.sprintf "Measure.Experiment: reps must be >= 1 (got %d)"
+         design.reps);
+  if not (Float.is_finite design.sigma && design.sigma >= 0.) then
+    invalid_arg
+      (Printf.sprintf
+         "Measure.Experiment: sigma must be finite and >= 0 (got %g)"
+         design.sigma)
+
 let run_design ?(pool = Par.Pool.serial) ?metrics app machine design =
+  check_design design;
   (match metrics with
   | None -> ()
   | Some reg -> Obs_metrics.incr (Obs_metrics.counter reg "sim.campaigns"));

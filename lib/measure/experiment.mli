@@ -17,16 +17,21 @@ val grid_configs : (string * float list) list -> Spec.params list
 val configs : design -> Spec.params list
 (** [grid_configs design.grid]. *)
 
+val check_design : design -> unit
+(** @raise Invalid_argument naming the field and its value unless
+    [reps >= 1] and [sigma] is finite and [>= 0].  {!run_design} and
+    {!Campaign.run} call it first. *)
+
 val run_design :
   ?pool:Par.Pool.t ->
   ?metrics:Obs_metrics.t ->
   Spec.app -> Mpi_sim.Machine.t -> design -> Simulator.run list
-(** Execute the full-factorial design.  [metrics] counts campaigns and
-    runs and accumulates the simulated core-hour cost (see
-    {!Simulator.count}).  [pool] (default {!Par.Pool.serial}) runs the
-    coordinates; runs and metrics are bit-identical at every job count
-    (ordered collection; every run counted in design order on the
-    submitting domain). *)
+(** Execute the full-factorial design ({!check_design} first).
+    [metrics] counts campaigns and runs and accumulates the simulated
+    core-hour cost (see {!Simulator.count}).  [pool] (default
+    {!Par.Pool.serial}) runs the coordinates; runs and metrics are
+    bit-identical at every job count (ordered collection; every run
+    counted in design order on the submitting domain). *)
 
 val replay_runs :
   ?config:Interp.Engine.config -> ?world:Mpi_sim.Runtime.world ->

@@ -116,13 +116,17 @@ let resolve (spec : Protocol.fit_spec) =
               rt_backoff_s = spec.fs_backoff;
             }
           in
-          let key =
-            Catalog.key ~app_name:r.Registry.r_app.Measure.Spec.aname
-              ~program_text:(Registry.program_text r)
-              ~design ~plan ~retry
-          in
-          Ok { rs_app = r; rs_design = design; rs_plan = plan;
-               rs_retry = retry; rs_key = key })
+          (* a design the campaign would refuse is never admitted *)
+          match Measure.Campaign.check_design ~retry design with
+          | exception Invalid_argument msg -> Error msg
+          | () ->
+              let key =
+                Catalog.key ~app_name:r.Registry.r_app.Measure.Spec.aname
+                  ~program_text:(Registry.program_text r)
+                  ~design ~plan ~retry
+              in
+              Ok { rs_app = r; rs_design = design; rs_plan = plan;
+                   rs_retry = retry; rs_key = key })
 
 (* -- stats --------------------------------------------------------- *)
 

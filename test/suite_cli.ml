@@ -428,6 +428,43 @@ let test_serve_daemon_contracts () =
   Alcotest.(check bool) "shutdown acknowledged" true
     (contains out {|"ok":true|})
 
+(* A design that measures nothing, or draws noise from a negative or
+   non-finite sigma, is refused by field name before anything runs. *)
+let test_bad_design () =
+  check_failure ~expect:"reps must be >= 1 (got 0)"
+    [ "campaign"; "minicg"; "--reps"; "0" ];
+  check_failure ~expect:"reps must be >= 1 (got -2)"
+    [ "campaign"; "minicg"; "--reps=-2" ];
+  check_failure ~expect:"sigma must be finite and >= 0 (got nan)"
+    [ "campaign"; "minicg"; "--sigma"; "nan" ];
+  check_failure ~expect:"reps"
+    [ "campaign"; "minicg"; "--reps"; "0"; "--shards"; "2"; "--journal";
+      Filename.concat (Filename.get_temp_dir_name ()) "no-such-campaign" ];
+  let journal = Filename.temp_file "bad_retry" ".journal" in
+  Sys.remove journal;
+  check_failure ~expect:"rt_max_attempts must be >= 1"
+    [ "campaign"; "minicg"; "--retries"; "0"; "--journal"; journal ];
+  Alcotest.(check bool) "refused campaign writes no journal" false
+    (Sys.file_exists journal)
+
+(* [model] accepts a function the program defines or an MPI routine it
+   calls, [volume] only a defined one; anything else is one error line. *)
+let test_unknown_func () =
+  check_failure ~expect:"--func nosuch: lulesh neither defines nor calls it"
+    [ "model"; "lulesh"; "--func"; "nosuch" ];
+  check_failure ~expect:"--func nosuch: lulesh defines no such function"
+    [ "volume"; "lulesh"; "--func"; "nosuch" ];
+  check_failure ~expect:"--func mpi_allreduce"
+    [ "volume"; "lulesh"; "--func"; "mpi_allreduce" ];
+  List.iter
+    (fun args ->
+      let code, out, _ = run_cli args in
+      Alcotest.(check int) (String.concat " " args ^ " exits 0") 0 code;
+      Alcotest.(check bool) (out ^ " prints the function") true
+        (contains out (List.nth args 3)))
+    [ [ "model"; "lulesh"; "--func"; "mpi_allreduce" ];
+      [ "volume"; "lulesh"; "--func"; "calc_kinematics_for_elems" ] ]
+
 let tests =
   [
     Alcotest.test_case "success baseline exits 0" `Quick test_success_baseline;
@@ -478,4 +515,7 @@ let tests =
       test_blocks_trace;
     Alcotest.test_case "alloc above the cell limit refused" `Quick
       test_alloc_limit;
+    Alcotest.test_case "campaign design refused by name" `Quick
+      test_bad_design;
+    Alcotest.test_case "--func must name a function" `Quick test_unknown_func;
   ]

@@ -52,7 +52,7 @@ let check_identity ?(config = O.interp_config) p =
     (fun f ->
       if not (slot_map_ok f) then Alcotest.failf "slot map of %s" f.fname)
     p.funcs;
-  match O.check (O.compile_identity_with config) p with
+  match O.check ~config O.compile_identity p with
   | O.Pass -> ()
   | O.Fail msg -> Alcotest.failf "tier divergence: %s" msg
 
@@ -270,7 +270,8 @@ let test_recursive_calls () =
   in
   let i = check_both ~what:"call depth" (prog [ forever ] "f") [] in
   Alcotest.(check bool) "depth trap text" true
-    (fst i = Error "runtime error: call depth exceeded")
+    (fst i
+    = Error "runtime error: call depth exceeds the limit of 10000 frames")
 
 (* -- the budget cutting mid-block -------------------------------------------- *)
 
@@ -572,6 +573,31 @@ let test_design_doc_mentions_tier () =
         true (contains doc needle))
     [ "lower.ml"; "compiled.ml"; "compile-identity" ]
 
+(* The depth limit's boundary: a recursion holding exactly
+   [Eval.max_call_depth] frames (the entry's included) runs to the same
+   result on both tiers, and one frame more is refused on both. *)
+let test_call_depth_boundary () =
+  let down =
+    B.define "down" ~params:[ "n" ] (fun b ->
+        let c = B.gt b (Reg "n") (Int 0) in
+        B.terminate b (Branch (c, "rec", "base"));
+        B.start_block b "rec";
+        let r = B.call b "down" [ B.sub b (Reg "n") (Int 1) ] in
+        B.ret b (B.add b r (Int 1));
+        B.start_block b "base";
+        B.ret b (Int 0))
+  in
+  let p = prog [ down ] "down" in
+  let limit = Interp.Eval.max_call_depth in
+  let i = check_both ~what:"depth at the limit" p [ VInt (limit - 1) ] in
+  Alcotest.(check bool) "runs at the limit" true (fst i = Ok (VInt (limit - 1)));
+  let i = check_both ~what:"one frame deeper" p [ VInt limit ] in
+  Alcotest.(check bool) "refused one frame deeper" true
+    (fst i
+    = Error
+        (Printf.sprintf "runtime error: call depth exceeds the limit of %d \
+                         frames" limit))
+
 let tests =
   [
     Alcotest.test_case "duplicate block labels: first wins on both tiers"
@@ -605,4 +631,6 @@ let tests =
       test_cache_counter_doc_in_sync;
     Alcotest.test_case "DESIGN.md names the compilation tier" `Quick
       test_design_doc_mentions_tier;
+    Alcotest.test_case "call depth limit boundary on both tiers" `Quick
+      test_call_depth_boundary;
   ]

@@ -127,9 +127,10 @@ let test_cf_off_matches_plain () =
 let test_cf_off_oracle_passes () =
   List.iter
     (fun f ->
-      match O.check (O.taint_vs_plain_with { O.interp_config with
-                                             control_flow_taint = false })
-              (prog [ f ] "f")
+      match
+        O.check
+          ~config:{ O.interp_config with control_flow_taint = false }
+          O.taint_vs_plain (prog [ f ] "f")
       with
       | O.Pass -> ()
       | O.Fail msg -> Alcotest.failf "taint-vs-plain divergence: %s" msg)

@@ -118,12 +118,10 @@ let test_policy_differential_campaign () =
    paper's control-flow extension) — and the soundness oracle must
    produce a counterexample, shrunk below 30 lines of PIR. *)
 let test_crippled_taint_is_caught () =
-  let crippled =
-    O.taint_soundness_with
-      { O.interp_config with control_flow_taint = false }
-  in
   let report =
-    D.run_campaign ~oracles:[ crippled ] ~seed:(Fuzz.Seed.get ()) ~budget:500 ()
+    D.run_campaign ~oracles:[ O.taint_soundness ]
+      ~config:{ O.interp_config with control_flow_taint = false }
+      ~seed:(Fuzz.Seed.get ()) ~budget:500 ()
   in
   match D.counterexamples report with
   | [] ->

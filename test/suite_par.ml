@@ -242,7 +242,7 @@ let test_search_parallel_identity_minicg () =
 let synthetic_oracle =
   { Fuzz.Oracle.name = "synthetic";
     check =
-      (fun p ->
+      (fun _ p ->
         if String.length (Ir.Pp.program_to_string p) mod 3 = 0 then
           Fuzz.Oracle.Fail "printed length divisible by 3"
         else Fuzz.Oracle.Pass) }

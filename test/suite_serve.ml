@@ -510,6 +510,25 @@ let test_request_line_limit () =
     Alcotest.(check bool) (stats ^ " answers stats") true
       (contains stats {|"op":"stats"|})
 
+(* A design that measures nothing, whose noise is not finite, or whose
+   retry policy cannot run is refused by name before it is admitted, and
+   nothing reaches the catalog. *)
+let test_bad_design_refused () =
+  with_server @@ fun _dir server ->
+  List.iter
+    (fun (line, field) ->
+      let resp, _ = Server.handle_line server line in
+      Alcotest.(check bool) (resp ^ " refuses " ^ field) true
+        (contains resp {|"ok":false|} && contains resp field))
+    [ ({|{"op":"fit","app":"minicg","reps":-3}|}, "reps must be >= 1 (got -3)");
+      ({|{"op":"fit","app":"minicg","sigma":1e400}|}, "sigma must be finite");
+      ({|{"op":"fit","app":"minicg","retries":0}|}, "rt_max_attempts") ];
+  let stats, _ = Server.handle_line server {|{"op":"stats"}|} in
+  Alcotest.(check bool) (stats ^ ": catalog stays empty") true
+    (contains stats {|"resident":0,"persisted":0|});
+  Alcotest.(check bool) (stats ^ ": no fit admitted") true
+    (contains stats {|"misses":0|})
+
 (* -- documentation drift ------------------------------------------------------ *)
 
 let doc_lists path what vocabulary () =
@@ -567,4 +586,6 @@ let tests =
       test_predict_non_finite;
     Alcotest.test_case "over-long request line: error, then next" `Quick
       test_request_line_limit;
+    Alcotest.test_case "bad design refused, nothing memoized" `Quick
+      test_bad_design_refused;
   ]
