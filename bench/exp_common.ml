@@ -52,16 +52,13 @@ let milc_design ~mode = design ~mode "milc"
     working directory, next to the human-readable log, so CI can archive
     and diff them without scraping text.  The journal's JSON writer is
     reused — floats are printed with ["%.17g"] and survive a round trip
-    bit-for-bit. *)
+    bit-for-bit — and the file is replaced atomically. *)
 let emit_json ~name fields =
   let file = Printf.sprintf "BENCH_%s.json" name in
   let v =
     Obs_json.Obj (("experiment", Obs_json.Str name) :: fields)
   in
-  let oc = open_out file in
-  output_string oc (Obs_json.to_string v);
-  output_char oc '\n';
-  close_out oc;
+  Obs_json.write_lines file [ Obs_json.to_string v ];
   Fmt.pr "    machine-readable: %s@." file
 
 (* -- formatting ------------------------------------------------------------ *)

@@ -739,7 +739,7 @@ let campaign_cmd =
   in
   let run (t : Apps.Registry.t) faults retries backoff journal resume
       max_runs dump reps sigma seed shards shard_spec shard_timeout
-      shard_restarts kill_shards events trace max_steps jobs =
+      shard_restarts kill_shards events trace jobs =
     error_guard @@ fun () ->
     let { Apps.Registry.spec; grid; _ } = measured t in
     let plan =
@@ -768,6 +768,10 @@ let campaign_cmd =
     if shards <> None && max_runs <> None then
       failwith "--max-runs is a worker-side limit; it cannot be combined \
                 with --shards (use --kill-shard to inject one)";
+    if shards <> None && resume then
+      failwith "--resume cannot be combined with --shards: the coordinator \
+                starts every shard afresh and resumes only the workers it \
+                restarts";
     if kill_shards <> [] && shards = None then
       failwith "--kill-shard requires --shards";
     let design =
@@ -791,7 +795,6 @@ let campaign_cmd =
       let report =
         with_trace trace @@ fun trace ->
         Measure.Campaign.run_journaled ~pool ~trace ~events ~plan ~retry
-          ?hang_budget:max_steps
           ~keep:(fun params rep -> Measure.Shard.owns sh ~params ~rep)
           ?limit:max_runs ~journal:j ~resume spec
           Mpi_sim.Machine.skylake_cluster design
@@ -831,7 +834,6 @@ let campaign_cmd =
                "--jobs"; string_of_int jobs;
                "--shard"; Measure.Shard.spec_of shard;
                "--journal"; jpath ]
-            @ opt "--max-steps" (Option.map string_of_int max_steps)
             @ (if resume then [ "--resume" ] else [])
             @ (if resume then []
                else
@@ -862,8 +864,8 @@ let campaign_cmd =
               (Printf.sprintf
                  "shard merge left %d coordinate(s) unmeasured"
                  (List.length mg.Measure.Shard.mg_missing));
-          Measure.Shard.write_journal ~header
-            ~records:mg.Measure.Shard.mg_records j;
+          Measure.Campaign.write_journal ~header mg.Measure.Shard.mg_records
+            j;
           Fmt.epr "shards: %d journal(s) merged into %s (%d duplicate \
                    record(s) dropped, %d torn line(s) skipped)@."
             mg.Measure.Shard.mg_journals j mg.Measure.Shard.mg_duplicates
@@ -872,13 +874,12 @@ let campaign_cmd =
             mg.Measure.Shard.mg_records)
       | Some _, None -> assert false (* checked above *)
       | None, Some j ->
-        Measure.Campaign.run_journaled ~pool ~trace ~events
-          ~plan ~retry ?hang_budget:max_steps ?limit:max_runs ~journal:j
-          ~resume spec Mpi_sim.Machine.skylake_cluster design
+        Measure.Campaign.run_journaled ~pool ~trace ~events ~plan ~retry
+          ?limit:max_runs ~journal:j ~resume spec
+          Mpi_sim.Machine.skylake_cluster design
       | None, None ->
         Measure.Campaign.run ~pool ~trace ~events ~plan ~retry
-          ?hang_budget:max_steps ?limit:max_runs spec
-          Mpi_sim.Machine.skylake_cluster design
+          ?limit:max_runs spec Mpi_sim.Machine.skylake_cluster design
     in
     Fmt.pr "%s campaign (faults: %s)@." t.name
       (if Measure.Fault.total_rate plan = 0. then "none"
@@ -891,13 +892,8 @@ let campaign_cmd =
     (match dump with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      List.iter
-        (fun r ->
-          output_string oc (Measure.Campaign.run_to_line r);
-          output_char oc '\n')
-        report.Measure.Campaign.cp_runs;
-      close_out oc;
+      Obs_json.write_lines path
+        (List.map Measure.Campaign.run_to_line report.Measure.Campaign.cp_runs);
       Fmt.pr "dataset: %d runs dumped to %s@."
         (List.length report.Measure.Campaign.cp_runs)
         path);
@@ -918,8 +914,7 @@ let campaign_cmd =
   let doc =
     "Execute a fault-injected simulated measurement campaign with \
      retry/backoff and a checkpoint journal, then fit an outlier-robust \
-     total-runtime model from whatever survived.  Hangs are killed via \
-     the shared $(b,--max-steps) step budget."
+     total-runtime model from whatever survived."
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
@@ -928,7 +923,7 @@ let campaign_cmd =
         $ retries_arg $ backoff_arg $ journal_arg $ resume_arg $ max_runs_arg
         $ dump_arg $ reps_arg $ sigma_arg $ seed_arg $ shards_arg $ shard_arg
         $ shard_timeout_arg $ shard_restarts_arg $ kill_shard_arg $ events_arg
-        $ trace_arg $ max_steps_arg $ jobs_arg))
+        $ trace_arg $ jobs_arg))
 
 let fuzz_cmd =
   let seed_arg =

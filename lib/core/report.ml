@@ -90,13 +90,6 @@ let combined_coverage (t : Pipeline.t) ~params =
   in
   (funcs, loops)
 
-let pp_coverage ppf rows =
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "%-10s functions=%3d loops=%3d@ " r.cov_param r.cov_functions
-        r.cov_loops)
-    rows
-
 (** Table of per-function dependency summaries, for debugging and the
     examples. *)
 let pp_deps ppf (t : Pipeline.t) =

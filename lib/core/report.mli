@@ -30,7 +30,5 @@ val coverage : Pipeline.t -> params:string list -> coverage_row list
 val combined_coverage : Pipeline.t -> params:string list -> int * int
 (** Functions and loops affected by at least one of the parameters. *)
 
-val pp_coverage : coverage_row list Fmt.t
-
 val pp_deps : Pipeline.t Fmt.t
 (** Per-function dependency summary table. *)

@@ -72,8 +72,3 @@ let pp_entry ppf e =
     (100. *. e.e_share_measured)
     (100. *. e.e_share_projected)
     (Model.Expr.to_string e.e_model)
-
-let pp_ranking ppf r =
-  Fmt.pf ppf "@[<v>";
-  List.iter (fun e -> Fmt.pf ppf "%a@ " pp_entry e) r.entries;
-  Fmt.pf ppf "total: %.3gs -> %.3gs@]" r.total_measured r.total_projected

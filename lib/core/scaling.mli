@@ -31,4 +31,3 @@ val bugs : ?share:float -> ?measured_below:float -> ranking -> entry list
 (** Negligible in the measured range, dominant at the target. *)
 
 val pp_entry : entry Fmt.t
-val pp_ranking : ranking Fmt.t

@@ -692,7 +692,7 @@ let shard_identity =
       with
       | Error e -> Error e
       | Ok mg ->
-        Shd.write_journal ~header ~records:mg.Shd.mg_records journal;
+        Camp.write_journal ~header mg.Shd.mg_records journal;
         let ic = open_in_bin journal in
         let bytes = really_input_string ic (in_channel_length ic) in
         close_in ic;

@@ -121,8 +121,3 @@ let exiting_blocks loop =
 
 let max_depth forest =
   List.fold_left (fun acc l -> max acc l.depth) 0 forest.loops
-
-let pp_loop ppf l =
-  Fmt.pf ppf "loop@%s depth=%d body={%a} exits=[%a]" l.header l.depth
-    Fmt.(list ~sep:comma string) (SSet.elements l.body)
-    Fmt.(list ~sep:semi (pair ~sep:(any "->") string string)) l.exits

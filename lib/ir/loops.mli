@@ -30,5 +30,3 @@ val exiting_blocks : loop -> string list
     loop-count analysis. *)
 
 val max_depth : forest -> int
-
-val pp_loop : loop Fmt.t

@@ -392,12 +392,6 @@ let parse ?(name = "program") text =
     fail (List.length lines) "unterminated function at end of input";
   { pname = st.pname; funcs = List.rev st.funcs; entry = st.entry }
 
-(** Parse and validate, raising [Ir_error] on malformed programs. *)
-let parse_exn ?name text =
-  let p = parse ?name text in
-  Validate.check_exn p;
-  p
-
 let parse_file path =
   let ic = open_in path in
   let len = in_channel_length ic in

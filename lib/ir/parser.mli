@@ -8,8 +8,5 @@ val parse : ?name:string -> string -> Types.program
     sets the program name and entry function; otherwise [?name] (default
     ["program"]) and ["main"] apply. *)
 
-val parse_exn : ?name:string -> string -> Types.program
-(** {!parse} followed by {!Validate.check_exn}. *)
-
 val parse_file : string -> Types.program
 (** Parse a [.pir] file; the program name defaults to the basename. *)

@@ -248,58 +248,50 @@ let render_bench buf ~baseline file j =
   Buffer.add_char buf '\n'
 
 (* Campaign-journal summary.  Records decode through the journal's own
-   reader; only attempt/fault/outcome fields are summed, so the run mode
-   it is given does not matter. *)
+   reader under the shared torn-tail rule, so a corrupt line is named
+   instead of summed around; only attempt/fault/outcome fields are
+   summed, so the run mode it is given does not matter. *)
 let render_journal buf path =
-  match String.split_on_char '\n' (read_file path) with
-  | [] -> ()
-  | header :: body ->
-    buf_addf buf "## campaign journal `%s`\n\n" (Filename.basename path);
-    (match Obs_json.parse (String.trim header) with
-    | Ok h ->
-      (match Option.bind (Obs_json.member "app" h) Obs_json.to_str with
-      | Some app -> buf_addf buf "app: `%s`" app
-      | None -> ());
-      (match Option.bind (Obs_json.member "faults" h) Obs_json.to_str with
-      | Some f when f <> "" -> buf_addf buf ", faults: `%s`" f
-      | _ -> ());
-      buf_addf buf "\n\n"
-    | Error _ -> ());
-    let records = ref 0 and completed = ref 0 and abandoned = ref 0 in
-    let attempts = ref 0 and wasted = ref 0. and backoff = ref 0. in
-    let faults = Hashtbl.create 4 in
-    List.iter
-      (fun line ->
-        match
-          Campaign.record_of_line ~mode:Instrument.Full (String.trim line)
-        with
-        | Error _ -> ()
-        | Ok r ->
-          incr records;
-          (match r.Campaign.rc_outcome with
-          | Campaign.Completed _ -> incr completed
-          | Campaign.Abandoned _ -> incr abandoned);
-          attempts := !attempts + r.Campaign.rc_attempts;
-          wasted := !wasted +. r.Campaign.rc_wasted_s;
-          backoff := !backoff +. r.Campaign.rc_backoff_s;
-          List.iter
-            (fun k ->
-              Hashtbl.replace faults k
-                (1 + Option.value ~default:0 (Hashtbl.find_opt faults k)))
-            r.Campaign.rc_faults)
-      body;
+  buf_addf buf "## campaign journal `%s`\n\n" (Filename.basename path);
+  let header, body =
+    match Obs_json.read_lines path with
+    | [] -> ("", [])
+    | (_, header) :: body -> (header, body)
+  in
+  (match Obs_json.parse header with
+  | Ok h ->
+    (match Option.bind (Obs_json.member "app" h) Obs_json.to_str with
+    | Some app -> buf_addf buf "app: `%s`" app
+    | None -> ());
+    (match Option.bind (Obs_json.member "faults" h) Obs_json.to_str with
+    | Some f when f <> "" -> buf_addf buf ", faults: `%s`" f
+    | _ -> ());
+    buf_addf buf "\n\n"
+  | Error _ -> ());
+  match
+    Obs_json.decode_lines ~path
+      (Campaign.record_of_line ~mode:Instrument.Full)
+      body
+  with
+  | Error e -> buf_addf buf "(unreadable: %s)\n\n" e
+  | Ok (records, _torn) ->
+    let c = Campaign.summarize ~resumed:0 ~interrupted:false records in
+    let seconds f = List.fold_left (fun acc r -> acc +. f r) 0. records in
     buf_addf buf "| records | completed | abandoned | attempts | wasted s | backoff s |\n";
     buf_addf buf "|---|---|---|---|---|---|\n";
-    buf_addf buf "| %d | %d | %d | %d | %.3f | %.3f |\n\n" !records !completed
-      !abandoned !attempts !wasted !backoff;
-    let fs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) faults [] in
-    if fs <> [] then begin
+    buf_addf buf "| %d | %d | %d | %d | %.3f | %.3f |\n\n"
+      (List.length records) (List.length c.Campaign.cp_runs)
+      c.Campaign.cp_abandoned c.Campaign.cp_attempts
+      (seconds (fun r -> r.Campaign.rc_wasted_s))
+      (seconds (fun r -> r.Campaign.rc_backoff_s));
+    match List.filter (fun (_, n) -> n > 0) c.Campaign.cp_faults with
+    | [] -> ()
+    | fs ->
       buf_addf buf "faults: %s\n\n"
         (String.concat ", "
            (List.map
               (fun (k, v) -> Printf.sprintf "`%s`=%d" k v)
               (List.sort compare fs)))
-    end
 
 (* Metrics-snapshot section from a `stats --json` file: counters and
    gauges as tables, histograms with their percentile summary. *)

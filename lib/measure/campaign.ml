@@ -6,12 +6,10 @@
     {!Experiment.run_design} does (configurations in grid order,
     repetitions innermost).  Per coordinate it loops attempts: a crash
     wastes half the run's wall time and is retried after a backoff; a
-    hang burns the configured timeout before the harness kills it (the
-    kill is modelled as the engine's [Budget_exceeded], raised and caught
-    in the retry loop); stragglers and corrupt timers *complete* with
-    inflated durations, which is precisely why the fitting layer needs
-    outlier rejection — the campaign cannot tell a slow node from a slow
-    configuration.  Under the empty fault plan the executor collapses to
+    hang burns the configured timeout before the harness kills it;
+    stragglers and corrupt timers *complete* with inflated durations,
+    which is precisely why the fitting layer needs outlier rejection —
+    the campaign cannot tell a slow node from a slow configuration.  Under the empty fault plan the executor collapses to
     the same [Simulator.measure] calls with the same arguments as
     [run_design], so a fault-free campaign is bit-identical to the plain
     experiment (a fuzz oracle holds us to that).
@@ -78,7 +76,7 @@ let counters =
     ("campaign.abandoned", "run coordinates given up after exhausting attempts");
     ("campaign.resumed", "run coordinates restored from a checkpoint journal");
     ("campaign.faults.crash", "injected crashes (run died, no data)");
-    ("campaign.faults.hang", "injected hangs killed by the step-budget timeout");
+    ("campaign.faults.hang", "injected hangs killed at the hang timeout");
     ("campaign.faults.straggler", "runs kept with straggler-inflated durations");
     ("campaign.faults.corrupt", "runs kept with corrupted outlier durations");
     ("campaign.journal_torn", "torn trailing journal lines skipped on load");
@@ -128,8 +126,7 @@ let core_hours_of ~params seconds =
    attempts the fault plan lets through; failed attempts probe the run's
    would-be duration (uncounted — the probe is costing, not measuring) to
    charge wasted core-hours. *)
-let execute_coordinate ~trace ~plan ~retry ~hang_budget app machine design
-    ~params ~rep =
+let execute_coordinate ~trace ~plan ~retry app machine design ~params ~rep =
   let fault = Fault.at plan ~params ~rep in
   let probe_total =
     lazy
@@ -162,14 +159,10 @@ let execute_coordinate ~trace ~plan ~retry ~hang_budget app machine design
             (* The run died partway through: on average half the wall
                time is burned before the node goes down. *)
             `Failed (Fault.Crash, 0.5 *. Lazy.force probe_total)
-          | Some Fault.Hang -> (
-            (* The run never terminates; the harness's per-run step budget
-               expires and kills it.  The kill is the engine's budget trap —
-               raised here, caught by the same handler that would catch a
-               genuine runaway replay. *)
-            try raise (Interp.Machine.Budget_exceeded hang_budget)
-            with Interp.Machine.Budget_exceeded _ ->
-              `Failed (Fault.Hang, retry.rt_hang_timeout_s))
+          | Some Fault.Hang ->
+            (* The run never terminates; the harness kills it once the
+               hang timeout has burned. *)
+            `Failed (Fault.Hang, retry.rt_hang_timeout_s)
           | (Some (Fault.Straggler _ | Fault.Corrupt _) | None) as k ->
             (* The run completes (possibly with inflated durations):
                measure with the exact arguments run_design uses, so the
@@ -338,9 +331,8 @@ let check_design ~retry design =
 
 let run ?(pool = Par.Pool.serial) ?metrics ?(trace = Obs_trace.disabled)
     ?(events = Obs_events.disabled) ?(plan = Fault.none)
-    ?(retry = default_retry) ?(hang_budget = 1_000_000)
-    ?(done_ : record list = []) ?(keep = fun _ _ -> true) ?limit ?on_record
-    app machine design =
+    ?(retry = default_retry) ?(done_ : record list = [])
+    ?(keep = fun _ _ -> true) ?limit ?on_record app machine design =
   check_design ~retry design;
   (* The campaign counter matches run_design's, so a fault-free campaign
      leaves the sim.* metrics in exactly the run_design state. *)
@@ -383,8 +375,8 @@ let run ?(pool = Par.Pool.serial) ?metrics ?(trace = Obs_trace.disabled)
     | `Restored r -> `Restored r
     | `Fresh (params, rep) ->
       `Done
-        (execute_coordinate ~trace ~plan ~retry ~hang_budget app machine
-           design ~params ~rep)
+        (execute_coordinate ~trace ~plan ~retry app machine design ~params
+           ~rep)
   in
   let resumed = ref 0 in
   let records = ref [] in
@@ -600,44 +592,21 @@ let header_line ~app_name ~plan ~retry (design : Experiment.design) =
        ])
 
 let load_journal ~mode ~expected_header path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  match List.rev !lines with
+  match J.read_lines path with
   | [] -> Error (path ^ ": empty journal")
-  | header :: body ->
+  | (_, header) :: body ->
     if String.trim header <> expected_header then
       Error
         (path
        ^ ": journal header does not match this campaign (different app, \
           design, fault plan, or retry policy)")
-    else
-      (* A parse failure on the *last* nonempty line is a torn write — a
-         worker killed mid-flush leaves a partial final record — and is
-         skipped (the coordinate is simply re-executed on resume).  A
-         failure anywhere earlier is genuine corruption and stays an
-         error: silently dropping an interior record would desynchronize
-         the resumed campaign from the design walk. *)
-      let body = List.filter (fun l -> String.trim l <> "") body in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc, 0)
-        | [ last ] -> (
-          match record_of_line ~mode last with
-          | Ok r -> Ok (List.rev (r :: acc), 0)
-          | Error _ -> Ok (List.rev acc, 1))
-        | line :: rest -> (
-          match record_of_line ~mode line with
-          | Ok r -> go (r :: acc) rest
-          | Error e -> Error (path ^ ": " ^ e))
-      in
-      go [] body
+    else J.decode_lines ~path (record_of_line ~mode) body
+
+let write_journal ~header records path =
+  J.write_lines path (header :: List.map record_to_line records)
 
 let run_journaled ?pool ?metrics ?trace ?(events = Obs_events.disabled) ?plan
-    ?retry ?hang_budget ?keep ?limit ~journal ~resume app machine design =
+    ?retry ?keep ?limit ~journal ~resume app machine design =
   let plan_v = Option.value ~default:Fault.none plan in
   let retry_v = Option.value ~default:default_retry retry in
   check_design ~retry:retry_v design;
@@ -666,37 +635,21 @@ let run_journaled ?pool ?metrics ?trace ?(events = Obs_events.disabled) ?plan
             ("lines", Obs_events.Int torn) ]
         "campaign.journal_torn"
   end;
-  let oc =
-    if existing <> [] && torn = 0 then
-      open_out_gen [ Open_append; Open_creat ] 0o644 journal
-    else begin
-      (* Fresh journal, or a torn tail to cut off: rewrite header plus
-         the surviving records.  Records round-trip exactly, so the
-         rewritten prefix is byte-identical to the original clean one
-         and appending continues the canonical journal. *)
-      let oc = open_out journal in
-      output_string oc header;
-      output_char oc '\n';
-      List.iter
-        (fun r ->
-          output_string oc (record_to_line r);
-          output_char oc '\n')
-        existing;
-      flush oc;
-      oc
-    end
-  in
+  (* Fresh or resumed, the journal is rewritten to its header and
+     surviving records before anything is appended: records round-trip
+     exactly, so a clean prefix is rewritten byte for byte and a torn
+     tail is cut off. *)
+  write_journal ~header existing journal;
+  let oc = J.open_append journal in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      run ?pool ?metrics ?trace ~events ?plan ?retry ?hang_budget
-        ~done_:existing ?keep ?limit
+      run ?pool ?metrics ?trace ~events ?plan ?retry ~done_:existing ?keep
+        ?limit
         ~on_record:(fun r ->
-          output_string oc (record_to_line r);
-          output_char oc '\n';
-          (* Flush per record: the journal must survive a kill at any
-             point with only the in-flight coordinate lost. *)
-          flush oc;
+          (* Flushed per record: a kill loses at most the in-flight
+             coordinate. *)
+          J.append_line oc (record_to_line r);
           if Obs_events.enabled events then
             Obs_events.emit events ~severity:Obs_events.Debug
               ~component:"campaign"

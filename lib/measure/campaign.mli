@@ -90,7 +90,6 @@ val run :
   ?events:Obs_events.sink ->
   ?plan:Fault.plan ->
   ?retry:retry ->
-  ?hang_budget:int ->
   ?done_:record list ->
   ?keep:(Spec.params -> int -> bool) ->
   ?limit:int ->
@@ -102,9 +101,8 @@ val run :
     (shard workers pass {!Shard.owns}; the default keeps everything);
     [limit] stops after that many {e newly executed} coordinates and
     marks the report interrupted; [on_record] fires after each new
-    coordinate finishes (journal writers hook here).  Hung runs are
-    killed via [Interp.Machine.Budget_exceeded hang_budget], raised and
-    caught inside the retry loop.
+    coordinate finishes (journal writers hook here).  A hung attempt
+    fails after burning [rt_hang_timeout_s].
 
     [events] receives the structured {!event_names} stream.  Record,
     fault and resume events are derived from each finished record and
@@ -148,10 +146,17 @@ val load_journal :
   mode:Instrument.mode -> expected_header:string -> string ->
   (record list * int, string) result
 (** Parse a journal file, validating its header.  Returns the records
-    plus the number of torn trailing lines skipped (0 or 1): a parse
-    failure on the last nonempty line is the partial flush of a killed
-    writer and is tolerated; a failure on any earlier line is
-    corruption and stays an [Error]. *)
+    plus the number of torn trailing lines skipped (0 or 1), under
+    {!Obs_json.decode_lines}'s rule: a failure on any earlier line is the
+    error ["PATH:LINE: bad journal line: ..."].
+    @raise Sys_error when the file cannot be read. *)
+
+val write_journal : header:string -> record list -> string -> unit
+(** Replace the journal at the path with [header] and one
+    {!record_to_line} per record, atomically ({!Obs_json.write_lines}):
+    a kill leaves the old journal or the new one, never an empty or
+    header-torn file.  {!run_journaled} starts every journal this way,
+    and the shard coordinator writes its merged journal with it. *)
 
 val run_journaled :
   ?pool:Par.Pool.t ->
@@ -160,18 +165,18 @@ val run_journaled :
   ?events:Obs_events.sink ->
   ?plan:Fault.plan ->
   ?retry:retry ->
-  ?hang_budget:int ->
   ?keep:(Spec.params -> int -> bool) ->
   ?limit:int ->
   journal:string -> resume:bool ->
   Spec.app -> Mpi_sim.Machine.t -> Experiment.design -> report
 (** {!run} with the journal wired up: when [resume] is set and the
     journal exists with a matching header, finished coordinates are
-    restored and new records appended; otherwise the journal is
-    (re)created.  Each record is flushed as it completes, so a killed
-    campaign loses at most the in-flight coordinate.  A torn trailing
-    line is cut off on resume (the journal is rewritten to its clean
-    prefix, its coordinate re-executed), counted in the
+    restored; otherwise the journal starts empty.  Either way the
+    journal is first rewritten ({!write_journal}) to its header and
+    restored records, then each new record is appended
+    and flushed as it completes, so a killed campaign loses at most the
+    in-flight coordinate and never the journal.  A torn trailing line is
+    cut off by that rewrite (its coordinate re-executed), counted in the
     [campaign.journal_torn] counter and reported as a
     [campaign.journal_torn] event.  [events] additionally carries a
     [campaign.checkpoint] event per flushed record.

@@ -15,8 +15,8 @@
 type kind =
   | Crash              (** the run dies partway through; no data *)
   | Hang               (** the run never terminates; the harness kills it
-                           when the per-run step budget expires
-                           ([Interp.Machine.Budget_exceeded]) *)
+                           once the retry policy's hang timeout has
+                           burned *)
   | Straggler of float (** the run completes with all durations inflated
                            by the factor (a slow node) *)
   | Corrupt of float   (** the run completes but its recorded durations

@@ -5,8 +5,8 @@
 
 type kind =
   | Crash              (** the run dies partway through; no data *)
-  | Hang               (** the run never terminates; killed when the
-                           per-run step budget expires *)
+  | Hang               (** the run never terminates; killed once the
+                           hang timeout has burned *)
   | Straggler of float (** completes with durations inflated by the
                            factor (2–8×: a slow node) *)
   | Corrupt of float   (** completes with duration outliers scaled by the

@@ -182,19 +182,6 @@ let merge_journals ?metrics ?(events = Obs_events.disabled) ~mode
         }
     end
 
-let write_journal ~header ~records path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc header;
-      output_char oc '\n';
-      List.iter
-        (fun r ->
-          output_string oc (Campaign.record_to_line r);
-          output_char oc '\n')
-        records)
-
 (* -- worker supervision ----------------------------------------------------- *)
 
 (* A shard is complete when its journal parses against the campaign

@@ -75,13 +75,8 @@ val merge_journals :
     order with their [campaign.*] counter bumps and fault/record events
     replayed in that order — byte-identical to a single-process
     campaign's registry and stream — followed by one [shard.merge]
-    summary event. *)
-
-val write_journal :
-  header:string -> records:Campaign.record list -> string -> unit
-(** Write a canonical journal (header plus one line per record) — the
-    merged journal the coordinator leaves at [--journal], byte-identical
-    to what one fault-free shard would have written. *)
+    summary event.  {!Campaign.write_journal} of the records is
+    byte-identical to a single-process campaign's journal. *)
 
 (** {1 Worker supervision} *)
 

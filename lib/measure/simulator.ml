@@ -192,7 +192,3 @@ let kernel_measurement run name =
 (** Measured per-invocation time of [name], if observed in this run. *)
 let kernel_time run name =
   Option.map (fun km -> km.km_per_call) (kernel_measurement run name)
-
-(** Measured aggregate time of [name], if observed in this run. *)
-let kernel_total run name =
-  Option.map (fun km -> km.km_total) (kernel_measurement run name)

@@ -69,6 +69,3 @@ val kernel_measurement : run -> string -> kernel_measurement option
 
 val kernel_time : run -> string -> float option
 (** Measured per-invocation time, when observed. *)
-
-val kernel_total : run -> string -> float option
-(** Measured aggregate time, when observed. *)

@@ -61,5 +61,3 @@ let find_kernel app name =
   match List.find_opt (fun k -> k.kname = name) app.kernels with
   | Some k -> k
   | None -> invalid_arg ("Spec.find_kernel: unknown kernel " ^ name)
-
-let kernel_names app = List.map (fun k -> k.kname) app.kernels

@@ -53,5 +53,3 @@ val kernel :
 
 val find_kernel : app -> string -> kernel
 (** @raise Invalid_argument on unknown kernels. *)
-
-val kernel_names : app -> string list

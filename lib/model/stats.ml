@@ -46,11 +46,6 @@ let aic ?(corrected = true) ~k pairs =
       base +. (2. *. kf *. (kf +. 1.) /. (n -. kf -. 1.))
     else base
 
-(** Relative prediction error at one configuration. *)
-let relative_error ~predicted ~observed =
-  if observed = 0. then Float.abs predicted
-  else Float.abs (predicted -. observed) /. Float.abs observed
-
 (** Median of a sample; [nan] on empty input. *)
 let median xs =
   match List.sort compare xs with

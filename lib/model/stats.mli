@@ -18,8 +18,6 @@ val aic : ?corrected:bool -> k:int -> fit -> float
 (** Akaike information criterion under Gaussian residuals (AICc by
     default); lower is better. *)
 
-val relative_error : predicted:float -> observed:float -> float
-
 val median : float list -> float
 (** Median; [nan] on empty input. *)
 

@@ -45,7 +45,9 @@ let make ~ts oc =
     }
 
 let create ?(ts = true) () = make ~ts None
-let to_file ?(ts = true) path = make ~ts (Some (open_out path))
+let to_file ?(ts = true) path =
+  Obs_json.write_lines path [];
+  make ~ts (Some (Obs_json.open_append path))
 
 let enabled = function Disabled -> false | Recording _ -> true
 
@@ -80,14 +82,9 @@ let emit sink ?(severity = Info) ~component ?(fields = []) event =
         in
         r.e_seq <- r.e_seq + 1;
         r.e_rev <- line :: r.e_rev;
-        match r.e_oc with
-        | None -> ()
-        | Some oc ->
-          output_string oc line;
-          output_char oc '\n';
-          (* Flush per event: the log must survive a kill with only the
-             in-flight line lost, like the campaign journal. *)
-          flush oc)
+        (* Flushed per event: a kill loses at most the in-flight line,
+           like the campaign journal. *)
+        Option.iter (fun oc -> Obs_json.append_line oc line) r.e_oc)
 
 let lines = function
   | Disabled -> []

@@ -274,3 +274,64 @@ let each f xs =
       go (y :: acc) rest
   in
   go [] xs
+
+(* -- JSON-lines files ------------------------------------------------------- *)
+
+let read_lines path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec go n acc =
+        match input_line ic with
+        | line when String.trim line = "" -> go (n + 1) acc
+        | line -> go (n + 1) ((n, line) :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go 1 [])
+
+(* A writer killed mid-line leaves a partial last line: a failure there
+   is that torn write, skipped and counted (its writer produces it
+   again).  A failure anywhere earlier is corruption and stays an error:
+   silently dropping an interior line would lose data the file was
+   trusted to hold. *)
+let decode_lines ~path decode lines =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc, 0)
+    | (n, line) :: rest -> (
+      match decode line with
+      | Ok v -> go (v :: acc) rest
+      | Error _ when rest = [] -> Ok (List.rev acc, 1)
+      | Error msg -> Error (Printf.sprintf "%s:%d: %s" path n msg))
+  in
+  go [] lines
+
+let write_lines path lines =
+  (* Renaming over a symlink, a FIFO or /dev/stdout would replace it, so
+     only a regular file (or a new one) is replaced atomically. *)
+  let atomic =
+    match (Unix.lstat path).Unix.st_kind with
+    | Unix.S_REG -> true
+    | _ -> false
+    | exception Unix.Unix_error _ -> true
+  in
+  let tmp = if atomic then path ^ ".tmp" else path in
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      List.iter
+        (fun line ->
+          output_string oc line;
+          output_char oc '\n')
+        lines;
+      flush oc);
+  if atomic then Sys.rename tmp path
+
+let open_append path =
+  open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
+
+let append_line oc line =
+  output_string oc line;
+  output_char oc '\n';
+  flush oc

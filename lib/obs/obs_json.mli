@@ -1,8 +1,8 @@
 (** The tree's one JSON module: a value type, an exact single-line
-    writer, a parser, and result-typed field readers.  Journals, the
-    model catalog, the daemon's wire protocol, BENCH files, [--json]
-    reports, traces, event logs and profiles are all built as {!t} and
-    printed by {!to_string}. *)
+    writer, a parser, result-typed field readers, and the JSON-lines
+    file layer.  Journals, the model catalog, the daemon's wire
+    protocol, BENCH files, [--json] reports, traces, event logs and
+    profiles are all built as {!t} and printed by {!to_string}. *)
 
 type t =
   | Null
@@ -60,3 +60,37 @@ val field_or : string -> 'a -> 'a read -> 'a read
 
 val each : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
 (** Map in order; the first error wins. *)
+
+(** {1 JSON-lines files}
+
+    Every JSON-lines file of the tree — campaign journals, the model
+    catalog's index, event logs, [--dump] datasets, BENCH files — is
+    read and written here.  A writer killed mid-line loses at most that
+    line, which {!decode_lines} skips; whole-file writes are atomic. *)
+
+val read_lines : string -> (int * string) list
+(** The file's nonempty lines with their 1-based line numbers.
+    @raise Sys_error when the file cannot be read. *)
+
+val decode_lines :
+  path:string ->
+  (string -> ('a, string) result) ->
+  (int * string) list ->
+  ('a list * int, string) result
+(** Decode {!read_lines} output in order under the torn-tail rule: a
+    failure on the last line is the partial write of a killed writer,
+    skipped and counted (the [int], 0 or 1); a failure on any earlier
+    line is the error ["PATH:LINE: message"]. *)
+
+val write_lines : string -> string list -> unit
+(** Replace the file with [lines], each newline-terminated: written to
+    ["PATH.tmp"] and renamed over [path], so a kill leaves the old file
+    or the new one, never a part.  A path that exists but is not a
+    regular file (a symlink, a FIFO, [/dev/stdout]) is written in place.
+    @raise Sys_error when the file cannot be written. *)
+
+val open_append : string -> out_channel
+(** An append channel on the file, created if absent. *)
+
+val append_line : out_channel -> string -> unit
+(** Write one line and flush it, so a kill loses at most that line. *)

@@ -155,8 +155,6 @@ let snapshot t =
   in
   { counters; gauges; histograms }
 
-let empty_snapshot = { counters = []; gauges = []; histograms = [] }
-
 (* Monotone linear interpolation within buckets.  The q-th value is
    located by cumulative count; within its bucket the value interpolates
    linearly between the bucket's edges, with the first bucket's lower

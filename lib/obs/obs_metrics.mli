@@ -73,8 +73,6 @@ type snapshot = {
 val snapshot : t -> snapshot
 (** An immutable copy of the current registry contents. *)
 
-val empty_snapshot : snapshot
-
 val quantile : hist_snapshot -> float -> float
 (** [quantile hs q] estimates the [q]-th quantile (0 to 1) by monotone
     linear interpolation within the bucket holding the q-th observation:

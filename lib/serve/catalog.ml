@@ -193,45 +193,37 @@ let index_path t = t.path
 let length t = Hashtbl.length t.disk
 let resident t = List.length t.lru
 
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
-exception Corrupt of string
-
 let load_index t =
-  if Sys.file_exists t.path then begin
-    let lines = Array.of_list (read_lines t.path) in
-    let last_nonempty = ref (-1) in
-    Array.iteri
-      (fun i l -> if String.trim l <> "" then last_nonempty := i)
-      lines;
-    Array.iteri
-      (fun i line ->
-        if String.trim line <> "" then
-          match entry_of_line line with
-          | Ok e ->
-              if not (Hashtbl.mem t.disk e.e_key) then
-                t.order <- e.e_key :: t.order;
-              Hashtbl.replace t.disk e.e_key line;
-              Hashtbl.replace t.apps e.e_key e.e_app
-          | Error msg ->
-              (* the partial flush of a killed writer is tolerated;
-                 anything earlier is corruption *)
-              if i <> !last_nonempty then
-                raise
-                  (Corrupt (Printf.sprintf "%s:%d: %s" t.path (i + 1) msg)))
-      lines;
-    t.order <- List.rev t.order
-  end
+  if not (Sys.file_exists t.path) then Ok ()
+  else
+    let* entries, _torn =
+      J.decode_lines ~path:t.path
+        (fun line -> Result.map (fun e -> (e, line)) (entry_of_line line))
+        (J.read_lines t.path)
+    in
+    List.iter
+      (fun (e, line) ->
+        if not (Hashtbl.mem t.disk e.e_key) then t.order <- e.e_key :: t.order;
+        Hashtbl.replace t.disk e.e_key line;
+        Hashtbl.replace t.apps e.e_key e.e_app)
+      entries;
+    t.order <- List.rev t.order;
+    Ok ()
+
+let close t =
+  match t.out with
+  | None -> ()
+  | Some oc ->
+      t.out <- None;
+      close_out_noerr oc
+
+(* Replace the index atomically with one line per key, then append from
+   there.  Every open does this too, so a torn tail left by a killed
+   writer is cut before the next append, as a campaign journal's is. *)
+let rewrite t =
+  close t;
+  J.write_lines t.path (List.filter_map (Hashtbl.find_opt t.disk) t.order);
+  t.out <- Some (J.open_append t.path)
 
 let open_ ?metrics ?(events = Obs_events.disabled)
     ?(capacity = default_capacity) ~dir () =
@@ -252,23 +244,12 @@ let open_ ?metrics ?(events = Obs_events.disabled)
         out = None;
       }
     in
-    match load_index t with
-    | () ->
-        t.out <-
-          Some
-            (open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 t.path);
-        Ok t
-    | exception Corrupt msg -> Error msg
-    | exception Sys_error msg -> Error msg
+    try
+      let* () = load_index t in
+      rewrite t;
+      Ok t
+    with Sys_error msg -> Error msg
   end
-
-let close t =
-  match t.out with
-  | None -> ()
-  | Some oc ->
-      t.out <- None;
-      flush oc;
-      close_out_noerr oc
 
 let promote t e =
   let rest = List.filter (fun (k, _) -> k <> e.e_key) t.lru in
@@ -303,33 +284,11 @@ let mem t key = List.mem_assoc key t.lru || Hashtbl.mem t.disk key
 
 let insert t e =
   let line = entry_to_line e in
-  (match t.out with
-  | Some oc ->
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
-  | None -> ());
+  Option.iter (fun oc -> J.append_line oc line) t.out;
   if not (Hashtbl.mem t.disk e.e_key) then t.order <- t.order @ [ e.e_key ];
   Hashtbl.replace t.disk e.e_key line;
   Hashtbl.replace t.apps e.e_key e.e_app;
   promote t e
-
-let rewrite t =
-  close t;
-  let tmp = t.path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt t.disk k with
-      | Some line ->
-          output_string oc line;
-          output_char oc '\n'
-      | None -> ())
-    t.order;
-  close_out oc;
-  Sys.rename tmp t.path;
-  t.out <-
-    Some (open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 t.path)
 
 let drop t key =
   Hashtbl.remove t.disk key;

@@ -93,9 +93,12 @@ val open_ :
     already exist — a missing directory is an [Error] naming the path,
     never a silently created one.  Existing entries are indexed by key
     (raw lines; decoded lazily on first {!find}), so a warm restart
-    serves every previously fitted model without refitting.  A torn
-    trailing line — the partial flush of a killed writer — is skipped;
-    corruption anywhere earlier is an [Error] naming the line.
+    serves every previously fitted model without refitting.  The index
+    is read under {!Obs_json.decode_lines}'s rule — a torn trailing line,
+    the partial flush of a killed writer, is skipped; corruption anywhere
+    earlier is an [Error] naming the line — and then rewritten
+    atomically to one line per key, so the torn tail is cut before the
+    next append.
     [capacity] bounds the in-memory LRU of {e decoded} entries (default
     {!default_capacity}); the disk index is never evicted.  [metrics]
     registers the [serve.evictions] counter; [events] receives a

@@ -181,7 +181,3 @@ let analyze_function f =
 let analyze_program (p : program) = List.concat_map analyze_function p.funcs
 
 let is_constant = function Constant _ -> true | Unknown -> false
-
-let pp_trip ppf = function
-  | Constant n -> Fmt.pf ppf "const(%d)" n
-  | Unknown -> Fmt.string ppf "unknown"

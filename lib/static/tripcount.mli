@@ -24,5 +24,3 @@ val is_constant : trip -> bool
 val closed_form : init:int -> step:int -> bound:int -> Ir.Types.binop -> trip
 (** Trip count of [for (i = init; i <cmp> bound; i += step)]; [Unknown]
     for unsupported comparison/step combinations. *)
-
-val pp_trip : trip Fmt.t

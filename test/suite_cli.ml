@@ -190,6 +190,9 @@ let test_shard_flag_validation () =
     [ "campaign"; "minicg"; "--kill-shard"; "0=1" ];
   check_failure ~expect:"--max-runs"
     [ "campaign"; "minicg"; "--shards"; "2"; "--max-runs"; "3"; "--journal";
+      "/tmp/x.jsonl" ];
+  check_failure ~expect:"--resume cannot be combined with --shards"
+    [ "campaign"; "minicg"; "--shards"; "2"; "--resume"; "--journal";
       "/tmp/x.jsonl" ]
 
 (* -- the executor's traps -----------------------------------------------------
@@ -315,6 +318,7 @@ let test_inert_flags_refused () =
       ("print", "iterate", "--ranks", "4");
       ("validate", "iterate", "--ranks", "4");
       ("profile", "iterate", "--jobs", "2");
+      ("campaign", "minicg", "--max-steps", "10");
     ]
 
 (* The block-coverage run records its trace like every other run. *)

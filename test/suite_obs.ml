@@ -294,6 +294,31 @@ let test_simulator_accounting () =
   | None -> Alcotest.fail "wall-time histogram missing"
   | Some hs -> Alcotest.(check int) "histogram count" (List.length runs) hs.M.hs_count
 
+(* [write_lines] replaces a regular file through a temp file and a
+   rename, but writes through a symlink in place: a rename would replace
+   the link itself (as it would /dev/stdout). *)
+let test_write_lines_through_symlink () =
+  let dir = Filename.temp_file "perf_taint_lines" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path name = Filename.concat dir name in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (path name)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  Obs_json.write_lines (path "target.jsonl") [ {|{"a":1}|}; {|{"a":2}|} ];
+  Unix.symlink "target.jsonl" (path "link.jsonl");
+  Obs_json.write_lines (path "link.jsonl") [ {|{"b":1}|} ];
+  Alcotest.(check bool) "the link survives" true
+    ((Unix.lstat (path "link.jsonl")).Unix.st_kind = Unix.S_LNK);
+  Alcotest.(check (list (pair int string))) "written through the link"
+    [ (1, {|{"b":1}|}) ]
+    (Obs_json.read_lines (path "target.jsonl"));
+  Alcotest.(check (list string)) "no temp file left"
+    [ "link.jsonl"; "target.jsonl" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
 let tests =
   [
     Alcotest.test_case "counters" `Quick test_counters;
@@ -317,4 +342,6 @@ let tests =
       test_search_accounting;
     Alcotest.test_case "simulator campaign accounting" `Quick
       test_simulator_accounting;
+    Alcotest.test_case "JSON-lines writes go through a symlink" `Quick
+      test_write_lines_through_symlink;
   ]

@@ -630,6 +630,31 @@ let test_jsonio_adversarial_strings () =
       "trailing backslash \\";
     ]
 
+(* A kill can stop the journal writer after any byte.  Cut a faulty
+   campaign's journal at every offset after the header and resume: the
+   journal must end byte-identical to the uninterrupted one (a record
+   glued onto an unterminated line would not) and the records with it. *)
+let test_every_journal_prefix_resumes () =
+  with_temp_journal @@ fun journal ->
+  let retry = { Camp.default_retry with Camp.rt_max_attempts = 3 } in
+  let design = { design with Exp.reps = 1 } in
+  let run ~resume =
+    Camp.run_journaled ~plan:transient_plan ~retry ~journal ~resume tiny_app
+      machine design
+  in
+  let full = run ~resume:false in
+  let bytes = read_file journal in
+  for cut = String.index bytes '\n' + 1 to String.length bytes do
+    let oc = open_out_bin journal in
+    output_string oc (String.sub bytes 0 cut);
+    close_out oc;
+    let resumed = run ~resume:true in
+    if not (String.equal (read_file journal) bytes) then
+      Alcotest.failf "journal cut at byte %d: resumed bytes differ" cut;
+    if compare resumed.Camp.cp_records full.Camp.cp_records <> 0 then
+      Alcotest.failf "journal cut at byte %d: resumed records differ" cut
+  done
+
 let tests =
   [
     Alcotest.test_case "fault draws are deterministic" `Quick
@@ -674,4 +699,6 @@ let tests =
       test_jsonio_adversarial_strings;
     Seeded.to_alcotest prop_jsonio_string_roundtrip;
     Seeded.to_alcotest prop_jsonio_obj_roundtrip;
+    Alcotest.test_case "every byte prefix of the journal resumes" `Quick
+      test_every_journal_prefix_resumes;
   ]

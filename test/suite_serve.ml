@@ -544,6 +544,78 @@ let doc_lists path what vocabulary () =
         true (contains doc row))
     vocabulary
 
+(* Every index line must decode: a torn fragment left in place would
+   turn into mid-file corruption once something is appended after it. *)
+let check_index_decodes dir =
+  List.iter
+    (fun (n, line) ->
+      match Cat.entry_of_line line with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "catalog.jsonl:%d does not decode: %s" n e)
+    (Obs_json.read_lines (Filename.concat dir "catalog.jsonl"))
+
+let insert_all dir entries =
+  match Cat.open_ ~dir () with
+  | Error e -> Alcotest.fail e
+  | Ok cat ->
+    List.iter (Cat.insert cat) entries;
+    Cat.close cat
+
+let check_holds dir keys =
+  match Cat.open_ ~dir () with
+  | Error e -> Alcotest.fail ("reopen refused: " ^ e)
+  | Ok cat ->
+    Alcotest.(check (list string)) "entries held" keys
+      (List.filter (Cat.mem cat) keys);
+    Alcotest.(check int) "nothing else" (List.length keys) (Cat.length cat);
+    Cat.close cat;
+    check_index_decodes dir
+
+(* The on-disk state of a daemon killed mid-insert: a fragment with no
+   newline.  The next open must cut it before appending; otherwise the
+   next entry is glued onto it (one insert: that entry is lost as the
+   torn tail) or buries it mid-file (two: the reopen is refused). *)
+let test_torn_tail_cut_before_append () =
+  with_tmp_dir @@ fun dir ->
+  insert_all dir [ entry ~key:"whole" () ];
+  let oc = open_out_gen [ Open_append ] 0o600 (Filename.concat dir "catalog.jsonl") in
+  output_string oc "{\"key\":\"deadbeef\",\"app\":\"lul";
+  close_out oc;
+  insert_all dir [ entry ~key:"second" (); entry ~key:"third" () ];
+  check_holds dir [ "whole"; "second"; "third" ]
+
+(* A kill can stop the index writer after any byte: cut a three-entry
+   index at every offset after its first line, open it, insert a fourth
+   entry, and reopen.  The entries whose lines were whole survive, and
+   so does the fourth. *)
+let test_every_index_prefix_reopens () =
+  with_tmp_dir @@ fun dir ->
+  let keys = [ "k1"; "k2"; "k3" ] in
+  insert_all dir (List.map (fun key -> entry ~key ()) keys);
+  let index = Filename.concat dir "catalog.jsonl" in
+  let bytes = read_file index in
+  (* the offset where each entry's line content ends *)
+  let ends =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (from, acc) key ->
+              let nl = String.index_from bytes from '\n' in
+              (nl + 1, (key, nl) :: acc))
+            (0, []) keys))
+  in
+  for cut = String.index bytes '\n' + 1 to String.length bytes do
+    let oc = open_out_bin index in
+    output_string oc (String.sub bytes 0 cut);
+    close_out oc;
+    insert_all dir [ entry ~key:"k4" () ];
+    check_holds dir
+      (List.filter_map
+         (fun (key, e) -> if e <= cut then Some key else None)
+         ends
+      @ [ "k4" ])
+  done
+
 let tests =
   [
     Alcotest.test_case "catalog key is stable and sensitive" `Quick
@@ -588,4 +660,8 @@ let tests =
       test_request_line_limit;
     Alcotest.test_case "bad design refused, nothing memoized" `Quick
       test_bad_design_refused;
+    Alcotest.test_case "torn index tail cut before the next append" `Quick
+      test_torn_tail_cut_before_append;
+    Alcotest.test_case "every byte prefix of the index reopens" `Quick
+      test_every_index_prefix_reopens;
   ]

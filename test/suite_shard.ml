@@ -162,7 +162,7 @@ let test_shard_merge_identity () =
     Alcotest.(check bool) "merged records bit-identical to serial" true
       (compare mg.Shard.mg_records serial.Camp.cp_records = 0);
     (* The merged journal is byte-identical to a single-process one. *)
-    Shard.write_journal ~header ~records:mg.Shard.mg_records base;
+    Camp.write_journal ~header mg.Shard.mg_records base;
     let expected =
       String.concat ""
         (List.map
@@ -307,8 +307,8 @@ let test_merge_completed_supersedes_abandoned () =
   let p2 = Shard.journal_path ~journal:base 1 in
   List.iter
     (fun order ->
-      Shard.write_journal ~header ~records:[ List.nth order 0 ] p1;
-      Shard.write_journal ~header ~records:[ List.nth order 1 ] p2;
+      Camp.write_journal ~header [ List.nth order 0 ] p1;
+      Camp.write_journal ~header [ List.nth order 1 ] p2;
       match
         Shard.merge_journals ~mode:design.Exp.mode ~expected_header:header
           ~design [ p1; p2 ]
