@@ -742,14 +742,12 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
     (match t.im with
     | None -> ()
     | Some ic -> Obs_metrics.incr ic.Icounters.ic_ctl);
-    (* [prev] is only ever read by [P.block_enter]; skip the [Some]
-       allocation per block transition when blocks are unobserved. *)
-    let pv = if blocks_observed then Some label else None in
     match lb.lterm with
     | LReturn op ->
       let v = lop_value frame op and l = lop_label frame op in
       (v, if labels then P.return_label t.pstate frame.pframe l else P.clean)
-    | LJump (BGo (tgt, fi)) -> exec_block t frame tgt ~prev:pv ~from_inside:fi
+    | LJump (BGo (tgt, fi)) ->
+      exec_block t frame tgt ~prev:lb.lprev ~from_inside:fi
     | LJump (BTrap e) -> raise e
     | LBranch (c, bthen, belse) -> (
       let v = lop_value frame c and l = lop_label frame c in
@@ -783,7 +781,8 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
       (if labels && P.wants_scope t.pstate l then
          P.scope_push t.pstate frame.pframe ~join:bi.Fstatic.bjoin l);
       match (if taken then bthen else belse) with
-      | BGo (tgt, fi) -> exec_block t frame tgt ~prev:pv ~from_inside:fi
+      | BGo (tgt, fi) ->
+        exec_block t frame tgt ~prev:lb.lprev ~from_inside:fi
       | BTrap e -> raise e)
 
   (* -- entry points -------------------------------------------------------- *)

@@ -74,6 +74,10 @@ type lblock = {
           loop exits, control-scope join *)
   linstrs : linstr array;
   lterm : lterm;
+  lprev : string option;
+      (** [Some] of this block's label: the [prev] its successors pass
+          to {!Engine.POLICY.block_enter}, built once here rather than
+          on every transition *)
 }
 
 type lfunc = {
@@ -204,7 +208,7 @@ let func ~resolve (f : Ir.Types.func) (static : Fstatic.t) =
         let c = lop_of sl c in
         LBranch (c, target_of b then_l, target_of b else_l)
     in
-    { lbi = bi; linstrs; lterm }
+    { lbi = bi; linstrs; lterm; lprev = Some b.label }
   in
   let lblocks = Array.map lower_block kept in
   {

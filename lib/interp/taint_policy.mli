@@ -4,3 +4,6 @@
     this policy. *)
 
 include Engine.POLICY with type label = Taint.Label.t
+
+val live_scopes : fstate -> int
+(** The frame's live control scopes: at most one per distinct join. *)

@@ -92,6 +92,151 @@ let test_nested_shared_ipostdom_pops_both () =
     "both scopes popped at the shared join; post-join write is clean" []
     (names m l)
 
+(* -- one control scope per join ------------------------------------------ *)
+
+(* The Taint policy driven directly, block by block, as the engine drives
+   it.  Every iteration of a loop whose exit test is tainted pushes a
+   scope joining at the loop exit; those scopes end together, so the
+   frame holds one of them however many iterations ran. *)
+
+module TP = Interp.Taint_policy
+module L = Taint.Label
+
+let tp_state () = TP.create ~control_flow_taint:true ~hint:0
+
+let enter s f block = TP.block_enter s f ~func:"f" ~block ~prev:None
+
+let iterate s f ~join l n =
+  for _ = 1 to n do
+    enter s f "header";
+    enter s f "body";
+    TP.scope_push s f ~join l
+  done
+
+let test_one_scope_per_join () =
+  let s = tp_state () in
+  let n = L.base (TP.table s) "n" in
+  List.iter
+    (fun iters ->
+      let f = TP.frame_slots s 1 in
+      iterate s f ~join:"exit" n iters;
+      Alcotest.(check int)
+        (Printf.sprintf "%d iterations leave one live scope" iters)
+        1 (TP.live_scopes f);
+      Alcotest.(check int) "the scope carries the exit test's taint"
+        (n :> int)
+        (TP.return_label s f L.empty :> int);
+      enter s f "exit";
+      Alcotest.(check int) "entering the exit pops it" 0 (TP.live_scopes f);
+      Alcotest.(check bool) "no control taint after the exit" true
+        (L.is_empty (TP.return_label s f L.empty)))
+    [ 10; 10_000 ];
+  let f = TP.frame_slots s 1 in
+  List.iteri
+    (fun k join ->
+      iterate s f ~join n 3;
+      Alcotest.(check int)
+        (Printf.sprintf "%d distinct joins, %d scopes" (k + 1) (k + 1))
+        (k + 1) (TP.live_scopes f))
+    [ "j0"; "j1"; "j2"; Interp.Fstatic.never_join ]
+
+(* The per-frame scope list must not grow with the trip count: a tainted
+   run allocates the same minor words per executed step at lulesh size 5
+   on 8 ranks as at size 8 on 27 ranks (four times the steps). *)
+let test_taint_words_per_step_flat () =
+  let module CT = Interp.Compiled.Taint in
+  let words_per_step (size, ranks) =
+    let args =
+      List.mapi (fun i a -> if i = 0 then VInt size else a)
+        Apps.Lulesh.taint_args
+    in
+    let run () =
+      let m = CT.create Apps.Lulesh.program in
+      Mpi_sim.Runtime.install_host (module CT)
+        { Mpi_sim.Runtime.ranks; rank = 0 } m;
+      let w0 = Gc.minor_words () in
+      ignore (CT.run m args);
+      (Gc.minor_words () -. w0) /. float_of_int (CT.steps_executed m)
+    in
+    (* The first run lowers the program; time the warm one. *)
+    ignore (run ());
+    run ()
+  in
+  let small = words_per_step (5, 8) and large = words_per_step (8, 27) in
+  if Float.abs (large -. small) > 0.05 *. Float.min small large then
+    Alcotest.failf
+      "tainted minor words per step: %.2f at size 5, %.2f at size 8" small
+      large
+
+(* A reference model of the control-scope semantics: a stack with one
+   entry per tainted branch (push = cons), popped by filtering on block
+   entry, and the control taint the fold of what is left.  After every
+   operation of a random sequence the policy's control taint, its
+   written slots and its scope count must agree with the model. *)
+type scope_op =
+  | Push of string * int
+  | Enter of string
+  | Write of int * int
+
+let scope_joins = [| "j0"; "j1"; "j2"; "j3"; Interp.Fstatic.never_join |]
+let scope_blocks = [| "j0"; "j1"; "j2"; "j3"; "body" |]
+
+let pp_scope_op = function
+  | Push (j, l) -> Printf.sprintf "push %s %d" j l
+  | Enter b -> Printf.sprintf "enter %s" b
+  | Write (i, l) -> Printf.sprintf "write r%d %d" i l
+
+let arb_scope_ops =
+  let open QCheck.Gen in
+  let lbl = int_range 0 7 in
+  let op =
+    frequency
+      [
+        (3, map2 (fun j l -> Push (j, l)) (oneofa scope_joins) lbl);
+        (2, map (fun b -> Enter b) (oneofa scope_blocks));
+        (2, map2 (fun i l -> Write (i, l)) (int_range 0 2) lbl);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_scope_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 0 80) op)
+
+let prop_scopes_match_model =
+  QCheck.Test.make ~count:500
+    ~name:"control scopes = per-branch stack model" arb_scope_ops (fun ops ->
+      let s = tp_state () in
+      let srcs = List.map (L.base (TP.table s)) [ "a"; "b"; "c" ] in
+      let label bits =
+        List.fold_left L.union L.empty
+          (List.filteri (fun i _ -> bits land (1 lsl i) <> 0) srcs)
+      in
+      let f = TP.frame_slots s 3 in
+      let stack = ref [] and slots = Array.make 3 None in
+      let ctl () =
+        List.fold_left (fun acc (_, l) -> L.union acc l) L.empty !stack
+      in
+      let slot_agrees i =
+        match slots.(i) with None -> true | Some l -> TP.read_slot f i = l
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push (join, bits) ->
+            TP.scope_push s f ~join (label bits);
+            stack := (join, label bits) :: !stack
+          | Enter block ->
+            enter s f block;
+            stack := List.filter (fun (j, _) -> j <> block) !stack
+          | Write (i, bits) ->
+            TP.write_slot s f i (label bits);
+            slots.(i) <- Some (L.union (label bits) (ctl ())));
+          TP.return_label s f L.empty = ctl ()
+          && TP.live_scopes f
+             = List.length (List.sort_uniq compare (List.map fst !stack))
+          && List.for_all slot_agrees [ 0; 1; 2 ])
+        ops)
+
 (* -- control_flow_taint = false: Taint and Plain agree ---------------------- *)
 
 let loop_fn =
@@ -288,4 +433,9 @@ let tests =
       test_custom_policy;
     Alcotest.test_case "instr counter table in sync with doc" `Quick
       test_counter_doc_in_sync;
+    Alcotest.test_case "one control scope per join" `Quick
+      test_one_scope_per_join;
+    Alcotest.test_case "tainted words per step flat in input size" `Quick
+      test_taint_words_per_step_flat;
+    Seeded.to_alcotest prop_scopes_match_model;
   ]
