@@ -23,6 +23,8 @@ let experiments =
     ("micro", "bechamel microbenchmarks", Micro.run);
     ("policy", "policy overhead: taint vs plain, interp vs compiled",
      Micro.policy_speedup);
+    ("search", "model search: cost per candidate, size-3 kernel ratio",
+     Micro.search_kernel);
     ("resilience", "campaign executor overhead and retry cost",
      Micro.resilience);
     ("parallel", "domain-pool speedup: campaign / search / fuzz at 1-8 jobs",

@@ -226,6 +226,135 @@ let policy_speedup () =
       ("taint_over_plain_target_met", J.Bool (g_overhead <= 2.));
     ]
 
+(* -- model search: cost per candidate and the size-3 kernel ---------------- *)
+
+(* The grid shapes a model-e2e pass searches with the default menu: the
+   five values of one axis, the nine-point ranks-per-node sweep of a
+   contention check, and a collapsed 5x5 grid, where [Search.multi]
+   hands [single] each of five values five times.  The observations are
+   a planted c + c*x^1.5 with a small fixed wobble, so repeated x values
+   differ and no fit is exact. *)
+let search_axis = [ 8.; 27.; 64.; 216.; 729. ]
+
+let search_shapes =
+  [
+    ("5-point", search_axis);
+    ("9-point", [ 2.; 4.; 6.; 8.; 10.; 12.; 14.; 16.; 18. ]);
+    ( "25-point",
+      List.concat_map (fun x -> List.init 5 (fun _ -> x)) search_axis );
+  ]
+
+let search_samples xs =
+  List.mapi
+    (fun i x ->
+      (x, 1. +. (0.5 *. x *. sqrt x) +. (0.01 *. float_of_int (i mod 7))))
+    xs
+
+(* Hypotheses scored and minor words allocated per hypothesis by one
+   single-parameter search, after a first search has grown the domain's
+   basis and scratch: a deterministic count. *)
+let search_words samples =
+  ignore (Model.Search.single ~param:"p" samples);
+  let w0 = Gc.minor_words () in
+  let r = Model.Search.single ~param:"p" samples in
+  let words = Gc.minor_words () -. w0 in
+  (r.Model.Search.hypotheses_tried, words /. float_of_int r.hypotheses_tried)
+
+(* [n] normal systems XᵀX c = Xᵀy of random two-term hypotheses from the
+   default menu over the 5-point axis, 12 floats each (a row by row, then
+   b), summed in [Linalg.least_squares]'s order. *)
+let normal_systems n =
+  let rng = Random.State.make [| 42 |] in
+  let expos = Array.of_list Model.Search.default_config.exponents in
+  let term () =
+    let expo = expos.(Random.State.int rng (Array.length expos)) in
+    { Model.Expr.expo; logexp = Random.State.int rng 3 }
+  in
+  let src = Array.make (12 * n) 0. in
+  for s = 0 to n - 1 do
+    let t1 = term () in
+    let t2 = term () in
+    List.iter
+      (fun (x, y) ->
+        let row =
+          [| 1.; Model.Expr.eval_simple t1 x; Model.Expr.eval_simple t2 x |]
+        in
+        for i = 0 to 2 do
+          let b = (12 * s) + 9 + i in
+          src.(b) <- src.(b) +. (row.(i) *. y);
+          for j = 0 to 2 do
+            let k = (12 * s) + (3 * i) + j in
+            src.(k) <- src.(k) +. (row.(i) *. row.(j))
+          done
+        done)
+      (search_samples search_axis)
+  done;
+  src
+
+(* Nanoseconds per system of [Linalg.solve3] and of what it replaced in
+   the search, copying each system into a scratch matrix for
+   [solve_in_place], over the same systems, interleaved in one process
+   so that their ratio holds on any host. *)
+let solver_times n =
+  let src = normal_systems n and offs = Array.init 12 Fun.id in
+  let a = Array.make_matrix 3 3 0. and rhs = Array.make 3 0. in
+  let x = Array.make 3 0. in
+  let generic s =
+    let at = 12 * s in
+    for i = 0 to 2 do
+      for j = 0 to 2 do
+        a.(i).(j) <- src.(offs.((3 * i) + j) + at)
+      done;
+      rhs.(i) <- src.(offs.(9 + i) + at)
+    done;
+    Model.Linalg.solve_in_place a rhs
+  in
+  let kernel s = Model.Linalg.solve3 src offs (12 * s) x in
+  let passes = 25 in
+  let sweep solve () =
+    for _ = 1 to passes do
+      for s = 0 to n - 1 do
+        ignore (solve s)
+      done
+    done
+  in
+  let t3, tg = best_of_pair 9 (sweep kernel) (sweep generic) in
+  let per t = t /. float_of_int (passes * n) *. 1e9 in
+  (per t3, per tg)
+
+let search_kernel () =
+  Exp_common.section "model search: cost per candidate, size-3 kernel";
+  let shapes =
+    List.map
+      (fun (name, xs) ->
+        let candidates, wpc = search_words (search_samples xs) in
+        Fmt.pr "  %-9s %4d candidates   %5.1f minor words each@." name
+          candidates wpc;
+        J.Obj
+          [
+            ("shape", J.Str name);
+            ("candidates", J.Int candidates);
+            ("words_per_candidate", J.Float wpc);
+          ])
+      search_shapes
+  in
+  let systems = 4096 in
+  let ns3, nsg = solver_times systems in
+  let ratio = ns3 /. nsg in
+  Fmt.pr
+    "  %d normal systems: solve3 %.1f ns, copy + solve_in_place %.1f ns, \
+     ratio %.2f (target <= 0.5)@."
+    systems ns3 nsg ratio;
+  Exp_common.emit_json ~name:"search"
+    [
+      ("shapes", J.List shapes);
+      ("systems", J.Int systems);
+      ("solve3_ns", J.Float ns3);
+      ("solve_in_place_ns", J.Float nsg);
+      ("solve3_over_solve_in_place", J.Float ratio);
+      ("solve3_target_met", J.Bool (ratio <= 0.5));
+    ]
+
 (* -- campaign executor overhead and retry cost ----------------------------- *)
 
 (* The resilient executor's two costs, measured separately: (1) the pure

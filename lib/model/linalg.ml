@@ -49,6 +49,71 @@ let solve_in_place a b =
     !finite
   end
 
+(* Entry [k] of a system gathered by {!solve3}; small and closed, so it
+   inlines and its float stays unboxed. *)
+let[@inline] entry (src : float array) (offs : int array) at k =
+  src.(offs.(k) + at)
+
+(** {!solve_in_place} at size 3 with the system in local floats: the same
+    pivots, singular tests, elimination and back substitution, operation
+    for operation, so the verdict and every bit of x agree.  a_ij is
+    [src.(offs.(3i + j) + at)] and b_i is [src.(offs.(9 + i) + at)]; x
+    goes to [x.(0..2)], which is left untouched when a pivot is
+    singular. *)
+let solve3 (src : float array) (offs : int array) at (x : float array) =
+  (* Column 0: a later row replaces the pivot only on a strictly larger
+     magnitude, so the first maximum wins; swapping row [p] into row 0
+     leaves the third row where it was. *)
+  let p =
+    if Float.abs (entry src offs at 3) > Float.abs (entry src offs at 0)
+    then 1 else 0
+  in
+  let p =
+    if Float.abs (entry src offs at 6) > Float.abs (entry src offs at (3 * p))
+    then 2 else p
+  in
+  let r1 = if p = 1 then 0 else 1 and r2 = if p = 2 then 0 else 2 in
+  let a00 = entry src offs at (3 * p) in
+  if Float.abs a00 < 1e-12 then false
+  else begin
+    let a01 = entry src offs at ((3 * p) + 1)
+    and a02 = entry src offs at ((3 * p) + 2)
+    and b0 = entry src offs at (9 + p) in
+    (* Eliminate column 0; the eliminated entries are never read again. *)
+    let f = entry src offs at (3 * r1) /. a00 in
+    let a11 = ref (entry src offs at ((3 * r1) + 1) -. (f *. a01))
+    and a12 = ref (entry src offs at ((3 * r1) + 2) -. (f *. a02))
+    and b1 = ref (entry src offs at (9 + r1) -. (f *. b0)) in
+    let f = entry src offs at (3 * r2) /. a00 in
+    let a21 = ref (entry src offs at ((3 * r2) + 1) -. (f *. a01))
+    and a22 = ref (entry src offs at ((3 * r2) + 2) -. (f *. a02))
+    and b2 = ref (entry src offs at (9 + r2) -. (f *. b0)) in
+    (* Column 1: the same strict pivot test, swapping whole rows. *)
+    if Float.abs !a21 > Float.abs !a11 then begin
+      let t = !a11 in a11 := !a21; a21 := t;
+      let t = !a12 in a12 := !a22; a22 := t;
+      let t = !b1 in b1 := !b2; b2 := t
+    end;
+    if Float.abs !a11 < 1e-12 then false
+    else begin
+      let f = !a21 /. !a11 in
+      let a22 = !a22 -. (f *. !a12) and b2 = !b2 -. (f *. !b1) in
+      if Float.abs a22 < 1e-12 then false
+      else begin
+        let x2 = b2 /. a22 in
+        let x1 = (!b1 -. (!a12 *. x2)) /. !a11 in
+        let x0 = ((b0 -. (a01 *. x1)) -. (a02 *. x2)) /. a00 in
+        x.(0) <- x0;
+        x.(1) <- x1;
+        x.(2) <- x2;
+        not
+          (Float.is_nan x0 || Float.abs x0 = Float.infinity
+         || Float.is_nan x1 || Float.abs x1 = Float.infinity
+         || Float.is_nan x2 || Float.abs x2 = Float.infinity)
+      end
+    end
+  end
+
 (** Solve [a] x = [b] on copies, leaving the arguments untouched; [None]
     when singular. *)
 let solve a b =

@@ -148,21 +148,20 @@ let grow a len = if Array.length a >= len then a else Array.make len 0.
 let fill_pair b a c =
   let n = b.n and cols = b.cols and sums = b.sums in
   let off = slot a c * (n + 1) and xa = a * n and xc = c * n in
-  (* First pass: the full sum, leaving each row's prefix sum behind in
-     its leave-one-out cell; the second pass adds the rows after it. *)
+  (* Row by row: row r's product joins the sums that leave out an earlier
+     row, and the sum that leaves out row r is the prefix so far.  Each
+     sum still takes its terms in row order from 0, and the n chains no
+     longer wait on one another. *)
   let acc = ref 0. in
   for r = 0 to n - 1 do
-    sums.(off + 1 + r) <- !acc;
-    acc := !acc +. (cols.(xa + r) *. cols.(xc + r))
-  done;
-  sums.(off) <- !acc;
-  for i = 0 to n - 2 do
-    let acc = ref sums.(off + 1 + i) in
-    for r = i + 1 to n - 1 do
-      acc := !acc +. (cols.(xa + r) *. cols.(xc + r))
+    let p = cols.(xa + r) *. cols.(xc + r) in
+    for i = off + 1 to off + r do
+      sums.(i) <- sums.(i) +. p
     done;
-    sums.(off + 1 + i) <- !acc
-  done
+    sums.(off + 1 + r) <- !acc;
+    acc := !acc +. p
+  done;
+  sums.(off) <- !acc
 
 (* Evaluate every term at the points, then fill the sums of each column
    pair the candidates use (the intercept-only candidate [||] included). *)
@@ -224,17 +223,24 @@ let system sc size =
           else (Array.make_matrix s s 0., Array.make s 0.));
   sc.systems.(size)
 
-(* Fill a system from the sums: [at] 0 is the full fit, 1 + i the fit
-   that leaves row i out.  (The annotations keep the copies unboxed.) *)
-let load (sums : float array) offs (a : float array array) (rhs : float array)
-    size at =
-  for i = 0 to size - 1 do
-    let row = a.(i) in
-    for j = 0 to size - 1 do
-      row.(j) <- sums.(offs.((i * size) + j) + at)
+(* Solve the system the sums hold at [at] (0 the full fit, 1 + i the fit
+   that leaves row i out) into [rhs].  Size 3, every two-term hypothesis,
+   reads the sums in place through [Linalg.solve3]; other sizes are copied
+   into the scratch system first.  (The annotations keep the copies
+   unboxed.) *)
+let solve_at (sums : float array) offs (a : float array array)
+    (rhs : float array) size at =
+  if size = 3 then Linalg.solve3 sums offs at rhs
+  else begin
+    for i = 0 to size - 1 do
+      let row = a.(i) in
+      for j = 0 to size - 1 do
+        row.(j) <- sums.(offs.((i * size) + j) + at)
+      done;
+      rhs.(i) <- sums.(offs.((size * size) + i) + at)
     done;
-    rhs.(i) <- sums.(offs.((size * size) + i) + at)
-  done
+    Linalg.solve_in_place a rhs
+  end
 
 (* [Dataset.smape]'s running sum, one (prediction, observation) pair on;
    inlined here so the hot loops below do not box floats. *)
@@ -275,8 +281,7 @@ let score b sc cand =
       done
     done;
     let a, rhs = system sc size in
-    load b.sums offs a rhs size 0;
-    if not (Linalg.solve_in_place a rhs) then None
+    if not (solve_at b.sums offs a rhs size 0) then None
     else begin
       let coeffs = Array.sub rhs 0 size in
       let cols = b.cols and y = ycol * n in
@@ -303,8 +308,7 @@ let score b sc cand =
            order the reference sums them in. *)
         let i = ref (n - 1) in
         while !ok && !i >= 0 do
-          load b.sums offs a rhs size (1 + !i);
-          if Linalg.solve_in_place a rhs then
+          if solve_at b.sums offs a rhs size (1 + !i) then
             total :=
               smape_step !total (predict cols n cand rhs !i) cols.(y + !i)
           else ok := false;
@@ -425,9 +429,9 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
   (match pool with
   | Some p when Par.Pool.jobs p > 1 ->
     List.iter2 consider candidates
-      (Par.Pool.map_init p
-         ~init:(fun () -> Domain.DLS.get scratch_key)
-         (score basis) candidates)
+      (Par.Pool.map p
+         (fun cand -> score basis (Domain.DLS.get scratch_key) cand)
+         candidates)
   | _ -> List.iter (fun cand -> consider cand (score basis sc cand)) candidates);
   let result =
     match !best with

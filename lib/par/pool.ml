@@ -209,22 +209,3 @@ let map t ?chunk f xs =
     | None -> ());
     !out
   end
-
-let map_init t ?chunk ~init f xs =
-  let states : (int, _) Hashtbl.t = Hashtbl.create 8 in
-  let smu = Mutex.create () in
-  let state_of_self () =
-    let id = (Domain.self () :> int) in
-    Mutex.lock smu;
-    let s =
-      match Hashtbl.find_opt states id with
-      | Some s -> s
-      | None ->
-        let s = init () in
-        Hashtbl.add states id s;
-        s
-    in
-    Mutex.unlock smu;
-    s
-  in
-  map t ?chunk (fun x -> f (state_of_self ()) x) xs

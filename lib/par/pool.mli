@@ -9,12 +9,12 @@
     codebase are), the output is bit-identical to serial execution.
 
     Concurrency contract: a pool of more than one job is driven by one
-    domain at a time (the one that called {!create}). [map]/[map_init]
-    must not be called reentrantly or from two domains at once; tasks
-    must not submit to the pool they run on. Tasks may only share data
-    through their return value — anything else they touch must be
-    domain-local. A one-job pool without [?metrics], {!serial} included,
-    is exempt: its [map] is a plain loop on the calling domain. *)
+    domain at a time (the one that called {!create}). [map] must not be
+    called reentrantly or from two domains at once; tasks must not
+    submit to the pool they run on. Tasks may only share data through
+    their return value — anything else they touch must be domain-local.
+    A one-job pool without [?metrics], {!serial} included, is exempt:
+    its [map] is a plain loop on the calling domain. *)
 
 type t
 
@@ -57,13 +57,6 @@ val map : t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
     its backtrace) — again independent of scheduling. [?chunk] overrides
     the items-per-task grain (default: [length / (jobs * 4)], clamped to
     [1, 64]). *)
-
-val map_init :
-  t -> ?chunk:int -> init:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a list -> 'b list
-(** [map_init t ~init f xs] is {!map} where each participating domain
-    lazily creates one private state with [init ()] (at most one per
-    domain per call) and every task it executes receives that state.
-    Used to reuse scratch buffers worker-locally without sharing. *)
 
 val counters : (string * string) list
 (** Name and description of every [par.*] counter, in the order they

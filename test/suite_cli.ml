@@ -6,10 +6,21 @@
 
 (* Under `dune runtest` the cwd is _build/default/test and the binary is
    a declared dependency at ../bin/; under `dune exec` it is the project
-   root. *)
-let exe =
-  List.find Sys.file_exists
-    [ "../bin/perf_taint_cli.exe"; "_build/default/bin/perf_taint_cli.exe" ]
+   root.  The path is looked up on first use, so a test binary built
+   without the CLI still runs its other suites, and each cli test fails
+   with one line naming both paths. *)
+let exe_paths =
+  [ "../bin/perf_taint_cli.exe"; "_build/default/bin/perf_taint_cli.exe" ]
+
+let exe_found = lazy (List.find_opt Sys.file_exists exe_paths)
+
+let exe () =
+  match Lazy.force exe_found with
+  | Some path -> path
+  | None ->
+    Alcotest.failf "perf-taint CLI not found: tried %s from %s"
+      (String.concat " and " exe_paths)
+      (Sys.getcwd ())
 
 let read_file path =
   let ic = open_in_bin path in
@@ -26,7 +37,8 @@ let run_cli args =
       try Sys.remove err with Sys_error _ -> ())
     (fun () ->
       let code =
-        Sys.command (Filename.quote_command exe args ~stdout:out ~stderr:err)
+        Sys.command
+          (Filename.quote_command (exe ()) args ~stdout:out ~stderr:err)
       in
       (code, read_file out, read_file err))
 
@@ -363,6 +375,7 @@ let with_tmp_catalog f =
     (fun () -> f dir)
 
 let with_daemon ~catalog ~socket f =
+  let exe = exe () in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let errfile = Filename.temp_file "cli_daemon" ".err" in
   let errfd =

@@ -406,6 +406,68 @@ let prop_shared_basis_matches_refit =
       || QCheck.Test.fail_reportf "expected %s@.got      %s"
            (show_result expected) (show_result got))
 
+(* -- the size-3 kernel = the generic elimination ---------------------------- *)
+
+(* General 3x3 systems over the values that steer elimination: signed
+   zeros, the 1e-12 singular cutoff and the float just below it,
+   subnormals, NaN, infinities, 1e+-300, small integers and random binary
+   exponents.  Entries that copy a00 or -a00 force pivot-magnitude ties,
+   and a third of the systems are symmetric, like the normal matrices the
+   search solves. *)
+let special_entries =
+  [| 0.; -0.; 1e-12; -1e-12; 1e-12 *. (1. -. epsilon_float); 1.; -1.;
+     Float.nan; Float.infinity; Float.neg_infinity; 1e300; -1e300; 1e-300;
+     -1e-300; 4.9e-324; -4.9e-324; 2.2250738585072009e-308 |]
+
+let gen_entry =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofa special_entries);
+        (2, map float_of_int (int_range (-4) 4));
+        (4, map2 Float.ldexp (float_range (-2.) 2.) (int_range (-60) 60)) ])
+
+(* Entries 0-8 are a row by row, 9-11 are b. *)
+let gen_system =
+  QCheck.Gen.(
+    map3
+      (fun entries ties symmetric ->
+        let e = Array.of_list entries in
+        List.iteri
+          (fun k tie ->
+            if tie = 1 then e.(k + 1) <- e.(0)
+            else if tie = 2 then e.(k + 1) <- -.e.(0))
+          ties;
+        if symmetric then begin
+          e.(3) <- e.(1);
+          e.(6) <- e.(2);
+          e.(7) <- e.(5)
+        end;
+        e)
+      (list_repeat 12 gen_entry)
+      (list_repeat 11 (frequency [ (8, return 0); (1, return 1); (1, return 2) ]))
+      (frequency [ (1, return true); (2, return false) ]))
+
+let show_floats a = String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list a))
+
+let prop_solve3_matches_solve_in_place =
+  QCheck.Test.make ~count:20_000
+    ~name:"solve3 = solve_in_place, bit for bit"
+    (QCheck.make ~print:show_floats gen_system)
+    (fun e ->
+      (* solve3 gathers through an offset table: entry k sits at
+         2 (11 - k) + 1, between junk values it must not read. *)
+      let offs = Array.init 12 (fun k -> 2 * (11 - k)) in
+      let src = Array.make 24 7. in
+      Array.iteri (fun k v -> src.(offs.(k) + 1) <- v) e;
+      let a = Array.init 3 (fun i -> Array.sub e (3 * i) 3) in
+      let b = Array.sub e 9 3 in
+      let ok = Model.Linalg.solve_in_place a b in
+      let x = Array.make 3 Float.nan in
+      let ok3 = Model.Linalg.solve3 src offs 1 x in
+      (ok = ok3 && ((not ok) || Array.for_all2 (fun u v -> bits u = bits v) b x))
+      || QCheck.Test.fail_reportf "solve_in_place %b [%s], solve3 %b [%s]" ok
+           (show_floats b) ok3 (show_floats x))
+
 (* -- robust statistics and fitting ----------------------------------------- *)
 
 let string_contains haystack needle =
@@ -558,4 +620,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_eval_monotone_terms;
     QCheck_alcotest.to_alcotest prop_smape_bounded;
     Seeded.to_alcotest prop_shared_basis_matches_refit;
+    Seeded.to_alcotest prop_solve3_matches_solve_in_place;
   ]

@@ -1,8 +1,8 @@
 (** Tests of the deterministic domain pool ([lib/par]) and its
-    integration points: [map]/[map_init] semantics (input order,
-    exception routing, worker-local state), campaign and model-search
-    parallel-vs-serial bit-identity, fuzz-driver report identity, and
-    the [par.*] counter table in doc/OBSERVABILITY.md. *)
+    integration points: [map] semantics (input order, exception
+    routing), campaign and model-search parallel-vs-serial
+    bit-identity, fuzz-driver report identity, and the [par.*] counter
+    table in doc/OBSERVABILITY.md. *)
 
 module P = Par.Pool
 module M = Obs_metrics
@@ -77,28 +77,6 @@ let test_shutdown_idempotent_then_serial () =
   P.shutdown pool;
   Alcotest.(check (list int)) "after shutdown maps run serially"
     (List.map succ xs) (P.map pool succ xs)
-
-let test_map_init_state_per_domain () =
-  let inits = Atomic.make 0 in
-  P.with_pool ~jobs:4 (fun pool ->
-      let xs = List.init 200 Fun.id in
-      let results =
-        P.map_init pool ~chunk:1
-          ~init:(fun () ->
-            Atomic.incr inits;
-            Buffer.create 16)
-          (fun buf x ->
-            Buffer.clear buf;
-            Buffer.add_string buf (string_of_int x);
-            int_of_string (Buffer.contents buf))
-          xs
-      in
-      Alcotest.(check (list int)) "map_init results in order" xs results;
-      let n = Atomic.get inits in
-      Alcotest.(check bool)
-        (Printf.sprintf "at most one state per domain (%d inits)" n)
-        true
-        (n >= 1 && n <= 4))
 
 let test_counters () =
   let metrics = M.create () in
@@ -403,8 +381,6 @@ let tests =
       test_exception_lowest_index_wins;
     Alcotest.test_case "shutdown idempotent, serial afterwards" `Quick
       test_shutdown_idempotent_then_serial;
-    Alcotest.test_case "map_init: one state per domain" `Quick
-      test_map_init_state_per_domain;
     Alcotest.test_case "par.* counters" `Quick test_counters;
     Alcotest.test_case "campaign parallel bit-identity" `Quick
       test_campaign_parallel_identity;
