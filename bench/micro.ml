@@ -251,14 +251,28 @@ let search_samples xs =
     xs
 
 (* Hypotheses scored and minor words allocated per hypothesis by one
-   single-parameter search, after a first search has grown the domain's
-   basis and scratch: a deterministic count. *)
+   single-parameter search, after a first search on the same points has
+   grown the domain's basis and scratch (so the second reuses the basis,
+   as the searches of a model-e2e pass mostly do): a deterministic
+   count. *)
 let search_words samples =
   ignore (Model.Search.single ~param:"p" samples);
   let w0 = Gc.minor_words () in
   let r = Model.Search.single ~param:"p" samples in
   let words = Gc.minor_words () -. w0 in
   (r.Model.Search.hypotheses_tried, words /. float_of_int r.hypotheses_tried)
+
+(* The time of searches that reuse the basis over searches that rebuild
+   it: [xs] twice in a row, against [xs] shifted by one and then [xs],
+   which evict each other's basis. *)
+let reuse_ratio xs =
+  let samples = search_samples xs
+  and shifted = search_samples (List.map (fun x -> x +. 1.) xs) in
+  let search s () = ignore (Model.Search.single ~param:"p" s) in
+  let reused () = search samples (); search samples ()
+  and fresh () = search shifted (); search samples () in
+  let tr, tf = best_of_pair 9 reused fresh in
+  tr /. tf
 
 (* [n] normal systems XᵀX c = Xᵀy of random two-term hypotheses from the
    default menu over the 5-point axis, 12 floats each (a row by row, then
@@ -324,17 +338,23 @@ let solver_times n =
 
 let search_kernel () =
   Exp_common.section "model search: cost per candidate, size-3 kernel";
+  let words_ok = ref true in
   let shapes =
     List.map
       (fun (name, xs) ->
         let candidates, wpc = search_words (search_samples xs) in
-        Fmt.pr "  %-9s %4d candidates   %5.1f minor words each@." name
-          candidates wpc;
+        let ratio = reuse_ratio xs in
+        if wpc > 10. then words_ok := false;
+        Fmt.pr
+          "  %-9s %4d candidates   %5.1f minor words each (target <= 10)   \
+           reused / fresh basis %.2f@."
+          name candidates wpc ratio;
         J.Obj
           [
             ("shape", J.Str name);
             ("candidates", J.Int candidates);
             ("words_per_candidate", J.Float wpc);
+            ("reused_over_fresh", J.Float ratio);
           ])
       search_shapes
   in
@@ -348,6 +368,7 @@ let search_kernel () =
   Exp_common.emit_json ~name:"search"
     [
       ("shapes", J.List shapes);
+      ("words_target_met", J.Bool !words_ok);
       ("systems", J.Int systems);
       ("solve3_ns", J.Float ns3);
       ("solve_in_place_ns", J.Float nsg);

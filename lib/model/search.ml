@@ -124,7 +124,13 @@ let model_of_fit (terms : term array) cand coeffs =
    The arrays are domain-local and only ever grow: a search reuses the
    previous one's storage, and the submitting domain builds its basis
    before a pool fans the scoring out (workers only read it).  Two
-   systhreads of one domain must therefore not search at once. *)
+   systhreads of one domain must therefore not search at once.
+
+   Every function of an app is searched over the same coordinates with
+   the same menu, so the basis also remembers the coordinates and terms
+   its columns were built from.  A search that brings the same ones, bit
+   for bit, keeps the term columns and every term x term sum already
+   filled, and refills only the observation column and its sums. *)
 type basis = {
   mutable n : int;
   mutable ncols : int;
@@ -132,13 +138,30 @@ type basis = {
   mutable sums : float array;
   mutable filled : int array;  (** slot -> the [gen] that filled it *)
   mutable gen : int;
+  mutable source : ((string * float) list array * term array) option;
+      (** the coordinates and terms [cols] holds; [None] while the term
+          columns are being written *)
 }
 
 let basis_key =
   Domain.DLS.new_key (fun () ->
-      { n = 0; ncols = 0; cols = [||]; sums = [||]; filled = [||]; gen = 0 })
+      { n = 0; ncols = 0; cols = [||]; sums = [||]; filled = [||]; gen = 0;
+        source = None })
 
 let slot a b = if a <= b then (b * (b + 1) / 2) + a else (a * (a + 1) / 2) + b
+
+(* Bit-for-bit equality of the basis's sources: 0. and -0. differ (x^-1
+   is +inf at one and -inf at the other), and a NaN equals itself. *)
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let same_binding (p, x) (q, y) = String.equal p q && same_float x y
+
+let same_factor (p, (s : Expr.simple_term)) (q, (t : Expr.simple_term)) =
+  String.equal p q && same_float s.expo t.expo && s.logexp = t.logexp
+
+(* Arrays of lists, element by element. *)
+let same_rows same a b =
+  Array.length a = Array.length b && Array.for_all2 (List.equal same) a b
 
 (* Basis column of a candidate's i-th coefficient. *)
 let column cand i = if i = 0 then 0 else cand.(i - 1) + 1
@@ -163,29 +186,48 @@ let fill_pair b a c =
   done;
   sums.(off) <- !acc
 
-(* Evaluate every term at the points, then fill the sums of each column
-   pair the candidates use (the intercept-only candidate [||] included). *)
+(* Evaluate every term at the points, unless the basis already holds
+   them, then fill the sums of each column pair the candidates use (the
+   intercept-only candidate [||] included) that are not filled yet. *)
 let prepare b (terms : term array) coords y candidates =
   let n = Array.length y and m = Array.length terms in
   let ncols = m + 2 in
-  b.n <- n;
-  b.ncols <- ncols;
-  b.cols <- grow b.cols (ncols * n);
-  let cols = b.cols in
-  for r = 0 to n - 1 do
-    cols.(r) <- 1.;
-    cols.(((m + 1) * n) + r) <- y.(r)
-  done;
-  Array.iteri
-    (fun t factors ->
-      for r = 0 to n - 1 do
-        cols.(((t + 1) * n) + r) <- Expr.eval_factors factors coords.(r)
-      done)
-    terms;
-  let nslots = ncols * (ncols + 1) / 2 in
-  b.sums <- grow b.sums (nslots * (n + 1));
-  if Array.length b.filled < nslots then b.filled <- Array.make nslots 0;
-  b.gen <- b.gen + 1;
+  let reuse =
+    match b.source with
+    | Some (c, t) ->
+      same_rows same_binding c coords && same_rows same_factor t terms
+    | None -> false
+  in
+  if reuse then
+    (* Same n and columns as the search that recorded the source; only
+       the observations are new. *)
+    for a = 0 to ncols - 1 do
+      b.filled.(slot a (ncols - 1)) <- 0
+    done
+  else begin
+    (* A term that raises half way must not leave columns a later search
+       could take for complete. *)
+    b.source <- None;
+    b.n <- n;
+    b.ncols <- ncols;
+    b.cols <- grow b.cols (ncols * n);
+    let cols = b.cols in
+    for r = 0 to n - 1 do
+      cols.(r) <- 1.
+    done;
+    Array.iteri
+      (fun t factors ->
+        for r = 0 to n - 1 do
+          cols.(((t + 1) * n) + r) <- Expr.eval_factors factors coords.(r)
+        done)
+      terms;
+    let nslots = ncols * (ncols + 1) / 2 in
+    b.sums <- grow b.sums (nslots * (n + 1));
+    if Array.length b.filled < nslots then b.filled <- Array.make nslots 0;
+    b.gen <- b.gen + 1;
+    b.source <- Some (coords, terms)
+  end;
+  Array.blit y 0 b.cols ((m + 1) * n) n;
   let need a c =
     let s = slot a c in
     if b.filled.(s) <> b.gen then begin
@@ -204,15 +246,25 @@ let prepare b (terms : term array) coords y candidates =
   need_all [||];
   List.iter need_all candidates
 
+(* What scoring a candidate leaves for the selection fold: its
+   cross-validated error and RSS (an all-float record, stored flat, so
+   writing it allocates nothing). *)
+type fit = { mutable err : float; mutable rss : float }
+
 (* Worker-local scratch, reused across every candidate a worker scores:
-   one linear system per size, and the candidate's sum offsets. *)
+   one linear system per size, the candidate's sum offsets, and the last
+   scored candidate's full-fit coefficients and fit. *)
 type scratch = {
   mutable systems : (float array array * float array) array;  (** by size *)
   mutable offs : int array;
+  mutable coeffs : float array;
+  fit : fit;
 }
 
 let scratch_key =
-  Domain.DLS.new_key (fun () -> { systems = [||]; offs = [||] })
+  Domain.DLS.new_key (fun () ->
+      { systems = [||]; offs = [||]; coeffs = [||];
+        fit = { err = 0.; rss = 0. } })
 
 let system sc size =
   let have = Array.length sc.systems in
@@ -223,24 +275,19 @@ let system sc size =
           else (Array.make_matrix s s 0., Array.make s 0.));
   sc.systems.(size)
 
-(* Solve the system the sums hold at [at] (0 the full fit, 1 + i the fit
-   that leaves row i out) into [rhs].  Size 3, every two-term hypothesis,
-   reads the sums in place through [Linalg.solve3]; other sizes are copied
-   into the scratch system first.  (The annotations keep the copies
-   unboxed.) *)
+(* Copy the system the sums hold at [at] (0 the full fit, 1 + i the fit
+   that leaves row i out) into [a] and [rhs], and solve it there.  (The
+   annotations keep the copies unboxed.) *)
 let solve_at (sums : float array) offs (a : float array array)
     (rhs : float array) size at =
-  if size = 3 then Linalg.solve3 sums offs at rhs
-  else begin
-    for i = 0 to size - 1 do
-      let row = a.(i) in
-      for j = 0 to size - 1 do
-        row.(j) <- sums.(offs.((i * size) + j) + at)
-      done;
-      rhs.(i) <- sums.(offs.((size * size) + i) + at)
+  for i = 0 to size - 1 do
+    let row = a.(i) in
+    for j = 0 to size - 1 do
+      row.(j) <- sums.(offs.((i * size) + j) + at)
     done;
-    Linalg.solve_in_place a rhs
-  end
+    rhs.(i) <- sums.(offs.((size * size) + i) + at)
+  done;
+  Linalg.solve_in_place a rhs
 
 (* [Dataset.smape]'s running sum, one (prediction, observation) pair on;
    inlined here so the hot loops below do not box floats. *)
@@ -256,68 +303,126 @@ let[@inline] predict cols n cand (coeffs : float array) r =
   done;
   !pred
 
-type scored = { coeffs : float array; err : float; rss : float }
+(* [score] below for a two-term hypothesis with more points than
+   coefficients, the bulk of every search: the same operations in the
+   same order with the loops unrolled, every float in a local and the
+   two term columns' offsets hoisted.  Column 0 is all ones and
+   [1. *. k = k] exactly, so the intercept's share of each RSS
+   prediction is [0. +. k0], also hoisted. *)
+let score3 b sc cand =
+  let n = b.n and ycol = b.ncols - 1 in
+  let stride = n + 1 and c1 = cand.(0) + 1 and c2 = cand.(1) + 1 in
+  let o01 = slot 0 c1 * stride
+  and o02 = slot 0 c2 * stride
+  and o12 = slot c1 c2 * stride in
+  let offs = sc.offs in
+  offs.(0) <- 0;
+  offs.(1) <- o01;
+  offs.(2) <- o02;
+  offs.(3) <- o01;
+  offs.(4) <- slot c1 c1 * stride;
+  offs.(5) <- o12;
+  offs.(6) <- o02;
+  offs.(7) <- o12;
+  offs.(8) <- slot c2 c2 * stride;
+  offs.(9) <- slot 0 ycol * stride;
+  offs.(10) <- slot c1 ycol * stride;
+  offs.(11) <- slot c2 ycol * stride;
+  let sums = b.sums and x = sc.coeffs in
+  if not (Linalg.solve3 sums offs 0 x) then false
+  else begin
+    let cols = b.cols and x1 = c1 * n and x2 = c2 * n and y = ycol * n in
+    let k0 = x.(0) and k1 = x.(1) and k2 = x.(2) in
+    let k = 0. +. k0 in
+    let rss = ref 0. in
+    for r = 0 to n - 1 do
+      let d =
+        cols.(y + r) -. ((k +. (cols.(x1 + r) *. k1)) +. (cols.(x2 + r) *. k2))
+      in
+      rss := !rss +. (d *. d)
+    done;
+    (* Left-out predictions enter SMAPE from the last point down. *)
+    let l = snd (system sc 3) and total = ref 0. and i = ref (n - 1) in
+    while !i >= 0 && Linalg.solve3 sums offs (1 + !i) l do
+      let r = !i in
+      total :=
+        smape_step !total
+          ((l.(0) +. (l.(1) *. cols.(x1 + r))) +. (l.(2) *. cols.(x2 + r)))
+          cols.(y + r);
+      decr i
+    done;
+    sc.fit.err <- 100. *. !total /. float_of_int n;
+    sc.fit.rss <- !rss;
+    !i < 0
+  end
 
 (* Score one candidate against the basis: full fit, RSS, and the
    leave-one-out cross-validated SMAPE (the training SMAPE when there are
-   too few points to refit); [None] when some fit is singular.  Every
-   float equals, operation for operation, refitting the candidate from
-   its design rows — [Linalg.least_squares] with and without each point,
-   predictions as [Expr.eval] computes them, [Dataset.smape] over them —
-   which test/refit_search.ml keeps as the reference. *)
+   too few points to refit), left in [sc.coeffs] and [sc.fit]; [false]
+   when some fit is singular.  Every float equals, operation for
+   operation, refitting the candidate from its design rows —
+   [Linalg.least_squares] with and without each point, predictions as
+   [Expr.eval] computes them, [Dataset.smape] over them — which
+   test/refit_search.ml keeps as the reference. *)
 let score b sc cand =
   let n = b.n and size = Array.length cand + 1 in
-  if n = 0 || n < size then None
+  if n = 0 || n < size then false
   else begin
-    let stride = n + 1 and ycol = b.ncols - 1 in
     if Array.length sc.offs < size * (size + 1) then
       sc.offs <- Array.make (size * (size + 1)) 0;
-    let offs = sc.offs in
-    for i = 0 to size - 1 do
-      let ci = column cand i in
-      offs.((size * size) + i) <- slot ci ycol * stride;
-      for j = 0 to size - 1 do
-        offs.((i * size) + j) <- slot ci (column cand j) * stride
-      done
-    done;
-    let a, rhs = system sc size in
-    if not (solve_at b.sums offs a rhs size 0) then None
+    if Array.length sc.coeffs < size then sc.coeffs <- Array.make size 0.;
+    if size = 3 && n > size then score3 b sc cand
     else begin
-      let coeffs = Array.sub rhs 0 size in
-      let cols = b.cols and y = ycol * n in
-      (* The RSS sums each row's prediction from 0 over every column,
-         intercept included, as the reference's residual loop does, so
-         it cannot reuse [predict]. *)
-      let rss = ref 0. in
-      for r = 0 to n - 1 do
-        let pred = ref 0. in
-        for c = 0 to size - 1 do
-          pred := !pred +. (cols.((column cand c * n) + r) *. coeffs.(c))
-        done;
-        let d = cols.(y + r) -. !pred in
-        rss := !rss +. (d *. d)
+      let stride = n + 1 and ycol = b.ncols - 1 in
+      let offs = sc.offs in
+      for i = 0 to size - 1 do
+        let ci = column cand i in
+        offs.((size * size) + i) <- slot ci ycol * stride;
+        for j = 0 to size - 1 do
+          offs.((i * size) + j) <- slot ci (column cand j) * stride
+        done
       done;
-      let total = ref 0. and ok = ref true in
-      if n <= size then
-        (* Too few points to refit: the training SMAPE, in point order. *)
-        for r = 0 to n - 1 do
-          total := smape_step !total (predict cols n cand coeffs r) cols.(y + r)
-        done
+      let a, rhs = system sc size in
+      if not (solve_at b.sums offs a rhs size 0) then false
       else begin
-        (* Left-out predictions enter SMAPE from the last point down, the
-           order the reference sums them in. *)
-        let i = ref (n - 1) in
-        while !ok && !i >= 0 do
-          if solve_at b.sums offs a rhs size (1 + !i) then
+        let coeffs = sc.coeffs in
+        Array.blit rhs 0 coeffs 0 size;
+        let cols = b.cols and y = ycol * n in
+        (* The RSS sums each row's prediction from 0 over every column,
+           intercept included, as the reference's residual loop does, so
+           it cannot reuse [predict]. *)
+        let rss = ref 0. in
+        for r = 0 to n - 1 do
+          let pred = ref 0. in
+          for c = 0 to size - 1 do
+            pred := !pred +. (cols.((column cand c * n) + r) *. coeffs.(c))
+          done;
+          let d = cols.(y + r) -. !pred in
+          rss := !rss +. (d *. d)
+        done;
+        let total = ref 0. and ok = ref true in
+        if n <= size then
+          (* Too few points to refit: the training SMAPE, in point order. *)
+          for r = 0 to n - 1 do
             total :=
-              smape_step !total (predict cols n cand rhs !i) cols.(y + !i)
-          else ok := false;
-          decr i
-        done
-      end;
-      if !ok then
-        Some { coeffs; err = 100. *. !total /. float_of_int n; rss = !rss }
-      else None
+              smape_step !total (predict cols n cand coeffs r) cols.(y + r)
+          done
+        else begin
+          (* Left-out predictions enter SMAPE from the last point down,
+             the order the reference sums them in. *)
+          let i = ref (n - 1) in
+          while !ok && !i >= 0 do
+            if solve_at b.sums offs a rhs size (1 + !i) then
+              total :=
+                smape_step !total (predict cols n cand rhs !i) cols.(y + !i)
+            else ok := false;
+            decr i
+          done
+        end;
+        sc.fit.err <- 100. *. !total /. float_of_int n;
+        sc.fit.rss <- !rss;
+        !ok
+      end
     end
   end
 
@@ -385,7 +490,7 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
   (* Best-so-far improvements are reported from the selection fold on the
      submitting domain, so the event stream is deterministic and
      identical with or without a pool. *)
-  let emit_best s k =
+  let emit_best (s : fit) k =
     if Obs_events.enabled events then
       Obs_events.emit events ~severity:Obs_events.Debug ~component:"search"
         ~fields:
@@ -396,19 +501,20 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
           ]
         "search.best"
   in
-  let consider cand scored =
+  (* [fit] and [coeffs] are read only when [ok], and copied only for a
+     new best. *)
+  let consider cand ok (s : fit) coeffs =
     incr tried;
     bump evaluated;
-    match scored with
-    | None -> bump rej_unfit
-    | Some s ->
+    if not ok then bump rej_unfit
+    else begin
       let k = Array.length cand in
       (* Prefer lower CV error; break near-ties toward fewer terms, then
          lower RSS. *)
       let better =
         match !best with
         | None -> true
-        | Some (bcand, b) ->
+        | Some (bcand, (b : fit), _) ->
           let bk = Array.length bcand in
           s.err < b.err -. 1e-9
           || (Float.abs (s.err -. b.err) <= 1e-9
@@ -416,27 +522,46 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
       in
       if better then
         if k = 0 || s.err <= !threshold +. 1e-12 then begin
-          best := Some (cand, s);
+          let coeffs = Array.sub coeffs 0 (k + 1) in
+          best := Some (cand, { err = s.err; rss = s.rss }, coeffs);
           emit_best s k
         end
         else bump rej_threshold
+    end
   in
   let sc = Domain.DLS.get scratch_key in
-  consider [||] (score basis sc [||]);
+  (* [score] may regrow [sc.coeffs], so it runs before the field is read. *)
+  let score_serial cand =
+    let ok = score basis sc cand in
+    consider cand ok sc.fit sc.coeffs
+  in
+  score_serial [||];
   (match !best with
-  | Some (_, s) -> threshold := s.err *. (1. -. min_improvement)
+  | Some (_, s, _) -> threshold := s.err *. (1. -. min_improvement)
   | None -> ());
   (match pool with
   | Some p when Par.Pool.jobs p > 1 ->
-    List.iter2 consider candidates
-      (Par.Pool.map p
-         (fun cand -> score basis (Domain.DLS.get scratch_key) cand)
-         candidates)
-  | _ -> List.iter (fun cand -> consider cand (score basis sc cand)) candidates);
+    (* A worker's scratch is overwritten by its next candidate, so each
+       score travels back as a copy. *)
+    let scored cand =
+      let sc = Domain.DLS.get scratch_key in
+      if score basis sc cand then
+        Some
+          ( { err = sc.fit.err; rss = sc.fit.rss },
+            Array.sub sc.coeffs 0 (Array.length cand + 1) )
+      else None
+    in
+    List.iter2
+      (fun cand -> function
+        | Some (s, coeffs) -> consider cand true s coeffs
+        | None -> consider cand false sc.fit sc.coeffs)
+      candidates
+      (Par.Pool.map p scored candidates)
+  | _ -> List.iter score_serial candidates);
   let result =
     match !best with
-    | Some (cand, s) ->
-      { model = model_of_fit terms cand s.coeffs; error = s.err; rss = s.rss;
+    | Some (cand, s, coeffs) ->
+      { model = model_of_fit terms cand coeffs; error = s.err; rss = s.rss;
         hypotheses_tried = !tried }
     | None ->
       (* Degenerate data (e.g. no points): report a constant zero model. *)
@@ -578,16 +703,16 @@ let group_allowed constraints group =
     in
     pairs (List.map fst group)
 
-(** Fit a model in all of [data]'s parameters.  Implements Extra-P's
-    multi-parameter heuristic: best single-parameter model per parameter
-    (on the slice where the other parameters sit at their minimum), then
-    all additive/multiplicative compositions of the dominant terms. *)
 (* The configured collapse of a point's repetitions. *)
 let point_value config (pt : Dataset.point) =
   match config.aggregate with
   | Mean -> Dataset.point_mean pt
   | Median -> Stats.median pt.Dataset.reps
 
+(** Fit a model in all of [data]'s parameters.  Implements Extra-P's
+    multi-parameter heuristic: best single-parameter model per parameter
+    (on the slice where the other parameters sit at their minimum), then
+    all additive/multiplicative compositions of the dominant terms. *)
 let multi ?(config = default_config) ?(constraints = unconstrained) data =
   check_max_terms "Model.Search.multi" config;
   if data.Dataset.points = [] then

@@ -375,6 +375,66 @@ let gen_basis_case =
     let* bc_pooled = frequency [ (9, return false); (1, return true) ] in
     return { bc_config; bc_constraints; bc_pooled; bc_data })
 
+(* The case's coordinates with fresh observations. *)
+let gen_refresh c =
+  QCheck.Gen.(
+    let* f = gen_y_of in
+    match c.bc_data with
+    | `Single samples ->
+      let+ us = list_repeat (List.length samples) (float_range (-1.) 1.) in
+      { c with
+        bc_data = `Single (List.map2 (fun (x, _) u -> (x, f u x)) samples us) }
+    | `Multi d ->
+      let fresh (pt : D.point) =
+        let+ u = float_range (-1.) 1. in
+        let y = f u (D.coord pt "p" +. D.coord pt "q") in
+        { pt with D.reps = List.map (fun _ -> y) pt.D.reps }
+      in
+      let+ points = flatten_l (List.map fresh d.D.points) in
+      { c with bc_data = `Multi { d with D.points } })
+
+let with_max_terms max_terms c =
+  { c with bc_config = { c.bc_config with S.max_terms } }
+
+(* Searches on one domain, back to back, so each inherits the basis of
+   the one before: the same coordinates with fresh observations between
+   searches on other coordinates, max_terms 1 after 2 on the same data,
+   two searches whose only difference is a 0. against a -0. coordinate
+   under the extended menu, where x^-1 is +inf at one and -inf at the
+   other, and a dataset whose last point lacks q, which must be refused
+   every time. *)
+let gen_sequence =
+  QCheck.Gen.(
+    let* a = gen_basis_case and* b = gen_basis_case in
+    let* a1 = gen_refresh a and* a2 = gen_refresh a and* b1 = gen_refresh b in
+    let* zero = gen_single and* m = gen_multi and* bc_pooled = bool in
+    let signed x =
+      match zero with
+      | `Single (_ :: rest) ->
+        { bc_config = S.extended_config; bc_constraints = S.unconstrained;
+          bc_pooled; bc_data = `Single ((x, 1.) :: rest) }
+      | _ -> a
+    in
+    let missing =
+      match m with
+      | `Multi d ->
+        let points =
+          List.mapi
+            (fun i (pt : D.point) ->
+              if i = List.length d.D.points - 1 then
+                { pt with D.coords = List.remove_assoc "q" pt.D.coords }
+              else pt)
+            d.D.points
+        in
+        { b with bc_constraints = S.unconstrained;
+                 bc_data = `Multi { d with D.points } }
+      | `Single _ -> b
+    in
+    let two = with_max_terms 2 a2 in
+    return
+      [ a; a1; b; two; with_max_terms 1 two; b1; signed 0.; signed (-0.);
+        signed 0.; missing; a; missing; a1 ])
+
 let run_basis_case c =
   let run config =
     match c.bc_data with
@@ -387,24 +447,34 @@ let run_basis_case c =
         run { c.bc_config with S.pool = Some pool })
   else run c.bc_config
 
+let refit_basis_case c =
+  match c.bc_data with
+  | `Single samples ->
+    Refit_search.single ~config:c.bc_config ~constraints:c.bc_constraints
+      ~param:"p" samples
+  | `Multi data ->
+    Refit_search.multi ~config:c.bc_config ~constraints:c.bc_constraints data
+
+(* A search's result, or [None] when it refuses its input. *)
+let outcome search c =
+  match search c with r -> Some r | exception Invalid_argument _ -> None
+
 let prop_shared_basis_matches_refit =
   QCheck.Test.make ~count:150
     ~name:"shared-basis search = refit reference, bit for bit"
-    (QCheck.make ~print:show_basis_case gen_basis_case)
-    (fun c ->
-      let expected =
-        match c.bc_data with
-        | `Single samples ->
-          Refit_search.single ~config:c.bc_config ~constraints:c.bc_constraints
-            ~param:"p" samples
-        | `Multi data ->
-          Refit_search.multi ~config:c.bc_config ~constraints:c.bc_constraints
-            data
-      in
-      let got = run_basis_case c in
-      same_bits expected got
-      || QCheck.Test.fail_reportf "expected %s@.got      %s"
-           (show_result expected) (show_result got))
+    (QCheck.make
+       ~print:(fun cases -> String.concat "\n" (List.map show_basis_case cases))
+       QCheck.Gen.(
+         frequency
+           [ (6, map (fun c -> [ c ]) gen_basis_case); (1, gen_sequence) ]))
+    (List.for_all (fun c ->
+         match (outcome refit_basis_case c, outcome run_basis_case c) with
+         | None, None -> true
+         | Some expected, Some got when same_bits expected got -> true
+         | expected, got ->
+           let show = Option.fold ~none:"Invalid_argument" ~some:show_result in
+           QCheck.Test.fail_reportf "in %s@.expected %s@.got      %s"
+             (show_basis_case c) (show expected) (show got)))
 
 (* -- the size-3 kernel = the generic elimination ---------------------------- *)
 
@@ -467,6 +537,76 @@ let prop_solve3_matches_solve_in_place =
       (ok = ok3 && ((not ok) || Array.for_all2 (fun u v -> bits u = bits v) b x))
       || QCheck.Test.fail_reportf "solve_in_place %b [%s], solve3 %b [%s]" ok
            (show_floats b) ok3 (show_floats x))
+
+(* -- an independent reference: Householder QR ------------------------------ *)
+
+(* The five axes a model-e2e pass fits in one parameter, each with the
+   menu it is searched with: lulesh p and size, milc size (extended
+   menu), minicg n, and the contention check's ranks-per-node sweep. *)
+let app_axes =
+  [ ("lulesh p", S.default_config, Apps.Lulesh_spec.p_values);
+    ("lulesh size", S.default_config, Apps.Lulesh_spec.size_values);
+    ("milc size", S.extended_config, Apps.Milc_spec.size_values);
+    ("minicg n", S.default_config, Apps.Minicg_spec.n_values);
+    ("ranks per node", S.default_config,
+     [ 2.; 4.; 6.; 8.; 10.; 12.; 14.; 16.; 18. ]) ]
+
+(* Four planted fits per axis: a constant plus one or two menu terms,
+   each growing to 0.5-5x the constant over the axis, with 1% noise. *)
+let planted_fits () =
+  let rng = Random.State.make [| 23 |] in
+  let range lo hi = lo +. Random.State.float rng (hi -. lo) in
+  List.concat_map
+    (fun (axis, (config : S.config), xs) ->
+      let menu = Array.of_list (Refit_search.simple_terms config) in
+      let peak t =
+        List.fold_left
+          (fun m x -> Float.max m (Float.abs (E.eval_simple t x)))
+          0. xs
+      in
+      List.init 4 (fun _ ->
+          let planted =
+            List.init (1 + Random.State.int rng 2) (fun _ ->
+                let t = menu.(Random.State.int rng (Array.length menu)) in
+                (t, range 0.5 5. /. peak t))
+          in
+          let a = range 1. 100. in
+          let f x =
+            List.fold_left
+              (fun acc (t, c) -> acc +. (c *. E.eval_simple t x))
+              1. planted
+          in
+          let samples =
+            List.map (fun x -> (x, a *. f x *. (1. +. range (-0.01) 0.01))) xs
+          in
+          (axis, config, planted, samples)))
+    app_axes
+
+let show_terms terms =
+  E.to_string
+    { E.const = 0.;
+      terms =
+        List.map (fun (t, coeff) -> { E.coeff; factors = [ ("p", t) ] }) terms }
+
+let test_qr_reference_agrees () =
+  List.iter
+    (fun (axis, config, planted, samples) ->
+      let r = S.single ~config ~param:"p" samples in
+      let got = List.map (fun t -> t.E.factors) r.S.model.E.terms in
+      match Qr_reference.single ~config samples with
+      | None -> Alcotest.failf "%s: the QR reference fitted nothing" axis
+      | Some (terms, err) ->
+        if
+          got <> List.map (fun t -> [ ("p", t) ]) terms
+          || Float.abs (err -. r.S.error) > 1e-4
+        then
+          Alcotest.failf
+            "%s, planted %s: search %s (SMAPE %.9f), QR reference %s \
+             (SMAPE %.9f)"
+            axis (show_terms planted) (E.to_string r.S.model) r.S.error
+            (show_terms (List.map (fun t -> (t, 1.)) terms))
+            err)
+    (planted_fits ())
 
 (* -- robust statistics and fitting ----------------------------------------- *)
 
@@ -621,4 +761,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_smape_bounded;
     Seeded.to_alcotest prop_shared_basis_matches_refit;
     Seeded.to_alcotest prop_solve3_matches_solve_in_place;
+    Alcotest.test_case "QR reference selects the same terms" `Quick
+      test_qr_reference_agrees;
   ]
