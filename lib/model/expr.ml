@@ -27,20 +27,35 @@ let is_constant m = m.terms = []
 
 (* Plain log2, not clamped: a log factor vanishes at x = 1, and x <= 0
    yields -inf or nan. *)
-let log2 x = Float.log x /. Float.log 2.
+let[@inline] log2 x = Float.log x /. Float.log 2.
 
-let eval_simple t x =
+let[@inline] eval_simple t x =
   let p = if t.expo = 0. then 1. else Float.pow x t.expo in
   let l = if t.logexp = 0 then 1. else Float.pow (log2 x) (float_of_int t.logexp) in
   p *. l
 
+(* The first binding of [param], returned as the pair the list already
+   holds, so looking it up allocates nothing. *)
+let rec binding param = function
+  | [] -> invalid_arg ("Expr.eval: missing parameter " ^ param)
+  | ((p, _) as b) :: rest ->
+    if String.equal p param then b else binding param rest
+
+(* From 1., times each factor in list order: a loop over locals, so the
+   product is never boxed between factors. *)
 let eval_factors factors bindings =
-  List.fold_left
-    (fun acc (param, st) ->
-      match List.assoc_opt param bindings with
-      | Some x -> acc *. eval_simple st x
-      | None -> invalid_arg ("Expr.eval: missing parameter " ^ param))
-    1. factors
+  let acc = ref 1. and rest = ref factors in
+  while
+    match !rest with
+    | [] -> false
+    | (param, st) :: tl ->
+      acc := !acc *. eval_simple st (snd (binding param bindings));
+      rest := tl;
+      true
+  do
+    ()
+  done;
+  !acc
 
 let eval m bindings =
   List.fold_left

@@ -92,6 +92,42 @@ type result = {
    evaluated once per search, not once per hypothesis. *)
 type term = (string * Expr.simple_term) list
 
+(* The hypotheses one search scores after the constant model.  A
+   single-parameter search's are its menu of [m] terms, generated from
+   indices as they are scored: each term in menu order, then, with
+   [pairs], every pair (i, j) with i < j, i descending and, for each i,
+   j descending.  [multi]'s compositions are [Listed]. *)
+type candidates = Menu of { m : int; pairs : bool } | Listed of int array list
+
+(* Call [f] on each candidate, in order.  A menu's go through one array
+   per size, overwritten from one candidate to the next, so [f] copies
+   what it keeps. *)
+let iter_candidates f = function
+  | Listed l -> List.iter f l
+  | Menu { m; pairs } ->
+    let one = [| 0 |] in
+    for i = 0 to m - 1 do
+      one.(0) <- i;
+      f one
+    done;
+    if pairs then begin
+      let two = [| 0; 0 |] in
+      for i = m - 2 downto 0 do
+        two.(0) <- i;
+        for j = m - 1 downto i + 1 do
+          two.(1) <- j;
+          f two
+        done
+      done
+    end
+
+let candidate_list = function
+  | Listed l -> l
+  | menu ->
+    let acc = ref [] in
+    iter_candidates (fun cand -> acc := Array.copy cand :: !acc) menu;
+    List.rev !acc
+
 let simple_terms config =
   List.concat_map
     (fun e ->
@@ -189,7 +225,7 @@ let fill_pair b a c =
 (* Evaluate every term at the points, unless the basis already holds
    them, then fill the sums of each column pair the candidates use (the
    intercept-only candidate [||] included) that are not filled yet. *)
-let prepare b (terms : term array) coords y candidates =
+let prepare b (terms : term array) coords y (candidates : candidates) =
   let n = Array.length y and m = Array.length terms in
   let ncols = m + 2 in
   let reuse =
@@ -235,16 +271,30 @@ let prepare b (terms : term array) coords y candidates =
       fill_pair b a c
     end
   in
-  let need_all cand =
-    for i = 0 to Array.length cand do
-      need (column cand i) (ncols - 1);
-      for j = i to Array.length cand do
-        need (column cand i) (column cand j)
+  let ycol = ncols - 1 in
+  match candidates with
+  | Menu { pairs; _ } ->
+    (* Each pair a menu reads, visited once: every column against the
+       observations, and the intercept and each term against itself and
+       the intercept; with [pairs], every pair of term columns too.  No
+       candidate reads (y, y). *)
+    for c = 0 to m do
+      need c ycol;
+      for a = 0 to c do
+        if pairs || a = 0 || a = c then need a c
       done
     done
-  in
-  need_all [||];
-  List.iter need_all candidates
+  | Listed l ->
+    let need_all cand =
+      for i = 0 to Array.length cand do
+        need (column cand i) ycol;
+        for j = i to Array.length cand do
+          need (column cand i) (column cand j)
+        done
+      done
+    in
+    need_all [||];
+    List.iter need_all l
 
 (* What scoring a candidate leaves for the selection fold: its
    cross-validated error and RSS (an all-float record, stored flat, so
@@ -501,8 +551,9 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
           ]
         "search.best"
   in
-  (* [fit] and [coeffs] are read only when [ok], and copied only for a
-     new best. *)
+  (* [fit] and [coeffs] are read only when [ok]; they and [cand], which
+     a menu overwrites with the next candidate, are copied only for a new
+     best. *)
   let consider cand ok (s : fit) coeffs =
     incr tried;
     bump evaluated;
@@ -523,7 +574,7 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
       if better then
         if k = 0 || s.err <= !threshold +. 1e-12 then begin
           let coeffs = Array.sub coeffs 0 (k + 1) in
-          best := Some (cand, { err = s.err; rss = s.rss }, coeffs);
+          best := Some (Array.copy cand, { err = s.err; rss = s.rss }, coeffs);
           emit_best s k
         end
         else bump rej_threshold
@@ -542,7 +593,9 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
   (match pool with
   | Some p when Par.Pool.jobs p > 1 ->
     (* A worker's scratch is overwritten by its next candidate, so each
-       score travels back as a copy. *)
+       score travels back as a copy.  [Par.Pool.map] takes a list, so a
+       menu is listed here, in the order the serial fold scores it. *)
+    let candidates = candidate_list candidates in
     let scored cand =
       let sc = Domain.DLS.get scratch_key in
       if score basis sc cand then
@@ -557,7 +610,7 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
         | None -> consider cand false sc.fit sc.coeffs)
       candidates
       (Par.Pool.map p scored candidates)
-  | _ -> List.iter score_serial candidates);
+  | _ -> iter_candidates score_serial candidates);
   let result =
     match !best with
     | Some (cand, s, coeffs) ->
@@ -598,30 +651,19 @@ let single ?(config = default_config) ?(constraints = unconstrained) ~param
     select_best ~min_improvement:config.min_improvement ?metrics:config.metrics
       ?pool:config.pool ~events:config.events
   in
-  if not (allowed_param constraints param) then select_best [||] [] points
+  if not (allowed_param constraints param) then
+    select_best [||] (Listed []) points
   else begin
     let terms =
       Array.of_list (List.map (fun t -> [ (param, t) ]) (simple_terms config))
     in
-    let m = Array.length terms in
-    let n1 = List.init m (fun i -> [| i |]) in
-    let n2 =
-      if config.max_terms = 1 then []
-      else begin
-        (* Every pair i < j, prepended as i and j ascend: candidate order
-           breaks ties between equal scores. *)
-        let acc = ref [] in
-        for i = 0 to m - 1 do
-          for j = i + 1 to m - 1 do
-            acc := [| i; j |] :: !acc
-          done
-        done;
-        !acc
-      end
-    in
-    bump_n (List.length n1) (candidate_counter config.metrics "single_term");
-    bump_n (List.length n2) (candidate_counter config.metrics "two_term");
-    select_best terms (n1 @ n2) points
+    let m = Array.length terms and pairs = config.max_terms = 2 in
+    bump_n m (candidate_counter config.metrics "single_term");
+    bump_n
+      (if pairs then m * (m - 1) / 2 else 0)
+      (candidate_counter config.metrics "two_term");
+    (* Candidate order breaks ties between equal scores. *)
+    select_best terms (Menu { m; pairs }) points
   end
 
 (* -- multi-parameter search ---------------------------------------------- *)
@@ -728,7 +770,7 @@ let multi ?(config = default_config) ?(constraints = unconstrained) data =
       ?pool:config.pool ~events:config.events
   in
   match params with
-  | [] -> select_best [||] [] points
+  | [] -> select_best [||] (Listed []) points
   | [ p ] ->
     (* Single free parameter: collapse coordinates and delegate. *)
     let samples =
@@ -802,7 +844,7 @@ let multi ?(config = default_config) ?(constraints = unconstrained) data =
     bump_n (List.length hypotheses)
       (candidate_counter config.metrics "multi_param");
     let terms, candidates = intern hypotheses in
-    select_best terms candidates points
+    select_best terms (Listed candidates) points
 
 (* -- degradation-tolerant search ------------------------------------------ *)
 

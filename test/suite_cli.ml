@@ -140,6 +140,45 @@ let test_model_minicg () =
   Alcotest.(check int) (Printf.sprintf "exit 0, stderr %S" errs) 0 code;
   Alcotest.(check bool) "spmv fitted" true (contains out "spmv")
 
+(* The event log of `model APP --events F`, at --jobs 1 and 2, must
+   hash to the MD5 and line count test/model_events.md5 pins: a search
+   change that moves a candidate, its order, a counter or a fitted bit
+   shows here, not only as a difference between job counts. *)
+let test_model_events_pinned () =
+  let pins =
+    List.find Sys.file_exists [ "model_events.md5"; "test/model_events.md5" ]
+    |> read_file |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ app; md5; lines ] when l.[0] <> '#' ->
+             Some (app, md5, int_of_string lines)
+           | _ -> None)
+  in
+  Alcotest.(check int) "pinned apps" 3 (List.length pins);
+  List.iter
+    (fun (app, md5, lines) ->
+      List.iter
+        (fun jobs ->
+          let log = Filename.temp_file "cli_events" ".jsonl" in
+          Fun.protect
+            ~finally:(fun () -> try Sys.remove log with Sys_error _ -> ())
+            (fun () ->
+              let what = Printf.sprintf "model %s --jobs %d" app jobs in
+              let code, _, errs =
+                run_cli
+                  [ "model"; app; "--jobs"; string_of_int jobs;
+                    "--events"; log ]
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s: exit 0, stderr %S" what errs)
+                0 code;
+              let text = read_file log in
+              Alcotest.(check (pair string int))
+                (what ^ ": events MD5 and lines") (md5, lines)
+                (Digest.to_hex (Digest.string text), line_count text)))
+        [ 1; 2 ])
+    pins
+
 let test_resume_needs_journal () =
   check_failure ~expect:"--journal" [ "campaign"; "lulesh"; "--resume" ]
 
@@ -535,4 +574,6 @@ let tests =
     Alcotest.test_case "campaign design refused by name" `Quick
       test_bad_design;
     Alcotest.test_case "--func must name a function" `Quick test_unknown_func;
+    Alcotest.test_case "model --events logs match their pinned MD5s" `Quick
+      test_model_events_pinned;
   ]

@@ -372,6 +372,65 @@ let test_serial_campaigns_inside_a_pool () =
         (compare a b = 0))
     (List.combine alone inside)
 
+(* -- search counters and events at every job count ---------------------------- *)
+
+(* A single-parameter search scores its menu from term indices when
+   serial and as a list on a pool: with no pool and on pools of 2 and 7
+   jobs, the selected fit, every search.* counter and the event stream
+   must be the same, and the counters must count each menu exactly. *)
+let test_search_counters_and_events () =
+  let samples =
+    List.mapi
+      (fun i x ->
+        (x, 1. +. (0.5 *. x *. sqrt x) +. (0.01 *. float_of_int (i mod 7))))
+      [ 8.; 27.; 64.; 216.; 729. ]
+  in
+  let run config pool =
+    let reg = M.create () and events = Obs_events.create ~ts:false () in
+    let config =
+      { config with Model.Search.metrics = Some reg; pool; events }
+    in
+    let r = Model.Search.single ~config ~param:"p" samples in
+    ( r,
+      M.counters_with_prefix (M.snapshot reg) "search.",
+      Obs_events.lines events )
+  in
+  List.iter
+    (fun (menu, config, single_term, two_term, evaluated) ->
+      let ((r, counters, events) as serial) = run config None in
+      let count name =
+        Option.value ~default:(-1) (List.assoc_opt name counters)
+      in
+      List.iter
+        (fun (name, want) ->
+          Alcotest.(check int) (Printf.sprintf "%s menu: %s" menu name) want
+            (count name))
+        [ ("candidates.single_term", single_term);
+          ("candidates.two_term", two_term); ("evaluated", evaluated) ];
+      Alcotest.(check int) (menu ^ " menu: hypotheses tried") evaluated
+        r.Model.Search.hypotheses_tried;
+      Alcotest.(check bool) (menu ^ " menu: ends with search.selected") true
+        (match List.rev events with
+         | last :: _ :: _ -> contains last "\"search.selected\""
+         | _ -> false);
+      List.iter
+        (fun jobs ->
+          P.with_pool ~jobs (fun pool ->
+              Alcotest.(check bool)
+                (Printf.sprintf
+                   "%s menu: fit, counters and events identical at jobs=%d"
+                   menu jobs)
+                true
+                (compare serial (run config (Some pool)) = 0)))
+        [ 2; 7 ])
+    [
+      ("default", Model.Search.default_config, 53, 1378, 1432);
+      ("extended", Model.Search.extended_config, 74, 2701, 2776);
+      ( "one-term",
+        { Model.Search.default_config with Model.Search.max_terms = 1 },
+        53, 0, 54 );
+    ]
+
 let tests =
   [
     Alcotest.test_case "map matches List.map at 1/2/7 jobs" `Quick
@@ -402,4 +461,6 @@ let tests =
       `Quick test_campaign_registry_identity;
     Alcotest.test_case "serial campaigns inside a pool" `Quick
       test_serial_campaigns_inside_a_pool;
+    Alcotest.test_case "search counters and events at every job count"
+      `Quick test_search_counters_and_events;
   ]
