@@ -49,70 +49,96 @@ let solve_in_place a b =
     !finite
   end
 
-(* Entry [k] of a system gathered by {!solve3}; small and closed, so it
-   inlines and its float stays unboxed. *)
-let[@inline] entry (src : float array) (offs : int array) at k =
-  src.(offs.(k) + at)
+(* An offset [o] whose block [o .. o + count - 1] leaves the source,
+   [last] being its length minus [count]; top level, so that no closure
+   is allocated per call. *)
+let outside last o = o < 0 || o > last
 
-(** {!solve_in_place} at size 3 with the system in local floats: the same
-    pivots, singular tests, elimination and back substitution, operation
-    for operation, so the verdict and every bit of x agree.  a_ij is
-    [src.(offs.(3i + j) + at)] and b_i is [src.(offs.(9 + i) + at)]; x
-    goes to [x.(0..2)], which is left untouched when a pivot is
-    singular. *)
-let solve3 (src : float array) (offs : int array) at (x : float array) =
-  (* Column 0: a later row replaces the pivot only on a strictly larger
-     magnitude, so the first maximum wins; swapping row [p] into row 0
-     leaves the third row where it was. *)
-  let p =
-    if Float.abs (entry src offs at 3) > Float.abs (entry src offs at 0)
-    then 1 else 0
-  in
-  let p =
-    if Float.abs (entry src offs at 6) > Float.abs (entry src offs at (3 * p))
-    then 2 else p
-  in
-  let r1 = if p = 1 then 0 else 1 and r2 = if p = 2 then 0 else 2 in
-  let a00 = entry src offs at (3 * p) in
-  if Float.abs a00 < 1e-12 then false
-  else begin
-    let a01 = entry src offs at ((3 * p) + 1)
-    and a02 = entry src offs at ((3 * p) + 2)
-    and b0 = entry src offs at (9 + p) in
+(** [count] symmetric 3×3 systems, each solved as {!solve_in_place} solves
+    it: the same strict pivot tests (the first maximum wins, whole rows
+    swap), the same singular test per column, the same elimination, back
+    substitution and finiteness test, operation for operation.  System k
+    reads a00, a01, a02, a11, a12, a22, b0, b1 and b2 at
+    [src.(offs.(j) + k)], j = 0..8, and a10, a20 and a21 are a01, a02 and
+    a12.  Nothing exits early: a failed test only clears the verdict, so
+    the systems run one after the other in one loop with no dependence
+    between them, and the CPU overlaps their division chains. *)
+let solve_sym3 (src : float array) (offs : int array) count (x : float array)
+    =
+  if count < 0 || Array.length offs < 9 || Array.length x < 3 * count then
+    invalid_arg "Linalg.solve_sym3";
+  let o00 = offs.(0) and o01 = offs.(1) and o02 = offs.(2)
+  and o11 = offs.(3) and o12 = offs.(4) and o22 = offs.(5)
+  and ob0 = offs.(6) and ob1 = offs.(7) and ob2 = offs.(8) in
+  (* Every read below is at some offset plus k < count. *)
+  let last = Array.length src - count in
+  if
+    count > 0
+    && (outside last o00 || outside last o01 || outside last o02
+       || outside last o11 || outside last o12 || outside last o22
+       || outside last ob0 || outside last ob1 || outside last ob2)
+  then invalid_arg "Linalg.solve_sym3";
+  let ok = ref true in
+  for k = 0 to count - 1 do
+    let e00 = Array.unsafe_get src (o00 + k)
+    and e01 = Array.unsafe_get src (o01 + k)
+    and e02 = Array.unsafe_get src (o02 + k)
+    and e11 = Array.unsafe_get src (o11 + k)
+    and e12 = Array.unsafe_get src (o12 + k)
+    and e22 = Array.unsafe_get src (o22 + k)
+    and e0 = Array.unsafe_get src (ob0 + k)
+    and e1 = Array.unsafe_get src (ob1 + k)
+    and e2 = Array.unsafe_get src (ob2 + k) in
+    (* Column 0: row 1 (a10 = a01) replaces row 0 only on a strictly
+       larger magnitude, then row 2 (a20 = a02) replaces the winner.  The
+       pivot row swaps with row 0; the third row stays where it was.  Rows
+       1 and 2 start as they are and take row 0's entries when it moves
+       there. *)
+    let a00 = ref e00 and a01 = ref e01 and a02 = ref e02 and b0 = ref e0 in
+    let a10 = ref e01 and a11 = ref e11 and a12 = ref e12 and b1 = ref e1 in
+    let a20 = ref e02 and a21 = ref e12 and a22 = ref e22 and b2 = ref e2 in
+    let p1 = Float.abs e01 > Float.abs e00 in
+    if Float.abs e02 > Float.abs (if p1 then e01 else e00) then begin
+      a00 := e02; a01 := e12; a02 := e22; b0 := e2;
+      a20 := e00; a21 := e01; a22 := e02; b2 := e0
+    end
+    else if p1 then begin
+      a00 := e01; a01 := e11; a02 := e12; b0 := e1;
+      a10 := e00; a11 := e01; a12 := e02; b1 := e0
+    end;
+    let a00 = !a00 and a01 = !a01 and a02 = !a02 and b0 = !b0 in
     (* Eliminate column 0; the eliminated entries are never read again. *)
-    let f = entry src offs at (3 * r1) /. a00 in
-    let a11 = ref (entry src offs at ((3 * r1) + 1) -. (f *. a01))
-    and a12 = ref (entry src offs at ((3 * r1) + 2) -. (f *. a02))
-    and b1 = ref (entry src offs at (9 + r1) -. (f *. b0)) in
-    let f = entry src offs at (3 * r2) /. a00 in
-    let a21 = ref (entry src offs at ((3 * r2) + 1) -. (f *. a01))
-    and a22 = ref (entry src offs at ((3 * r2) + 2) -. (f *. a02))
-    and b2 = ref (entry src offs at (9 + r2) -. (f *. b0)) in
+    let f = !a10 /. a00 in
+    a11 := !a11 -. (f *. a01);
+    a12 := !a12 -. (f *. a02);
+    b1 := !b1 -. (f *. b0);
+    let f = !a20 /. a00 in
+    a21 := !a21 -. (f *. a01);
+    a22 := !a22 -. (f *. a02);
+    b2 := !b2 -. (f *. b0);
     (* Column 1: the same strict pivot test, swapping whole rows. *)
     if Float.abs !a21 > Float.abs !a11 then begin
       let t = !a11 in a11 := !a21; a21 := t;
       let t = !a12 in a12 := !a22; a22 := t;
       let t = !b1 in b1 := !b2; b2 := t
     end;
-    if Float.abs !a11 < 1e-12 then false
-    else begin
-      let f = !a21 /. !a11 in
-      let a22 = !a22 -. (f *. !a12) and b2 = !b2 -. (f *. !b1) in
-      if Float.abs a22 < 1e-12 then false
-      else begin
-        let x2 = b2 /. a22 in
-        let x1 = (!b1 -. (!a12 *. x2)) /. !a11 in
-        let x0 = ((b0 -. (a01 *. x1)) -. (a02 *. x2)) /. a00 in
-        x.(0) <- x0;
-        x.(1) <- x1;
-        x.(2) <- x2;
-        not
-          (Float.is_nan x0 || Float.abs x0 = Float.infinity
-         || Float.is_nan x1 || Float.abs x1 = Float.infinity
-         || Float.is_nan x2 || Float.abs x2 = Float.infinity)
-      end
-    end
-  end
+    let a11 = !a11 and a12 = !a12 and b1 = !b1 in
+    let f = !a21 /. a11 in
+    let a22 = !a22 -. (f *. a12) and b2 = !b2 -. (f *. b1) in
+    let x2 = b2 /. a22 in
+    let x1 = (b1 -. (a12 *. x2)) /. a11 in
+    let x0 = ((b0 -. (a01 *. x1)) -. (a02 *. x2)) /. a00 in
+    Array.unsafe_set x (3 * k) x0;
+    Array.unsafe_set x ((3 * k) + 1) x1;
+    Array.unsafe_set x ((3 * k) + 2) x2;
+    if
+      Float.abs a00 < 1e-12 || Float.abs a11 < 1e-12 || Float.abs a22 < 1e-12
+      || Float.is_nan x0 || Float.abs x0 = Float.infinity
+      || Float.is_nan x1 || Float.abs x1 = Float.infinity
+      || Float.is_nan x2 || Float.abs x2 = Float.infinity
+    then ok := false
+  done;
+  !ok
 
 (** Solve [a] x = [b] on copies, leaving the arguments untouched; [None]
     when singular. *)

@@ -5,13 +5,19 @@ val solve_in_place : float array array -> float array -> bool
     [a] is destroyed and [b] receives x.  [false] when singular or when x
     is not finite. *)
 
-val solve3 : float array -> int array -> int -> float array -> bool
-(** [solve3 src offs at x] is {!solve_in_place} on the 3×3 system whose
-    entry a_ij is [src.(offs.(3i + j) + at)] and b_i is
-    [src.(offs.(9 + i) + at)], held in local floats instead of arrays: the
-    verdict and every bit of the solution, written to [x.(0..2)], agree
-    with {!solve_in_place} on a copy of the same system.  [x] is left
-    untouched when a pivot is singular; nothing is allocated. *)
+val solve_sym3 : float array -> int array -> int -> float array -> bool
+(** [solve_sym3 src offs count x] solves [count] symmetric 3×3 systems in
+    one loop.  System k (0 <= k < count) reads a00, a01, a02, a11, a12,
+    a22, b0, b1 and b2 at [src.(offs.(j) + k)], j = 0..8 (a10, a20 and
+    a21 are a01, a02 and a12), and writes its solution to
+    [x.(3k .. 3k + 2)].  Each system's solution is {!solve_in_place}'s on
+    a copy of that system, bit for bit, whenever {!solve_in_place}
+    succeeds on it.  The result is [true] when every system does: a
+    singular pivot or a non-finite solution only clears it, and every
+    system is still solved.  Nothing is allocated.
+    @raise Invalid_argument when [count] is negative, [offs] holds fewer
+    than 9 offsets, [x] fewer than [3 * count] floats, or some read falls
+    outside [src]. *)
 
 val solve : float array array -> float array -> float array option
 (** {!solve_in_place} on copies of its arguments; [None] when singular. *)

@@ -303,7 +303,8 @@ type fit = { mutable err : float; mutable rss : float }
 
 (* Worker-local scratch, reused across every candidate a worker scores:
    one linear system per size, the candidate's sum offsets, and the last
-   scored candidate's full-fit coefficients and fit. *)
+   scored candidate's coefficients (full fit first; a two-term
+   candidate's refits follow it) and fit. *)
 type scratch = {
   mutable systems : (float array array * float array) array;  (** by size *)
   mutable offs : int array;
@@ -356,31 +357,30 @@ let[@inline] predict cols n cand (coeffs : float array) r =
 (* [score] below for a two-term hypothesis with more points than
    coefficients, the bulk of every search: the same operations in the
    same order with the loops unrolled, every float in a local and the
-   two term columns' offsets hoisted.  Column 0 is all ones and
-   [1. *. k = k] exactly, so the intercept's share of each RSS
-   prediction is [0. +. k0], also hoisted. *)
+   two term columns' offsets hoisted.  The full fit and the n
+   leave-one-out refits are one batch of n + 1 symmetric systems: system
+   k sits at offset k of each sum, so [Linalg.solve_sym3] leaves the full
+   fit in [x.(0..2)] and the refit without row r in [x.(3 (r + 1) ..)].
+   Column 0 is all ones and [1. *. k = k] exactly, so the intercept's
+   share of each RSS prediction is [0. +. k0], also hoisted. *)
 let score3 b sc cand =
   let n = b.n and ycol = b.ncols - 1 in
   let stride = n + 1 and c1 = cand.(0) + 1 and c2 = cand.(1) + 1 in
-  let o01 = slot 0 c1 * stride
-  and o02 = slot 0 c2 * stride
-  and o12 = slot c1 c2 * stride in
   let offs = sc.offs in
   offs.(0) <- 0;
-  offs.(1) <- o01;
-  offs.(2) <- o02;
-  offs.(3) <- o01;
-  offs.(4) <- slot c1 c1 * stride;
-  offs.(5) <- o12;
-  offs.(6) <- o02;
-  offs.(7) <- o12;
-  offs.(8) <- slot c2 c2 * stride;
-  offs.(9) <- slot 0 ycol * stride;
-  offs.(10) <- slot c1 ycol * stride;
-  offs.(11) <- slot c2 ycol * stride;
-  let sums = b.sums and x = sc.coeffs in
-  if not (Linalg.solve3 sums offs 0 x) then false
-  else begin
+  offs.(1) <- slot 0 c1 * stride;
+  offs.(2) <- slot 0 c2 * stride;
+  offs.(3) <- slot c1 c1 * stride;
+  offs.(4) <- slot c1 c2 * stride;
+  offs.(5) <- slot c2 c2 * stride;
+  offs.(6) <- slot 0 ycol * stride;
+  offs.(7) <- slot c1 ycol * stride;
+  offs.(8) <- slot c2 ycol * stride;
+  sc.coeffs <- grow sc.coeffs (3 * (n + 1));
+  let x = sc.coeffs in
+  (* A false verdict leaves error and RSS unread, so they are skipped. *)
+  Linalg.solve_sym3 b.sums offs (n + 1) x
+  && begin
     let cols = b.cols and x1 = c1 * n and x2 = c2 * n and y = ycol * n in
     let k0 = x.(0) and k1 = x.(1) and k2 = x.(2) in
     let k = 0. +. k0 in
@@ -392,18 +392,17 @@ let score3 b sc cand =
       rss := !rss +. (d *. d)
     done;
     (* Left-out predictions enter SMAPE from the last point down. *)
-    let l = snd (system sc 3) and total = ref 0. and i = ref (n - 1) in
-    while !i >= 0 && Linalg.solve3 sums offs (1 + !i) l do
-      let r = !i in
-      total :=
-        smape_step !total
-          ((l.(0) +. (l.(1) *. cols.(x1 + r))) +. (l.(2) *. cols.(x2 + r)))
-          cols.(y + r);
-      decr i
+    let total = ref 0. in
+    for r = n - 1 downto 0 do
+      let l = 3 * (r + 1) in
+      let pred =
+        (x.(l) +. (x.(l + 1) *. cols.(x1 + r))) +. (x.(l + 2) *. cols.(x2 + r))
+      in
+      total := smape_step !total pred cols.(y + r)
     done;
     sc.fit.err <- 100. *. !total /. float_of_int n;
     sc.fit.rss <- !rss;
-    !i < 0
+    true
   end
 
 (* Score one candidate against the basis: full fit, RSS, and the
@@ -420,9 +419,9 @@ let score b sc cand =
   else begin
     if Array.length sc.offs < size * (size + 1) then
       sc.offs <- Array.make (size * (size + 1)) 0;
-    if Array.length sc.coeffs < size then sc.coeffs <- Array.make size 0.;
     if size = 3 && n > size then score3 b sc cand
     else begin
+      sc.coeffs <- grow sc.coeffs size;
       let stride = n + 1 and ycol = b.ncols - 1 in
       let offs = sc.offs in
       for i = 0 to size - 1 do

@@ -476,14 +476,12 @@ let prop_shared_basis_matches_refit =
            QCheck.Test.fail_reportf "in %s@.expected %s@.got      %s"
              (show_basis_case c) (show expected) (show got)))
 
-(* -- the size-3 kernel = the generic elimination ---------------------------- *)
+(* -- the batched size-3 kernel = the generic elimination -------------------- *)
 
-(* General 3x3 systems over the values that steer elimination: signed
+(* Symmetric 3x3 systems over the values that steer elimination: signed
    zeros, the 1e-12 singular cutoff and the float just below it,
    subnormals, NaN, infinities, 1e+-300, small integers and random binary
-   exponents.  Entries that copy a00 or -a00 force pivot-magnitude ties,
-   and a third of the systems are symmetric, like the normal matrices the
-   search solves. *)
+   exponents.  Entries that copy a00 or -a00 force pivot-magnitude ties. *)
 let special_entries =
   [| 0.; -0.; 1e-12; -1e-12; 1e-12 *. (1. -. epsilon_float); 1.; -1.;
      Float.nan; Float.infinity; Float.neg_infinity; 1e300; -1e300; 1e-300;
@@ -496,47 +494,88 @@ let gen_entry =
         (2, map float_of_int (int_range (-4) 4));
         (4, map2 Float.ldexp (float_range (-2.) 2.) (int_range (-60) 60)) ])
 
-(* Entries 0-8 are a row by row, 9-11 are b. *)
-let gen_system =
+(* A system as [solve_sym3] reads it: a00, a01, a02, a11, a12, a22, then
+   b. *)
+let gen_sym_system =
   QCheck.Gen.(
-    map3
-      (fun entries ties symmetric ->
+    map2
+      (fun entries ties ->
         let e = Array.of_list entries in
         List.iteri
           (fun k tie ->
             if tie = 1 then e.(k + 1) <- e.(0)
             else if tie = 2 then e.(k + 1) <- -.e.(0))
           ties;
-        if symmetric then begin
-          e.(3) <- e.(1);
-          e.(6) <- e.(2);
-          e.(7) <- e.(5)
-        end;
         e)
-      (list_repeat 12 gen_entry)
-      (list_repeat 11 (frequency [ (8, return 0); (1, return 1); (1, return 2) ]))
-      (frequency [ (1, return true); (2, return false) ]))
+      (list_repeat 9 gen_entry)
+      (list_repeat 8 (frequency [ (8, return 0); (1, return 1); (1, return 2) ])))
 
 let show_floats a = String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list a))
 
-let prop_solve3_matches_solve_in_place =
+(* A batch prints one system per line.  20,000 batches of 1-8 systems
+   solve at least 20,000 systems per run (90,000 on average). *)
+let prop_solve_sym3_matches_solve_in_place =
   QCheck.Test.make ~count:20_000
-    ~name:"solve3 = solve_in_place, bit for bit"
-    (QCheck.make ~print:show_floats gen_system)
-    (fun e ->
-      (* solve3 gathers through an offset table: entry k sits at
-         2 (11 - k) + 1, between junk values it must not read. *)
-      let offs = Array.init 12 (fun k -> 2 * (11 - k)) in
-      let src = Array.make 24 7. in
-      Array.iteri (fun k v -> src.(offs.(k) + 1) <- v) e;
-      let a = Array.init 3 (fun i -> Array.sub e (3 * i) 3) in
-      let b = Array.sub e 9 3 in
-      let ok = Model.Linalg.solve_in_place a b in
-      let x = Array.make 3 Float.nan in
-      let ok3 = Model.Linalg.solve3 src offs 1 x in
-      (ok = ok3 && ((not ok) || Array.for_all2 (fun u v -> bits u = bits v) b x))
-      || QCheck.Test.fail_reportf "solve_in_place %b [%s], solve3 %b [%s]" ok
-           (show_floats b) ok3 (show_floats x))
+    ~name:"batched solve_sym3 = solve_in_place"
+    (QCheck.make
+       ~print:(fun batch ->
+         String.concat "\n" (Array.to_list (Array.map show_floats batch)))
+       QCheck.Gen.(array_size (int_range 1 8) gen_sym_system))
+    (fun batch ->
+      (* Entry j of every system is one block of [count] values; the
+         blocks lie in reverse order with two junk values before each,
+         which the kernel must not read. *)
+      let count = Array.length batch in
+      let offs = Array.init 9 (fun j -> 2 + ((8 - j) * (count + 2))) in
+      let src = Array.make (9 * (count + 2)) 7. in
+      Array.iteri
+        (fun k e -> Array.iteri (fun j v -> src.(offs.(j) + k) <- v) e)
+        batch;
+      let x = Array.make (3 * count) Float.nan in
+      let ok = Model.Linalg.solve_sym3 src offs count x in
+      let expected =
+        Array.map
+          (fun e ->
+            let a =
+              [| [| e.(0); e.(1); e.(2) |]; [| e.(1); e.(3); e.(4) |];
+                 [| e.(2); e.(4); e.(5) |] |]
+            and b = Array.sub e 6 3 in
+            (Model.Linalg.solve_in_place a b, b))
+          batch
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (* One block moved to run past either end of [src], or an [x] too
+         short for the batch, is refused before anything is read. *)
+      let refused offs x =
+        match Model.Linalg.solve_sym3 src offs count x with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let moved o =
+        let offs = Array.copy offs in
+        offs.(count mod 9) <- o;
+        offs
+      in
+      if
+        not
+          (refused (moved (Array.length src - count + 1)) x
+          && refused (moved (-1)) x
+          && refused offs (Array.make ((3 * count) - 1) 0.))
+      then fail "a read outside src or x was not refused"
+      else if ok <> Array.for_all fst expected then
+        fail "verdict %b, solve_in_place verdicts [%s]" ok
+          (String.concat " "
+             (Array.to_list (Array.map (fun (v, _) -> string_of_bool v) expected)))
+      else begin
+        Array.iteri
+          (fun k (v, b) ->
+            let got = Array.sub x (3 * k) 3 in
+            if v && not (Array.for_all2 (fun u w -> bits u = bits w) b got) then
+              fail "system %d: solve_in_place [%s], solve_sym3 [%s]" k
+                (show_floats b) (show_floats got))
+          expected;
+        true
+      end)
 
 (* -- an independent reference: Householder QR ------------------------------ *)
 
@@ -710,6 +749,48 @@ let test_multi_robust_clean_matches_multi () =
   Alcotest.(check bool) "same shape as the classic fit" true
     (E.same_shape (S.multi data).S.model robust.S.model)
 
+(* -- unfit candidates --------------------------------------------------------- *)
+
+(* A default-menu search over points with repeated or zero coordinates
+   rejects many of its 1,432 candidates as unfit (a singular pivot or a
+   non-finite coefficient in the full fit or some leave-one-out refit).
+   The counts are pinned, and a search on a 2-job pool must count the same
+   candidates and select the same fit, bit for bit. *)
+let test_unfit_counts () =
+  List.iter
+    (fun (xs, unfit) ->
+      let samples =
+        List.mapi (fun i x -> (x, 3. +. x +. (0.1 *. float_of_int i))) xs
+      in
+      let run pool =
+        let reg = Obs_metrics.create () in
+        let config = { S.default_config with S.metrics = Some reg; pool } in
+        let r = S.single ~config ~param:"p" samples in
+        let counters =
+          Obs_metrics.counters_with_prefix (Obs_metrics.snapshot reg) "search."
+        in
+        let count name =
+          Option.value ~default:(-1) (List.assoc_opt name counters)
+        in
+        (r, count "evaluated", count "rejected.unfit")
+      in
+      let shown = String.concat ", " (List.map (Printf.sprintf "%g") xs) in
+      let r, evaluated, got = run None in
+      Alcotest.(check int) (shown ^ ": candidates evaluated") 1432 evaluated;
+      Alcotest.(check int) (shown ^ ": unfit candidates") unfit got;
+      Par.Pool.with_pool ~jobs:2 (fun pool ->
+          let pr, pevaluated, pgot = run (Some pool) in
+          Alcotest.(check (pair int int))
+            (shown ^ ": evaluated and unfit on a 2-job pool")
+            (evaluated, got) (pevaluated, pgot);
+          if not (same_bits r pr) then
+            Alcotest.failf "%s: serial %s, pooled %s" shown (show_result r)
+              (show_result pr)))
+    [ ([ 1.; 2.; 2.; 5. ], 1378);
+      ([ 4.; 8.; 8.; 16. ], 1029);
+      ([ 0.; 1.; 2.; 3.; 4. ], 1278);
+      ([ 8.; 27.; 64.; 216.; 729. ], 0) ]
+
 let tests =
   [
     Alcotest.test_case "solve 2x2 exactly" `Quick test_solve_exact;
@@ -760,7 +841,9 @@ let tests =
     QCheck_alcotest.to_alcotest prop_eval_monotone_terms;
     QCheck_alcotest.to_alcotest prop_smape_bounded;
     Seeded.to_alcotest prop_shared_basis_matches_refit;
-    Seeded.to_alcotest prop_solve3_matches_solve_in_place;
+    Seeded.to_alcotest prop_solve_sym3_matches_solve_in_place;
     Alcotest.test_case "QR reference selects the same terms" `Quick
       test_qr_reference_agrees;
+    Alcotest.test_case "search.rejected.unfit counts pinned" `Quick
+      test_unfit_counts;
   ]
