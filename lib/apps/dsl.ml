@@ -23,7 +23,6 @@ let isend b count = B.prim_unit b "mpi_isend" [ count ]
 let irecv b count = B.prim_unit b "mpi_irecv" [ count ]
 let wait b = B.prim_unit b "mpi_wait" []
 let send b count = B.prim_unit b "mpi_send" [ count ]
-let recv b count = B.prim_unit b "mpi_recv" [ count ]
 let bcast b count = B.prim_unit b "mpi_bcast" [ count ]
 let allgather b count = B.prim_unit b "mpi_allgather" [ count ]
 

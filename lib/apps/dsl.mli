@@ -14,7 +14,6 @@ val isend : Ir.Builder.t -> operand -> unit
 val irecv : Ir.Builder.t -> operand -> unit
 val wait : Ir.Builder.t -> unit
 val send : Ir.Builder.t -> operand -> unit
-val recv : Ir.Builder.t -> operand -> unit
 val bcast : Ir.Builder.t -> operand -> unit
 val allgather : Ir.Builder.t -> operand -> unit
 

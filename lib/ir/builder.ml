@@ -84,7 +84,6 @@ let le b x y = binop b Le x y
 let gt b x y = binop b Gt x y
 let ge b x y = binop b Ge x y
 let and_ b x y = binop b And x y
-let or_ b x y = binop b Or x y
 let imin b x y = binop b Min x y
 let imax b x y = binop b Max x y
 

@@ -39,7 +39,6 @@ val le : t -> operand -> operand -> operand
 val gt : t -> operand -> operand -> operand
 val ge : t -> operand -> operand -> operand
 val and_ : t -> operand -> operand -> operand
-val or_ : t -> operand -> operand -> operand
 val imin : t -> operand -> operand -> operand
 val imax : t -> operand -> operand -> operand
 

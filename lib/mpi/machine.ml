@@ -35,19 +35,6 @@ let skylake_cluster =
     hook_cost_s = 3.0e-7;
   }
 
-let piz_daint =
-  {
-    name = "piz-daint";
-    nodes = 64;
-    sockets_per_node = 2;
-    cores_per_socket = 18;
-    mem_bw_gbs = 76.8;
-    rank_demand_gbs = 10.;
-    net_latency_s = 1.0e-6;
-    net_byte_time = 1. /. 9.7e9;
-    hook_cost_s = 3.0e-7;
-  }
-
 let cores_per_node m = m.sockets_per_node * m.cores_per_socket
 
 (** Slowdown factor (>= 1) experienced by fully memory-bound code when

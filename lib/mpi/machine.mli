@@ -13,7 +13,6 @@ type t = {
 }
 
 val skylake_cluster : t
-val piz_daint : t
 
 val cores_per_node : t -> int
 

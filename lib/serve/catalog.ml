@@ -10,10 +10,15 @@ let default_capacity = 64
 
 (* -- keys ---------------------------------------------------------- *)
 
-let key ~app_name ~program_text ~design ~plan ~retry =
+let digest_text text = Digest.to_hex (Digest.string text)
+
+let key_of_digest ~app_name ~program_digest ~design ~plan ~retry =
   let header = Measure.Campaign.header_line ~app_name ~plan ~retry design in
-  Digest.to_hex
-    (Digest.string (Digest.to_hex (Digest.string program_text) ^ "\n" ^ header))
+  digest_text (program_digest ^ "\n" ^ header)
+
+let key ~app_name ~program_text ~design ~plan ~retry =
+  key_of_digest ~app_name ~program_digest:(digest_text program_text) ~design
+    ~plan ~retry
 
 (* -- entries ------------------------------------------------------- *)
 

@@ -13,6 +13,10 @@
 
 (** {1 Keys} *)
 
+val digest_text : string -> string
+(** The MD5 hex digest of a string.  Both digests in a key use it: the
+    program text's and the key's own. *)
+
 val key :
   app_name:string ->
   program_text:string ->
@@ -24,7 +28,21 @@ val key :
     {!Measure.Campaign.header_line} — the same identity line that pins a
     checkpoint journal to its campaign, so anything that would forbid a
     journal resume (app, grid, reps, mode, noise sigma and seed, fault
-    plan, retry policy) also changes the key. *)
+    plan, retry policy) also changes the key.
+    [key ~program_text] is [key_of_digest ~program_digest:(digest_text
+    program_text)]. *)
+
+val key_of_digest :
+  app_name:string ->
+  program_digest:string ->
+  design:Measure.Experiment.design ->
+  plan:Measure.Fault.plan ->
+  retry:Measure.Campaign.retry ->
+  string
+(** {!key} from the program's MD5 hex digest instead of its text, the
+    one derivation of every key: the daemon passes the digest
+    {!Registry.program_digest} took once, so a hit never hashes the
+    program. *)
 
 (** {1 Entries} *)
 

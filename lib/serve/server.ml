@@ -121,8 +121,9 @@ let resolve (spec : Protocol.fit_spec) =
           | exception Invalid_argument msg -> Error msg
           | () ->
               let key =
-                Catalog.key ~app_name:r.Registry.r_app.Measure.Spec.aname
-                  ~program_text:(Registry.program_text r)
+                Catalog.key_of_digest
+                  ~app_name:r.Registry.r_app.Measure.Spec.aname
+                  ~program_digest:(Registry.program_digest r)
                   ~design ~plan ~retry
               in
               Ok { rs_app = r; rs_design = design; rs_plan = plan;

@@ -610,6 +610,36 @@ let prop_jsonio_obj_roundtrip =
              fields fields'
       | _ -> false)
 
+(* Resume and catalog keys compare printed text, not values: a journal
+   header or key must print the same bytes as the build that wrote it.
+   The reference is the writer's specification spelled out with Printf. *)
+let reference_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.17g" f
+
+let prop_jsonio_float_bytes =
+  let edges =
+    List.concat_map
+      (fun f -> [ f; -.f ])
+      [ 0.; 1.; 1e15 -. 1.; 1e15; 0x1p53; 0x1p53 +. 2.;
+        Int64.float_of_bits 1L ]
+  in
+  QCheck.Test.make ~count:5000
+    ~name:"Jsonio prints floats byte for byte as Printf"
+    (QCheck.make
+       ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(
+         oneof
+           [ map Int64.float_of_bits ui64;
+             map float_of_int
+               (int_range (-999_999_999_999_999) 999_999_999_999_999);
+             map float_of_int small_signed_int;
+             oneofl edges ]))
+    (fun f ->
+      String.equal (Obs_json.to_string (Obs_json.Float f))
+        (reference_float_repr f))
+
 let test_jsonio_adversarial_strings () =
   List.iter
     (fun s ->
@@ -699,6 +729,7 @@ let tests =
       test_jsonio_adversarial_strings;
     Seeded.to_alcotest prop_jsonio_string_roundtrip;
     Seeded.to_alcotest prop_jsonio_obj_roundtrip;
+    Seeded.to_alcotest prop_jsonio_float_bytes;
     Alcotest.test_case "every byte prefix of the journal resumes" `Quick
       test_every_journal_prefix_resumes;
   ]

@@ -100,6 +100,43 @@ let test_key_stability () =
           ~plan ~retry:{ retry with Camp.rt_max_attempts = 5 } );
     ]
 
+(* One identity per served app, keyed on the registry grid.  The hex
+   literals were recorded before the daemon took its program digest
+   from the registry: a key that moves by a byte orphans every catalog
+   an earlier build wrote. *)
+let test_key_bytes_pinned () =
+  let plan =
+    match Fault.of_spec "crash=0.05,hang=0.02,straggler=0.05,seed=7" with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (name, pinned) ->
+      let r = Option.get (Serve.Registry.find name) in
+      let design =
+        { Exp.grid = r.Serve.Registry.r_grid; reps = 5; mode = Instr.Full;
+          sigma = 0.02; seed = 42 }
+      in
+      let app_name = r.Serve.Registry.r_app.Measure.Spec.aname in
+      let from_text =
+        Cat.key ~app_name ~program_text:(Serve.Registry.program_text r)
+          ~design ~plan ~retry
+      in
+      let digest = Serve.Registry.program_digest r in
+      Alcotest.(check string) (name ^ " key bytes") pinned from_text;
+      Alcotest.(check string)
+        (name ^ " key from the registry digest")
+        from_text
+        (Cat.key_of_digest ~app_name ~program_digest:digest ~design ~plan
+           ~retry);
+      Alcotest.(check bool)
+        (name ^ " digest computed once")
+        true
+        (Serve.Registry.program_digest r == digest))
+    [ ("lulesh", "7ad3193bf9c598d2b79c75c3a7bda195");
+      ("milc", "f29e0a73e2b80f084cf66bf9636d3afd");
+      ("minicg", "82502b8273d334a06e15f262394edb5b") ]
+
 (* -- entry round-trip --------------------------------------------------------- *)
 
 let test_entry_roundtrip () =
@@ -620,6 +657,8 @@ let tests =
   [
     Alcotest.test_case "catalog key is stable and sensitive" `Quick
       test_key_stability;
+    Alcotest.test_case "catalog key bytes pinned per served app" `Quick
+      test_key_bytes_pinned;
     Alcotest.test_case "entry line round-trips bit-identically" `Quick
       test_entry_roundtrip;
     Alcotest.test_case "open refuses a missing directory" `Quick
