@@ -2,7 +2,6 @@
     fitted models, as {!Obs_json} values. *)
 
 val model_json : Model.Expr.model -> Obs_json.t
-val result_json : Model.Search.result -> Obs_json.t
 val dataset_json : Model.Dataset.t -> Obs_json.t
 val func_deps_json : Deps.func_deps -> Obs_json.t
 

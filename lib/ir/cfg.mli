@@ -12,9 +12,6 @@ val build : Types.func -> t
 val successors : t -> string -> string list
 val predecessors : t -> string -> string list
 
-val idom : t -> string -> string option
-(** Immediate dominator; [None] for the entry block. *)
-
 val dominates : t -> string -> string -> bool
 (** [dominates t a b]: every path from entry to [b] passes [a]
     (reflexive). *)

@@ -13,6 +13,5 @@ val unop_name : Types.unop -> string
 val pp_instr : Types.instr Fmt.t
 val pp_terminator : Types.terminator Fmt.t
 val pp_block : Types.block Fmt.t
-val pp_func : Types.func Fmt.t
 val pp_program : Types.program Fmt.t
 val program_to_string : Types.program -> string

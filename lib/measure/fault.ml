@@ -102,11 +102,26 @@ let active fault ~attempt =
 
 (* -- textual plan specs (CLI flags, journal headers) ----------------------- *)
 
-let spec_of p =
+let print_spec p =
   Printf.sprintf
     "crash=%g,hang=%g,straggler=%g,corrupt=%g,persistent=%g,attempts=%d,seed=%d"
     p.fp_crash p.fp_hang p.fp_straggler p.fp_corrupt p.fp_persistent
     p.fp_transient_attempts p.fp_seed
+
+(* Every campaign without faults keys and journals under the empty
+   plan's spec, so it is printed once.  The rates compare bit for bit
+   with {!none}'s zeros: "%g" prints a -0. rate as "-0", which [=] would
+   take for none. *)
+let none_spec = print_spec none
+
+let is_none p =
+  let zero r = r = 0. && not (Float.sign_bit r) in
+  p.fp_seed = none.fp_seed
+  && p.fp_transient_attempts = none.fp_transient_attempts
+  && zero p.fp_crash && zero p.fp_hang && zero p.fp_straggler
+  && zero p.fp_corrupt && zero p.fp_persistent
+
+let spec_of p = if is_none p then none_spec else print_spec p
 
 let of_spec s =
   let parse_field plan field =

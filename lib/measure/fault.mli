@@ -55,4 +55,5 @@ val of_spec : string -> (plan, string) result
     all optional, empty string = {!none}). *)
 
 val spec_of : plan -> string
-(** Canonical spec string; [of_spec (spec_of p) = Ok p]. *)
+(** Canonical spec string; [of_spec (spec_of p) = Ok p].  {!none}'s is
+    printed once and shared. *)

@@ -42,7 +42,6 @@ val bootstrap_ci :
 (** 95% bootstrap interval of a prediction at [coords], refitting on
     resampled points. *)
 
-val pairs_of_model : Expr.model -> Dataset.t -> fit
 val coefficients : Expr.model -> int
 
 type summary = {

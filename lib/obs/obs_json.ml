@@ -14,19 +14,26 @@ type t =
 
 (* -- writer ---------------------------------------------------------------- *)
 
+(* Runs of bytes that need no escape are copied whole. *)
 let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      match String.unsafe_get s i with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring buf s start (i - start);
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0
 
 let add_string buf s =
   Buffer.add_char buf '"';
@@ -80,150 +87,183 @@ let to_string v =
 
 exception Bad of string
 
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail "expected %c at offset %d, got %c" c !pos c'
-    | None -> fail "expected %c at offset %d, got end of input" c !pos
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail "bad literal at offset %d" !pos
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some '/' -> Buffer.add_char buf '/'
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'b' -> Buffer.add_char buf '\b'
-        | Some 'f' -> Buffer.add_char buf '\012'
-        | Some 'u' ->
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          let hex = String.sub s (!pos + 1) 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> fail "bad \\u escape %s" hex
-          in
-          (* The writer only escapes control characters; everything it
-             emits is below 0x80. *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else fail "unsupported \\u escape %s" hex;
-          pos := !pos + 4
-        | _ -> fail "bad escape at offset %d" !pos);
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
+let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+
+(* The parser reads the input through a cursor, one byte at a time as an
+   int, -1 at the end of input: nothing is allocated per byte. *)
+type cursor = { s : string; n : int; mutable pos : int }
+
+let peek c = if c.pos < c.n then Char.code (String.unsafe_get c.s c.pos) else -1
+
+let rec skip_ws c =
+  match peek c with
+  | 0x20 | 0x09 | 0x0a | 0x0d ->
+    c.pos <- c.pos + 1;
+    skip_ws c
+  | _ -> ()
+
+let expect c ch =
+  let b = peek c in
+  if b = Char.code ch then c.pos <- c.pos + 1
+  else if b < 0 then fail "expected %c at offset %d, got end of input" ch c.pos
+  else fail "expected %c at offset %d, got %c" ch c.pos (Char.unsafe_chr b)
+
+let literal c word v =
+  let len = String.length word in
+  if c.pos + len <= c.n && String.sub c.s c.pos len = word then begin
+    c.pos <- c.pos + len;
+    v
+  end
+  else fail "bad literal at offset %d" c.pos
+
+(* The first index from [i] holding a quote or a backslash, else [n]. *)
+let rec plain_run s i n =
+  if i >= n then n
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | _ -> plain_run s (i + 1) n
+
+(* The rest of a string from the cursor, escapes decoded: plain runs are
+   copied whole. *)
+let rec unescape c buf =
+  let i = plain_run c.s c.pos c.n in
+  Buffer.add_substring buf c.s c.pos (i - c.pos);
+  c.pos <- i;
+  if i >= c.n then fail "unterminated string"
+  else if String.unsafe_get c.s i = '"' then begin
+    c.pos <- i + 1;
     Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> (
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> fail "bad number %S at offset %d" text start)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let items = ref [ parse_value () ] in
-        skip_ws ();
-        while peek () = Some ',' do
-          advance ();
-          items := parse_value () :: !items;
-          skip_ws ()
-        done;
-        expect ']';
-        List (List.rev !items)
-      end
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          (k, v)
-        in
-        let fields = ref [ field () ] in
-        skip_ws ();
-        while peek () = Some ',' do
-          advance ();
-          fields := field () :: !fields;
-          skip_ws ()
-        done;
-        expect '}';
-        Obj (List.rev !fields)
-      end
-    | Some _ -> parse_number ()
-  in
-  match parse_value () with
+  end
+  else begin
+    c.pos <- i + 1;
+    let b = peek c in
+    if b < 0 then fail "bad escape at offset %d" c.pos;
+    (match Char.unsafe_chr b with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' ->
+      if c.pos + 4 >= c.n then fail "truncated \\u escape";
+      let hex = String.sub c.s (c.pos + 1) 4 in
+      let code =
+        match int_of_string_opt ("0x" ^ hex) with
+        | Some code -> code
+        | None -> fail "bad \\u escape %s" hex
+      in
+      (* The writer only escapes control characters; everything it
+         emits is below 0x80. *)
+      if code < 0x80 then Buffer.add_char buf (Char.chr code)
+      else fail "unsupported \\u escape %s" hex;
+      c.pos <- c.pos + 4
+    | _ -> fail "bad escape at offset %d" c.pos);
+    c.pos <- c.pos + 1;
+    unescape c buf
+  end
+
+(* A string with no escape in it is one slice of the input. *)
+let parse_string c =
+  expect c '"';
+  let start = c.pos in
+  let i = plain_run c.s start c.n in
+  if i < c.n && String.unsafe_get c.s i = '"' then begin
+    c.pos <- i + 1;
+    String.sub c.s start (i - start)
+  end
+  else unescape c (Buffer.create 16)
+
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+(* No int text holds '.', 'e' or 'E' (hex needs an 'x'), so a text that
+   does skips [int_of_string], whose failure raises. *)
+let rec int_shaped s i stop =
+  i = stop
+  || (match String.unsafe_get s i with
+     | '.' | 'e' | 'E' -> false
+     | _ -> int_shaped s (i + 1) stop)
+
+let parse_number c =
+  let start = c.pos in
+  while c.pos < c.n && is_num_char (String.unsafe_get c.s c.pos) do
+    c.pos <- c.pos + 1
+  done;
+  let text = String.sub c.s start (c.pos - start) in
+  match if int_shaped c.s start c.pos then int_of_string_opt text else None with
+  | Some i -> Int i
+  | None -> (
+    match float_of_string_opt text with
+    | Some f -> Float f
+    | None -> fail "bad number %S at offset %d" text start)
+
+let rec parse_value c =
+  skip_ws c;
+  let b = peek c in
+  if b < 0 then fail "unexpected end of input";
+  match Char.unsafe_chr b with
+  | '"' -> Str (parse_string c)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '[' ->
+    c.pos <- c.pos + 1;
+    skip_ws c;
+    if peek c = Char.code ']' then begin
+      c.pos <- c.pos + 1;
+      List []
+    end
+    else List (items c [ parse_value c ])
+  | '{' ->
+    c.pos <- c.pos + 1;
+    skip_ws c;
+    if peek c = Char.code '}' then begin
+      c.pos <- c.pos + 1;
+      Obj []
+    end
+    else Obj (fields c [ field c ])
+  | _ -> parse_number c
+
+and items c acc =
+  skip_ws c;
+  if peek c = Char.code ',' then begin
+    c.pos <- c.pos + 1;
+    items c (parse_value c :: acc)
+  end
+  else begin
+    expect c ']';
+    List.rev acc
+  end
+
+and field c =
+  skip_ws c;
+  let k = parse_string c in
+  skip_ws c;
+  expect c ':';
+  (k, parse_value c)
+
+and fields c acc =
+  skip_ws c;
+  if peek c = Char.code ',' then begin
+    c.pos <- c.pos + 1;
+    fields c (field c :: acc)
+  end
+  else begin
+    expect c '}';
+    List.rev acc
+  end
+
+let parse s =
+  let c = { s; n = String.length s; pos = 0 } in
+  match parse_value c with
   | v ->
-    skip_ws ();
-    if !pos <> n then Error (Printf.sprintf "trailing input at offset %d" !pos)
+    skip_ws c;
+    if c.pos <> c.n then Error (Printf.sprintf "trailing input at offset %d" c.pos)
     else Ok v
   | exception Bad msg -> Error msg
 

@@ -182,13 +182,21 @@ let fit ~app ~machine ~design ~plan ~retry ~key () =
 
 (* -- the store ----------------------------------------------------- *)
 
+(* What the catalog keeps per key, decoded or not.  The model text is
+   the key's answer text, so it lives and dies with the key: kept across
+   LRU evictions, gone when the key is dropped or inserted again. *)
+type stored = {
+  line : string; (* the raw index line *)
+  app : string;
+  mutable text : string option; (* Model.Expr.to_string, once answered *)
+}
+
 type t = {
   path : string;
   capacity : int;
   evictions : Obs_metrics.counter option;
   events : Obs_events.sink;
-  disk : (string, string) Hashtbl.t; (* key -> raw index line *)
-  apps : (string, string) Hashtbl.t; (* key -> app name *)
+  disk : (string, stored) Hashtbl.t; (* key -> what is kept of it *)
   mutable order : string list; (* keys, oldest first; rewrite order *)
   mutable lru : (string * entry) list; (* decoded entries, MRU first *)
   mutable out : out_channel option;
@@ -209,8 +217,7 @@ let load_index t =
     List.iter
       (fun (e, line) ->
         if not (Hashtbl.mem t.disk e.e_key) then t.order <- e.e_key :: t.order;
-        Hashtbl.replace t.disk e.e_key line;
-        Hashtbl.replace t.apps e.e_key e.e_app)
+        Hashtbl.replace t.disk e.e_key { line; app = e.e_app; text = None })
       entries;
     t.order <- List.rev t.order;
     Ok ()
@@ -227,7 +234,10 @@ let close t =
    writer is cut before the next append, as a campaign journal's is. *)
 let rewrite t =
   close t;
-  J.write_lines t.path (List.filter_map (Hashtbl.find_opt t.disk) t.order);
+  J.write_lines t.path
+    (List.filter_map
+       (fun k -> Option.map (fun st -> st.line) (Hashtbl.find_opt t.disk k))
+       t.order);
   t.out <- Some (J.open_append t.path)
 
 let open_ ?metrics ?(events = Obs_events.disabled)
@@ -243,7 +253,6 @@ let open_ ?metrics ?(events = Obs_events.disabled)
           Option.map (fun m -> Obs_metrics.counter m "serve.evictions") metrics;
         events;
         disk = Hashtbl.create 64;
-        apps = Hashtbl.create 64;
         order = [];
         lru = [];
         out = None;
@@ -278,7 +287,7 @@ let find t key =
   | None -> (
       match Hashtbl.find_opt t.disk key with
       | None -> None
-      | Some line -> (
+      | Some { line; _ } -> (
           match entry_of_line line with
           | Ok e ->
               promote t e;
@@ -287,17 +296,24 @@ let find t key =
 
 let mem t key = List.mem_assoc key t.lru || Hashtbl.mem t.disk key
 
+let model_text t e =
+  match Hashtbl.find_opt t.disk e.e_key with
+  | Some { text = Some text; _ } -> text
+  | Some st ->
+      let text = Model.Expr.to_string e.e_model in
+      st.text <- Some text;
+      text
+  | None -> Model.Expr.to_string e.e_model
+
 let insert t e =
   let line = entry_to_line e in
   Option.iter (fun oc -> J.append_line oc line) t.out;
   if not (Hashtbl.mem t.disk e.e_key) then t.order <- t.order @ [ e.e_key ];
-  Hashtbl.replace t.disk e.e_key line;
-  Hashtbl.replace t.apps e.e_key e.e_app;
+  Hashtbl.replace t.disk e.e_key { line; app = e.e_app; text = None };
   promote t e
 
 let drop t key =
   Hashtbl.remove t.disk key;
-  Hashtbl.remove t.apps key;
   t.order <- List.filter (fun k -> k <> key) t.order;
   t.lru <- List.filter (fun (k, _) -> k <> key) t.lru
 
@@ -312,7 +328,10 @@ let invalidate t ~key =
 let invalidate_app t ~app =
   let victims =
     List.filter
-      (fun k -> Hashtbl.find_opt t.apps k = Some app)
+      (fun k ->
+        match Hashtbl.find_opt t.disk k with
+        | Some st -> st.app = app
+        | None -> false)
       t.order
   in
   List.iter (drop t) victims;

@@ -142,6 +142,13 @@ val find : t -> string -> entry option
 val mem : t -> string -> bool
 (** Key present (memory or disk) without promoting it. *)
 
+val model_text : t -> entry -> string
+(** [Model.Expr.to_string e.e_model] for an entry the catalog holds
+    under [e.e_key], printed the first time an answer asks for it and
+    kept with the key: an LRU eviction keeps it, a drop, an
+    invalidation or a new {!insert} of the key discards it.  A key the
+    catalog does not hold is printed afresh and nothing is kept. *)
+
 val insert : t -> entry -> unit
 (** Memoize a fitted entry: append one line to the disk index (flushed,
     so a killed daemon loses at most the in-flight entry) and promote it

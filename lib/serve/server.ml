@@ -198,7 +198,7 @@ let handle_batch t lines =
         | v when Float.is_finite v ->
             Protocol.predict_line ~key:e.Catalog.e_key ~cached
               ~app:e.Catalog.e_app ~prediction:v
-              ~model:(Model.Expr.to_string e.Catalog.e_model)
+              ~model:(Catalog.model_text t.catalog e)
               ~smape:e.Catalog.e_error
         | v ->
             let at (p, x) = Printf.sprintf "%s=%g" p x in

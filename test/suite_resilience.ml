@@ -640,6 +640,202 @@ let prop_jsonio_float_bytes =
       String.equal (Obs_json.to_string (Obs_json.Float f))
         (reference_float_repr f))
 
+(* -- the codec against its reference ---------------------------------------------
+   test/json_reference.ml is the writer and parser as they stood before
+   the parser stopped allocating per byte.  Keys and journal headers
+   compare printed bytes, and a refused line is reported by its error
+   text, so both must agree exactly: the same bytes out, the same value
+   or the same error string back, on well-formed text and on text a few
+   byte edits away from it. *)
+
+(* Bitwise on floats, so -0. and 0. differ. *)
+let rec same_json a b =
+  match (a, b) with
+  | Obs_json.Float f, Obs_json.Float g ->
+    Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+  | Obs_json.List xs, Obs_json.List ys ->
+    List.compare_lengths xs ys = 0 && List.for_all2 same_json xs ys
+  | Obs_json.Obj xs, Obs_json.Obj ys ->
+    List.compare_lengths xs ys = 0
+    && List.for_all2
+         (fun (k, x) (l, y) -> String.equal k l && same_json x y)
+         xs ys
+  | (Obs_json.Null | Obs_json.Bool _ | Obs_json.Int _ | Obs_json.Str _), _ ->
+    a = b
+  | _ -> false
+
+let parses_as_reference text =
+  match (Obs_json.parse text, Json_reference.parse text) with
+  | Ok v, Ok v' -> same_json v v'
+  | Error e, Error e' -> String.equal e e'
+  | _ -> false
+
+(* Strings lean on the bytes the codec treats specially. *)
+let json_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [ (3, printable); (2, char);
+             (2, oneofl [ '"'; '\\'; '/'; 'u'; '\n'; '\t'; '\000'; '\031';
+                          '\127'; '\255' ]) ])
+      (int_bound 12))
+
+let json_tree =
+  QCheck.Gen.(
+    let leaf =
+      oneof
+        [ return Obs_json.Null;
+          map (fun b -> Obs_json.Bool b) bool;
+          map
+            (fun i -> Obs_json.Int i)
+            (oneof [ int; small_signed_int; oneofl [ min_int; max_int ] ]);
+          map
+            (fun f -> Obs_json.Float f)
+            (oneof
+               [ float; map Int64.float_of_bits ui64;
+                 map float_of_int small_signed_int;
+                 oneofl [ Float.nan; Float.infinity; -0.; 1e15; 0x1p53 ] ]);
+          map (fun s -> Obs_json.Str s) json_string ]
+    in
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 (1, map (fun l -> Obs_json.List l)
+                       (list_size (int_bound 4) (self (n - 1))));
+                 (1, map (fun fs -> Obs_json.Obj fs)
+                       (list_size (int_bound 4)
+                          (pair json_string (self (n - 1))))) ]))
+
+(* One to four edits, each a replaced, inserted or deleted byte or a
+   truncation; the bytes lean on the ones the grammar reacts to. *)
+let edited text =
+  QCheck.Gen.(
+    let byte =
+      frequency
+        [ (1, char);
+          (3, oneofl (List.of_seq (String.to_seq "\"\\{}[],:0-+.eEtfnu/ \t"))) ]
+    in
+    let edit s =
+      let n = String.length s in
+      let* i = int_bound n in
+      let* b = byte in
+      let+ kind = int_bound 3 in
+      let cut = String.sub s 0 i and rest = String.sub s i (n - i) in
+      match kind with
+      | 0 when i < n -> cut ^ String.make 1 b ^ String.sub rest 1 (n - i - 1)
+      | 1 when i < n -> cut ^ String.sub rest 1 (n - i - 1)
+      | 2 -> cut
+      | _ -> cut ^ String.make 1 b ^ rest
+    in
+    let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+    int_range 1 4 >>= fun k -> go k text)
+
+let prop_codec_reference_trees =
+  QCheck.Test.make ~count:2000
+    ~name:"Jsonio codec = reference on random trees and their edits"
+    (QCheck.make
+       ~print:(fun (v, e) -> Printf.sprintf "%S edited to %S"
+                 (Json_reference.to_string v) e)
+       QCheck.Gen.(
+         let* v = json_tree in
+         let+ e = edited (Json_reference.to_string v) in
+         (v, e)))
+    (fun (v, e) ->
+      let text = Obs_json.to_string v in
+      String.equal text (Json_reference.to_string v)
+      && parses_as_reference text && parses_as_reference e)
+
+(* Index lines of real cold fits, one of them fault-injected, and the
+   request lines a client sends. *)
+let real_lines =
+  lazy
+    (let fit name faults =
+       let r = Option.get (Serve.Registry.find name) in
+       let design =
+         { Exp.grid = [ ("p", [ 2.; 4.; 8. ]); ("size", [ 16. ]); ("r", [ 8. ]) ];
+           reps = 2; mode = Instr.Full; sigma = 0.02; seed = 42 }
+       in
+       let plan = Result.get_ok (Fault.of_spec faults) in
+       let app = r.Serve.Registry.r_app in
+       let key =
+         Serve.Catalog.key_of_digest ~app_name:app.Spec.aname
+           ~program_digest:(Serve.Registry.program_digest r) ~design ~plan
+           ~retry:Camp.default_retry
+       in
+       Serve.Catalog.entry_to_line
+         (Serve.Catalog.fit ~app ~machine:Serve.Registry.machine ~design ~plan
+            ~retry:Camp.default_retry ~key ())
+     in
+     [ fit "lulesh" ""; fit "milc" "crash=0.05,hang=0.02,straggler=0.05,seed=7";
+       {|{"op":"predict","app":"lulesh","seed":7,"faults":"","coords":{"p":64,"size":35}}|};
+       {|{"op":"fit","app":"milc","grid":{"p":[2,4,8],"size":[16],"r":[8]},"reps":2,"sigma":0.02,"faults":"crash=0.05,hang=0.02,straggler=0.05"}|};
+       {|{"op":"predict","app":"minicg","coords":{"p":4,"n":1e6},"backoff":30.0,"retries":-3}|};
+       {|{"op":"invalidate","key":"7ad3193bf9c598d2b79c75c3a7bda195"}|};
+       {|{"op":"fit","app":"lu\"le\\sh\u0007\/","seed":-0} |};
+       {|{"op":"stats","x":[true,false,null,[],{}]}|};
+       (* integers around the 63-bit range *)
+       {|{"op":"fit","app":"minicg","seed":4611686018427387904,"reps":-99999999999999999999,"retries":999999999999999999,"backoff":-4611686018427387904}|} ])
+
+let prop_codec_reference_lines =
+  QCheck.Test.make ~count:3000
+    ~name:"Jsonio parser = reference on edited catalog and request lines"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         let* i = int_bound 8 in
+         edited (List.nth (Lazy.force real_lines) i)))
+    (fun e ->
+      List.for_all parses_as_reference (Lazy.force real_lines)
+      && parses_as_reference e)
+
+(* Catalog keys and journal headers embed [Fault.spec_of]; the empty
+   plan's spec is printed once, and every plan must still print the
+   bytes of the seven-conversion Printf. *)
+let reference_spec (p : Fault.plan) =
+  Printf.sprintf
+    "crash=%g,hang=%g,straggler=%g,corrupt=%g,persistent=%g,attempts=%d,seed=%d"
+    p.fp_crash p.fp_hang p.fp_straggler p.fp_corrupt p.fp_persistent
+    p.fp_transient_attempts p.fp_seed
+
+let prop_fault_spec_bytes =
+  let spec =
+    QCheck.Gen.(
+      let rate =
+        oneof
+          [ oneofl [ "0"; "-0"; "0.0"; "-0e3"; "1"; "0.05"; "1e-7"; "5e-324" ];
+            map (Printf.sprintf "%.17g") (float_bound_inclusive 1.) ]
+      in
+      let field =
+        oneof
+          [ map (fun v -> "crash=" ^ v) rate; map (fun v -> "hang=" ^ v) rate;
+            map (fun v -> "straggler=" ^ v) rate;
+            map (fun v -> "corrupt=" ^ v) rate;
+            map (fun v -> "persistent=" ^ v) rate;
+            map (Printf.sprintf "attempts=%d") (int_range 1 4);
+            map (Printf.sprintf "seed=%d") (oneof [ int_range (-2) 2; int ]) ]
+      in
+      map (String.concat ",") (list_size (int_bound 4) field))
+  in
+  QCheck.Test.make ~count:1000 ~name:"fault spec bytes = Printf reference"
+    (QCheck.make ~print:Fun.id spec)
+    (fun spec ->
+      let field_by_field =
+        { Fault.fp_seed = 0; fp_crash = 0.; fp_hang = 0.; fp_straggler = 0.;
+          fp_corrupt = 0.; fp_persistent = 0.; fp_transient_attempts = 2 }
+      in
+      let parsed = Result.get_ok (Fault.of_spec spec) in
+      let none_text = Fault.spec_of Fault.none in
+      List.for_all
+        (fun p -> String.equal (Fault.spec_of p) (reference_spec p))
+        [ Fault.none; field_by_field; parsed ]
+      && Fault.spec_of field_by_field == none_text
+      (* only a plan whose spec reads as none's shares its text *)
+      && Fault.spec_of parsed == none_text
+         = String.equal (reference_spec parsed) none_text)
+
 let test_jsonio_adversarial_strings () =
   List.iter
     (fun s ->
@@ -730,6 +926,9 @@ let tests =
     Seeded.to_alcotest prop_jsonio_string_roundtrip;
     Seeded.to_alcotest prop_jsonio_obj_roundtrip;
     Seeded.to_alcotest prop_jsonio_float_bytes;
+    Seeded.to_alcotest prop_codec_reference_trees;
+    Seeded.to_alcotest prop_codec_reference_lines;
+    Seeded.to_alcotest prop_fault_spec_bytes;
     Alcotest.test_case "every byte prefix of the journal resumes" `Quick
       test_every_journal_prefix_resumes;
   ]

@@ -297,6 +297,34 @@ let test_invalidate () =
     Alcotest.(check bool) "survivor intact" true (Cat.mem cat "keep");
     Cat.close cat
 
+(* A predict answer prints its entry's model.  The catalog prints each
+   key's model once and keeps the text with the key: the same string
+   comes back after an LRU eviction and a decode from disk; a re-insert
+   or an invalidation discards it. *)
+let test_model_text_per_key () =
+  with_tmp_dir @@ fun dir ->
+  match Cat.open_ ~capacity:1 ~dir () with
+  | Error e -> Alcotest.fail e
+  | Ok cat ->
+    let printed (e : Cat.entry) = Model.Expr.to_string e.Cat.e_model in
+    let a = entry ~key:"a" ~const:0.1 () in
+    Cat.insert cat a;
+    let text = Cat.model_text cat a in
+    Alcotest.(check string) "the model's text" (printed a) text;
+    Cat.insert cat (entry ~key:"b" ());
+    Alcotest.(check int) "a evicted" 1 (Cat.resident cat);
+    let decoded = Option.get (Cat.find cat "a") in
+    Alcotest.(check bool) "kept across eviction and decode" true
+      (Cat.model_text cat decoded == text);
+    let a' = entry ~key:"a" ~const:0.5 () in
+    Cat.insert cat a';
+    Alcotest.(check string) "re-insert prints the new model" (printed a')
+      (Cat.model_text cat a');
+    Alcotest.(check bool) "invalidated" true (Cat.invalidate cat ~key:"a");
+    Alcotest.(check bool) "an invalidated key keeps nothing" false
+      (Cat.model_text cat a' == Cat.model_text cat a');
+    Cat.close cat
+
 (* -- the daemon (in-process) -------------------------------------------------- *)
 
 (* Tiny but real fits: a 2-point grid, 2 repetitions. *)
@@ -675,6 +703,8 @@ let tests =
       test_corrupt_middle_line_refused;
     Alcotest.test_case "invalidate rewrites the index durably" `Quick
       test_invalidate;
+    Alcotest.test_case "model text printed once per key" `Quick
+      test_model_text_per_key;
     Alcotest.test_case "batch: dup keys fit once, order kept" `Quick
       test_batch_semantics;
     Alcotest.test_case "unknown app / bad faults are clean errors" `Quick
