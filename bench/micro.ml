@@ -135,11 +135,12 @@ let engine_runner (type a) (module E : Interp.Engine.S with type t = a)
 
 let pr_geomean = Exp_common.geomean
 
-(* Minor words allocated per executed step by one tainted compiled run:
-   a deterministic count (unlike the timings), flat in input size while
-   the control-scope list stays bounded by the frame's joins. *)
-let taint_words_per_step program args world =
-  let module E = Interp.Compiled.Taint in
+(* Minor words allocated per executed step by one compiled run: a
+   deterministic count (unlike the timings).  Under the Taint policy it
+   stays flat in input size while the control-scope list stays bounded
+   by the frame's joins. *)
+let words_per_step (type a) (module E : Interp.Engine.S with type t = a)
+    program args world =
   let m = E.create program in
   Mpi_sim.Runtime.install_host (module E) world m;
   let w0 = Gc.minor_words () in
@@ -162,7 +163,10 @@ let policy_speedup () =
        heap: the bechamel phase above leaves major-GC debt behind that
        would otherwise be paid unevenly across the timed runs. *)
     ti (); tc (); pi (); pc ();
-    let wps = taint_words_per_step program args world in
+    let wps =
+      ( words_per_step (module Interp.Compiled.Taint) program args world,
+        words_per_step (module Interp.Compiled.Plain) program args world )
+    in
     Gc.compact ();
     (name, ti, tc, pi, pc, wps)
   in
@@ -182,7 +186,10 @@ let policy_speedup () =
           "  %-10s plain  interp %9.6f s   compiled %9.6f s   speedup \
            %5.2fx@."
           "" tpi tpc (tpi /. tpc);
-        Fmt.pr "  %-10s taint  compiled minor words per step %.2f@." "" wps;
+        Fmt.pr "  %-10s taint  compiled minor words per step %.2f@." ""
+          (fst wps);
+        Fmt.pr "  %-10s plain  compiled minor words per step %.2f@." ""
+          (snd wps);
         (name, tti, ttc, tpi, tpc, wps))
       policy_kernels
   in
@@ -215,7 +222,8 @@ let policy_speedup () =
                    ("plain_compiled_s", J.Float tpc);
                    ("taint_speedup", J.Float (tti /. ttc));
                    ("plain_speedup", J.Float (tpi /. tpc));
-                   ("taint_words_per_step", J.Float wps);
+                   ("taint_words_per_step", J.Float (fst wps));
+                   ("plain_words_per_step", J.Float (snd wps));
                  ])
              rows) );
       ("geomean_plain_speedup", J.Float g_plain);

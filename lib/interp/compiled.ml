@@ -22,8 +22,8 @@ open Lower
 module Label = Taint.Label
 module Obs = Observations
 
-(* Physically unique sentinel for "no enclosing-context merge applied
-   yet" — never [==] to a runtime active-loops list (including [[]]). *)
+(* Physically unique sentinel arming every memo slot below — never
+   [==] to a runtime loop-context list (including [[]]). *)
 let merge_pending = [ ("", "") ]
 
 (* Lowering is a pure function of the program: slot numbers, block
@@ -104,34 +104,33 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
 
   let blocks_observed = P.observes_blocks
 
-  (* With neither capability, the policy's per-frame state is
-     unobservable — every hook that receives it is a contractual no-op —
-     so frames can be pooled per callpath edge and reused without
-     rebuilding the policy frame. *)
-  let poolable = (not labels) && not blocks_observed
-
   type pstate = P.state
 
   (* A compiled function together with its statistics record, built at
      first call (the compiled analogue of the interpreter's static-info
      cache). *)
-  type cfunc = {
-    code : Lower.lfunc;
-    sfobs : Obs.func_obs;
-    has_loops : bool;  (** any block is a loop header *)
-  }
+  type cfunc = { code : Lower.lfunc; sfobs : Obs.func_obs }
 
-  (* Loop/branch observation records resolved once per callpath: the
-     records live in string-keyed tables on [Obs.t] (shared with the
-     interpreter), but within one callpath the (cp_key, label) keys are
-     fixed per block, so the compiled tier finds each record once and
-     thereafter reaches it by block index.  [sites] similarly caches the
-     callee's callpath entry per [LCall] site, turning the per-call
-     string-pair hash probe into an array read. *)
+  (* Everything fixed per callpath, resolved at its first call and kept
+     for the engine's lifetime in [cp_keys].  A callpath is live at most
+     once at a time (a recursive call gets a longer callpath), so one set
+     of per-block slots serves every call through it.  The loop and
+     branch records live in string-keyed tables on [Obs.t] (shared with
+     the interpreter), but within one callpath the (cp_key, label) keys
+     are fixed per block, so each record is found once and thereafter
+     reached by block index.  [sites] similarly caches the callee's
+     callpath per [LCall] site, turning the per-call string-pair hash
+     probe into an array read. *)
   type ocache = {
+    path : Obs.callpath;
+    key : string;  (** [Obs.callpath_key path] *)
     locs : Obs.loop_obs option array;
     bocs : Obs.branch_obs option array;
-    sites : cpentry option array;
+    sinks : Obs.loop_obs option array array;
+        (** per block, one slot per [bexits] loop: the exit sink's
+            record, once found (a miss is looked up again next time, as
+            the interpreter does) *)
+    sites : ocache option array;
     selfs : (string * string) array;
         (** per loop-header block: the interned [(cp_key, header)] pair
             used as the active-loops entry.  Every arrival at a given
@@ -146,61 +145,40 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
             blocks ever execute and push entries).  Active-loops pruning
             is then a [memq] test against this list instead of a string
             comparison per (entry, header) pair. *)
+    lmerged : (string * string) list array;
+    lmerged_enc : (string * string) list array;
+        (** per loop header, slot [2 * block] for entries and [+ 1] for
+            iterations (they arrive with different active lists): the
+            [(active_loops, enclosing)] pair, by physical identity, last
+            merged into the block's loop record.  Re-merging it is a
+            no-op, so it is skipped. *)
+    push_key : (string * string) list array;
+    push_val : (string * string) list array;
+        (** per loop header: the [self :: active_loops] cons, memoized by
+            the physical identity of [active_loops] ([push_key]), so
+            every arrival from the same context installs the physically
+            same list and the other memos hit *)
+    mutable enc_active : (string * string) list;
+    mutable enc_base : (string * string) list;
+    mutable enc_list : (string * string) list;
+        (** [active_loops @ enclosing], the context handed to callees,
+            memoized by the physical identity of both lists: loops push
+            and prune [active_loops] by whole-list replacement, so equal
+            identities mean an unchanged append *)
   }
 
-  (* The cached per-edge callpath data, extended with the observation
-     cache (filled at the first call through this edge). *)
-  and cpentry = {
-    cpi_path : Obs.callpath;
-    cpi_key : string;
-    mutable cpi_cache : ocache option;
-    mutable cpi_free : frame option;
-        (** pooled frame for this edge (policies with no per-frame state
-            only, see [poolable]).  Call stacks visit a given callpath at
-            most once at a time — live paths form a strictly growing
-            chain — so one slot suffices; it is taken out for the
-            duration of the call, and a frame lost to an exception is
-            simply rebuilt on the next call. *)
-  }
-
-  and frame = {
+  (* Built fresh per call: a young frame keeps every register write on
+     the write barrier's fast path, and all that outlives a call sits in
+     its callpath's [ocache]. *)
+  type frame = {
     code : Lower.lfunc;
     fname : string;
     fobs : Obs.func_obs;
     regs : value array;   (** slot-indexed values; unset = {!Lower.vunset} *)
     pframe : P.fstate;    (** policy context, slot-addressed *)
     mutable active_loops : (string * string) list;
-    mutable enclosing : (string * string) list;
-        (** fixed per invocation; mutable only so pooled frames can be
-            re-armed for the next call through the same edge *)
-    mutable enc_active : (string * string) list;
-    mutable enc_list : (string * string) list;
-        (** cached [active_loops @ enclosing] keyed by the physical
-            identity of [active_loops] ([enc_active]): loops push and
-            prune [active_loops] by whole-list replacement, so physical
-            equality means the append result is unchanged.  Armed with
-            the {!merge_pending} sentinel, which is never a real active
-            list. *)
-    callpath : Obs.callpath;
-    cp_key : string;
+    enclosing : (string * string) list;
     ocache : ocache;
-    lmerged : (string * string) list array;
-    lmerged_enc : (string * string) list array;
-        (** per loop-header block: the [(active_loops, enclosing)] pair
-            (by physical identity) whose enclosing-context merge was last
-            applied — re-merging an identical context is a no-op, so it
-            is skipped.  Not reset on pooled reuse: stale entries only
-            match when both lists are physically unchanged, in which case
-            the merge is the same no-op.  [| |] when the function has no
-            loops. *)
-    push_key : (string * string) list array;
-    push_val : (string * string) list array;
-        (** per loop-header block: memoized [self :: active_loops] cons,
-            keyed by the physical identity of [active_loops]
-            ([push_key]).  Re-entering a header from the same context
-            then re-installs the physically same list, which is what lets
-            [lmerged]/[enc_active] hits cascade across pooled
-            invocations.  [| |] when the function has no loops. *)
   }
 
   type t = {
@@ -223,10 +201,15 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
             (first wins, as in [find_func]) *)
     findex : (string, int) Hashtbl.t;  (** function name -> index *)
     compiled : cfunc option array;     (** lazily filled, same order *)
-    cp_keys : (string * string, cpentry) Hashtbl.t;
+    cp_keys : (string * string, ocache) Hashtbl.t;
+        (** (caller's callpath key, callee) -> the callee's callpath *)
     obs : Obs.t;
     prims : (string, prim_fn) Hashtbl.t;
     mutable call_depth : int;
+    mutable ret_label : P.label;
+        (** the label of the value the last finished call returned,
+            read by its caller right after the call: one field instead
+            of a [(value, label)] pair per return *)
     im : Icounters.t option;
     trace : Obs_trace.sink;
     prof : Obs_profile.t option;
@@ -258,18 +241,14 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
           Hashtbl.add tbl f.fname code;
           code
       in
-      let has_loops =
-        Array.exists
-          (fun (lb : Lower.lblock) -> lb.lbi.Fstatic.bloop <> None)
-          code.lblocks
-      in
-      let cf = { code; sfobs = Obs.func_obs t.obs f.fname; has_loops } in
+      let cf = { code; sfobs = Obs.func_obs t.obs f.fname } in
       t.compiled.(idx) <- Some cf;
       cf
 
   let no_self = ("", "")
 
-  let fresh_ocache cp_key (code : Lower.lfunc) =
+  let fresh_ocache path (code : Lower.lfunc) =
+    let cp_key = Obs.callpath_key path in
     let n = Array.length code.lblocks in
     let selfs =
       Array.map
@@ -293,11 +272,25 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
         code.lblocks
     in
     {
+      path;
+      key = cp_key;
       locs = Array.make n None;
       bocs = Array.make n None;
+      sinks =
+        Array.map
+          (fun (lb : Lower.lblock) ->
+            Array.make (List.length lb.lbi.Fstatic.bexits) None)
+          code.lblocks;
       sites = Array.make (max 1 code.lnsites) None;
       selfs;
       keeps;
+      lmerged = Array.make (2 * n) merge_pending;
+      lmerged_enc = Array.make (2 * n) merge_pending;
+      push_key = Array.make n merge_pending;
+      push_val = Array.make n merge_pending;
+      enc_active = merge_pending;
+      enc_base = merge_pending;
+      enc_list = [];
     }
 
   (* -- operands ------------------------------------------------------------ *)
@@ -305,7 +298,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
   (* Slot indices are in-bounds by construction (the lowering allocates
      them densely below [lnslots], the frame array's size), so the reads
      and writes are unchecked. *)
-  let lop_value frame = function
+  let[@inline] lop_value frame = function
     | LConst v -> v
     | LSlot i ->
       let v = Array.unsafe_get frame.regs i in
@@ -314,7 +307,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
           frame.fname
       else v
 
-  let lop_label frame = function
+  let[@inline] lop_label frame = function
     | LConst _ -> P.clean
     | LSlot i -> if labels then P.read_slot frame.pframe i else P.clean
 
@@ -328,7 +321,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
       let l = lop_label frame args.(i) in
       (v, l) :: eval_args frame args (i + 1)
 
-  let set_slot t frame d v l =
+  let[@inline] set_slot t frame d v l =
     Array.unsafe_set frame.regs d v;
     if labels then P.write_slot t.pstate frame.pframe d l
 
@@ -339,7 +332,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
   let emit_event t frame prim args =
     t.obs.Obs.events <-
       { Obs.ev_func = frame.fname;
-        ev_callpath = frame.callpath;
+        ev_callpath = frame.ocache.path;
         ev_prim = prim;
         ev_args = args }
       :: t.obs.Obs.events
@@ -386,7 +379,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
 
   (* -- execution ----------------------------------------------------------- *)
 
-  let step t =
+  let[@inline] step t =
     t.steps <- t.steps + 1;
     (match t.prof with None -> () | Some p -> Obs_profile.tick p);
     if t.steps > t.max_steps then raise (Engine.Budget_exceeded t.max_steps)
@@ -395,6 +388,50 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
     let cap = max n (2 * Array.length t.argv_buf) in
     t.argv_buf <- Array.make cap vunset;
     t.argl_buf <- Array.make cap P.clean
+
+  (* [loops] minus the entries not in [allowed], by physical identity:
+     the interpreter's [List.filter] on entering a block.  Returns
+     [loops] itself when every entry stays (the steady state of a loop
+     body), so that case allocates nothing. *)
+  let rec prune allowed loops =
+    match loops with
+    | [] -> loops
+    | e :: rest ->
+      let kept = prune allowed rest in
+      if not (List.memq e allowed) then kept
+      else if kept == rest then loops
+      else e :: kept
+
+  (* {!Dynobs.loop_sink} over one block's [bexits], each loop's record
+     kept in the callpath's [slots] once found. *)
+  let rec sink_exits t oc slots k (exits : Ir.Loops.loop list) dep =
+    match exits with
+    | [] -> ()
+    | l :: rest ->
+      (match Array.unsafe_get slots k with
+      | Some lo -> Dynobs.sink lo dep
+      | None -> (
+        match Dynobs.find_loop t.obs ~cp_key:oc.key l.Ir.Loops.header with
+        | Some lo ->
+          slots.(k) <- Some lo;
+          Dynobs.sink lo dep
+        | None -> ()));
+      sink_exits t oc slots (k + 1) rest dep
+
+  (* Build a callee frame: slots unset, parameters not yet bound (each
+     call shape binds from its own argument source). *)
+  let callee_frame t ~enclosing (cf : cfunc) fname ocache =
+    let nslots = cf.code.lnslots in
+    {
+      code = cf.code;
+      fname;
+      fobs = cf.sfobs;
+      regs = Array.make nslots vunset;
+      pframe = P.frame_slots t.pstate nslots;
+      active_loops = [];
+      enclosing;
+      ocache;
+    }
 
   let rec exec_linstr t frame li =
     step t;
@@ -451,7 +488,8 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
         av.(i) <- lop_value frame args.(i);
         al.(i) <- lop_label frame args.(i)
       done;
-      let v, l = call_site t frame callee site n in
+      let v = call_site t frame callee site n in
+      let l = t.ret_label in
       if d >= 0 then set_slot t frame d v l
     | LPrim (d, PWork, _, args) ->
       (* [work] is pure cost accounting: charged to [fo_work] and kept
@@ -492,41 +530,6 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
           | None -> Eval.error "unknown primitive !%s" name)
       in
       if d >= 0 then set_slot t frame d v l
-
-  (* Build the callee frame: slots unset, parameters not yet bound
-     (each call shape binds from its own argument source). *)
-  and callee_frame t ~enclosing (cf : cfunc) fname callpath cp_key ocache =
-    let nslots = cf.code.lnslots in
-    {
-      code = cf.code;
-      fname;
-      fobs = cf.sfobs;
-      regs = Array.make nslots vunset;
-      pframe = P.frame_slots t.pstate nslots;
-      active_loops = [];
-      enclosing;
-      enc_active = merge_pending;
-      enc_list = [];
-      callpath;
-      cp_key;
-      ocache;
-      lmerged =
-        (if cf.has_loops then
-           Array.make (Array.length cf.code.lblocks) merge_pending
-         else [||]);
-      lmerged_enc =
-        (if cf.has_loops then
-           Array.make (Array.length cf.code.lblocks) merge_pending
-         else [||]);
-      push_key =
-        (if cf.has_loops then
-           Array.make (Array.length cf.code.lblocks) merge_pending
-         else [||]);
-      push_val =
-        (if cf.has_loops then
-           Array.make (Array.length cf.code.lblocks) merge_pending
-         else [||]);
-    }
 
   (* Count the call and run the bound frame's entry block, with the same
      trace/profile wrapping and trap placement as the interpreter. *)
@@ -574,11 +577,8 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
     let idx = match callee with CIdx i -> i | CTrap e -> raise e in
     let cf = compiled_of t idx in
     let fname = t.funcs.(idx).fname in
-    let cp = [ fname ] in
-    let cp_key = Obs.callpath_key cp in
     let frame =
-      callee_frame t ~enclosing:[] cf fname cp cp_key
-        (fresh_ocache cp_key cf.code)
+      callee_frame t ~enclosing:[] cf fname (fresh_ocache [ fname ] cf.code)
     in
     (* Parameters occupy slots 0 .. n-1 by construction. *)
     List.iteri
@@ -598,65 +598,38 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
     let idx = match callee with CIdx i -> i | CTrap e -> raise e in
     let cf = compiled_of t idx in
     let fname = t.funcs.(idx).fname in
-    let entry =
-      match frame.ocache.sites.(site) with
-      | Some e -> e
-      | None ->
-        let mk = (frame.cp_key, fname) in
-        let e =
-          match Hashtbl.find_opt t.cp_keys mk with
-          | Some e -> e
-          | None ->
-            let cp = frame.callpath @ [ fname ] in
-            let e =
-              { cpi_path = cp; cpi_key = Obs.callpath_key cp;
-                cpi_cache = None; cpi_free = None }
-            in
-            Hashtbl.add t.cp_keys mk e;
-            e
-        in
-        frame.ocache.sites.(site) <- Some e;
-        e
-    in
     let ocache =
-      match entry.cpi_cache with
+      match frame.ocache.sites.(site) with
       | Some oc -> oc
       | None ->
-        let oc = fresh_ocache entry.cpi_key cf.code in
-        entry.cpi_cache <- Some oc;
+        let mk = (frame.ocache.key, fname) in
+        let oc =
+          match Hashtbl.find_opt t.cp_keys mk with
+          | Some oc -> oc
+          | None ->
+            let oc = fresh_ocache (frame.ocache.path @ [ fname ]) cf.code in
+            Hashtbl.add t.cp_keys mk oc;
+            oc
+        in
+        frame.ocache.sites.(site) <- Some oc;
         oc
     in
     let enclosing =
       match frame.active_loops with
       | [] -> frame.enclosing
       | al ->
-        if al == frame.enc_active then frame.enc_list
+        let oc = frame.ocache in
+        if al == oc.enc_active && frame.enclosing == oc.enc_base then
+          oc.enc_list
         else begin
           let e = al @ frame.enclosing in
-          frame.enc_active <- al;
-          frame.enc_list <- e;
+          oc.enc_active <- al;
+          oc.enc_base <- frame.enclosing;
+          oc.enc_list <- e;
           e
         end
     in
-    let callee =
-      match if poolable then entry.cpi_free else None with
-      | Some f ->
-        entry.cpi_free <- None;
-        Array.fill f.regs 0 (Array.length f.regs) vunset;
-        f.active_loops <- [];
-        (* [lmerged]/[push_key] caches are keyed by physical identity,
-           so stale entries are safe and steady-state callers (whose
-           context lists are physically unchanged call over call) keep
-           hitting them; only a changed enclosing context invalidates
-           the append cache. *)
-        if f.enclosing != enclosing then begin
-          f.enclosing <- enclosing;
-          f.enc_active <- merge_pending
-        end;
-        f
-      | None ->
-        callee_frame t ~enclosing cf fname entry.cpi_path entry.cpi_key ocache
-    in
+    let callee = callee_frame t ~enclosing cf fname ocache in
     let av = t.argv_buf in
     if labels then begin
       let al = t.argl_buf in
@@ -666,9 +639,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
       done
     end
     else for i = 0 to nargs - 1 do callee.regs.(i) <- av.(i) done;
-    let result = run_frame t callee cf in
-    if poolable then entry.cpi_free <- Some callee;
-    result
+    run_frame t callee cf
 
   and exec_block t frame idx ~prev ~from_inside =
     (* Block indices come from [BGo] targets and are in-bounds by
@@ -680,28 +651,21 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
       P.block_enter t.pstate frame.pframe ~func:frame.fname ~block:label ~prev;
     (match frame.active_loops with
     | [] -> ()
-    | loops ->
-      (* Same pruning as the interpreter's unconditional [List.filter],
-         but allocation-free when nothing leaves scope (the steady state
-         of a loop body), and by physical identity against the interned
-         per-block header selfs. *)
-      let allowed = frame.ocache.keeps.(idx) in
-      let keep e = List.memq e allowed in
-      if not (List.for_all keep loops) then
-        frame.active_loops <- List.filter keep loops);
+    | loops -> frame.active_loops <- prune frame.ocache.keeps.(idx) loops);
     (match bi.Fstatic.bloop with
     | None -> ()
     | Some loop ->
+      let oc = frame.ocache in
       let lo =
-        match frame.ocache.locs.(idx) with
+        match oc.locs.(idx) with
         | Some lo -> lo
         | None ->
           let lo =
-            Dynobs.loop_obs t.obs ~cp_key:frame.cp_key ~func:frame.fname
-              ~header:label ~callpath:frame.callpath
+            Dynobs.loop_obs t.obs ~cp_key:oc.key ~func:frame.fname
+              ~header:label ~callpath:oc.path
               ~depth:loop.Ir.Loops.depth ~parent:loop.Ir.Loops.parent
           in
-          frame.ocache.locs.(idx) <- Some lo;
+          oc.locs.(idx) <- Some lo;
           lo
       in
       Dynobs.record_arrival lo ~from_inside;
@@ -715,23 +679,22 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
       (* [merge_enclosing] only ever adds context keys, so re-merging a
          physically identical (active, enclosing) context is a no-op and
          is skipped. *)
-      let self = frame.ocache.selfs.(idx) in
-      if
-        frame.lmerged.(idx) != frame.active_loops
-        || frame.lmerged_enc.(idx) != frame.enclosing
+      let self = oc.selfs.(idx) in
+      let active = frame.active_loops in
+      let m = (2 * idx) + Bool.to_int from_inside in
+      if oc.lmerged.(m) != active || oc.lmerged_enc.(m) != frame.enclosing
       then begin
-        Dynobs.merge_enclosing lo ~self ~active:frame.active_loops
-          ~enclosing:frame.enclosing;
-        frame.lmerged.(idx) <- frame.active_loops;
-        frame.lmerged_enc.(idx) <- frame.enclosing
+        Dynobs.merge_enclosing lo ~self ~active ~enclosing:frame.enclosing;
+        oc.lmerged.(m) <- active;
+        oc.lmerged_enc.(m) <- frame.enclosing
       end;
-      if not (List.memq self frame.active_loops) then
-        if frame.push_key.(idx) == frame.active_loops then
-          frame.active_loops <- frame.push_val.(idx)
+      if not (List.memq self active) then
+        if oc.push_key.(idx) == active then
+          frame.active_loops <- oc.push_val.(idx)
         else begin
-          let pushed = self :: frame.active_loops in
-          frame.push_key.(idx) <- frame.active_loops;
-          frame.push_val.(idx) <- pushed;
+          let pushed = self :: active in
+          oc.push_key.(idx) <- active;
+          oc.push_val.(idx) <- pushed;
           frame.active_loops <- pushed
         end);
     let instrs = lb.linstrs in
@@ -744,8 +707,10 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
     | Some ic -> Obs_metrics.incr ic.Icounters.ic_ctl);
     match lb.lterm with
     | LReturn op ->
-      let v = lop_value frame op and l = lop_label frame op in
-      (v, if labels then P.return_label t.pstate frame.pframe l else P.clean)
+      let v = lop_value frame op in
+      if labels then
+        t.ret_label <- P.return_label t.pstate frame.pframe (lop_label frame op);
+      v
     | LJump (BGo (tgt, fi)) ->
       exec_block t frame tgt ~prev:lb.lprev ~from_inside:fi
     | LJump (BTrap e) -> raise e
@@ -767,8 +732,8 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
         | Some bo -> bo
         | None ->
           let bo =
-            Dynobs.branch_obs t.obs ~cp_key:frame.cp_key ~func:frame.fname
-              ~block:label ~callpath:frame.callpath
+            Dynobs.branch_obs t.obs ~cp_key:frame.ocache.key ~func:frame.fname
+              ~block:label ~callpath:frame.ocache.path
           in
           frame.ocache.bocs.(idx) <- Some bo;
           bo
@@ -777,7 +742,8 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
       (match bi.Fstatic.bexits with
       | [] -> ()
       | bexits ->
-        Dynobs.loop_sink t.obs ~cp_key:frame.cp_key bexits odep);
+        if labels && not (Label.is_empty odep) then
+          sink_exits t frame.ocache frame.ocache.sinks.(idx) 0 bexits odep);
       (if labels && P.wants_scope t.pstate l then
          P.scope_push t.pstate frame.pframe ~join:bi.Fstatic.bjoin l);
       match (if taken then bthen else belse) with
@@ -831,6 +797,7 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
       obs = Obs.create ();
       prims = Hashtbl.create 16;
       call_depth = 0;
+      ret_label = P.clean;
       im = Option.map Icounters.of_metrics metrics;
       trace;
       prof = profile;
@@ -846,10 +813,8 @@ module Make (P : Engine.POLICY) : Engine.S with type pstate = P.state = struct
     if List.length entry.fparams <> List.length args then
       Eval.error "entry %s expects %d arguments, got %d" entry.fname
         (List.length entry.fparams) (List.length args);
-    let v, l =
-      call t (entry_callee t) (List.map (fun v -> (v, P.clean)) args)
-    in
-    (v, P.export t.pstate l)
+    let v = call t (entry_callee t) (List.map (fun v -> (v, P.clean)) args) in
+    (v, P.export t.pstate t.ret_label)
 
   let run_named t bindings =
     let entry = find_func t.program t.program.entry in

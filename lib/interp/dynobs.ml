@@ -68,16 +68,26 @@ let record_branch (bo : Obs.branch_obs) ~dep ~taken =
   else bo.Obs.br_not_taken <- bo.Obs.br_not_taken + 1;
   bo.Obs.br_dep <- Label.union bo.Obs.br_dep dep
 
-(** Union [dep] into the recorded dependency of every loop in [exits]
-    (the loops for which the current block is an exiting block): the
-    loop-exit taint sink.  Loops never yet entered have no record and
-    are skipped, exactly as in the historical interpreter. *)
+(** The record of the loop headed by [header] on callpath [cp_key], if a
+    frame on that callpath has arrived at the header yet. *)
+let find_loop (obs : Obs.t) ~cp_key header =
+  Hashtbl.find_opt obs.Obs.loops (cp_key, header)
+
+(** The loop-exit taint sink on one loop record: union [dep] into its
+    recorded dependency. *)
+let sink (lo : Obs.loop_obs) dep = lo.Obs.lo_dep <- Label.union lo.Obs.lo_dep dep
+
+(** Sink [dep] into every loop in [exits] (the loops for which the
+    current block is an exiting block).  Loops never yet entered have no
+    record and are skipped, exactly as in the historical interpreter.
+    The compiled tier runs the same {!find_loop} and {!sink} with each
+    found record cached per callpath and block. *)
 let loop_sink (obs : Obs.t) ~cp_key exits dep =
   (* A clean dependency cannot change a record: skip the lookups. *)
   if not (Label.is_empty dep) then
     List.iter
       (fun (l : Ir.Loops.loop) ->
-        match Hashtbl.find_opt obs.Obs.loops (cp_key, l.Ir.Loops.header) with
-        | Some lo -> lo.Obs.lo_dep <- Label.union lo.Obs.lo_dep dep
+        match find_loop obs ~cp_key l.Ir.Loops.header with
+        | Some lo -> sink lo dep
         | None -> ())
       exits

@@ -11,7 +11,6 @@ val source_label : Taint.Label.table -> string -> Taint.Label.t
     {!Taint.Label.max_sources}. *)
 
 val as_int : Ir.Types.value -> int
-val as_float : Ir.Types.value -> float
 val as_bool : Ir.Types.value -> bool
 val as_arr : Ir.Types.value -> int
 

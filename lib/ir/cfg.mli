@@ -31,5 +31,3 @@ val back_edges : t -> (string * string) list
 val irreducible_edges : t -> (string * string) list
 (** Retreating edges that are not back edges: irreducible control flow
     (excluded by the paper; detected and reported here). *)
-
-val virtual_exit : string

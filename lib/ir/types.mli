@@ -66,7 +66,6 @@ val find_func : program -> string -> func
 val find_block : func -> string -> block
 val entry_block : func -> block
 
-val operand_regs : operand -> string list
 val instr_uses : instr -> string list
 val instr_def : instr -> string option
 val term_uses : terminator -> string list

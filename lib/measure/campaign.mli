@@ -44,8 +44,6 @@ type report = {
   cp_backoff_core_hours : float;
 }
 
-val completed_run : record -> Simulator.run option
-
 val counters : (string * string) list
 (** The [campaign.*] counter vocabulary (name, meaning) — kept in sync
     with doc/OBSERVABILITY.md by a drift test. *)

@@ -11,11 +11,8 @@ type design = {
 
 val default_design : design
 
-val grid_configs : (string * float list) list -> Spec.params list
-(** The cartesian product of a parameter grid. *)
-
 val configs : design -> Spec.params list
-(** [grid_configs design.grid]. *)
+(** The cartesian product of [design.grid]. *)
 
 val check_design : design -> unit
 (** @raise Invalid_argument naming the field and its value unless

@@ -8,9 +8,6 @@ val create : seed:int -> salt:'a -> t
 (** [salt] (any hashable value) mixes the run coordinates into the
     stream. *)
 
-val gaussian : t -> float
-(** Standard normal draw (Box–Muller). *)
-
 val perturb : ?floor:float -> t -> sigma:float -> float -> float
 (** Perturb a duration: multiplicative noise at relative level [sigma]
     plus additive jitter at scale [floor] (seconds).  Never negative. *)

@@ -25,8 +25,6 @@ val ranks_of : Spec.params -> int
 val ranks_per_node_of : Machine.t -> Spec.params -> int
 (** The explicit ["r"] parameter, or all cores filled. *)
 
-val true_time : Machine.t -> ranks_per_node:int -> Spec.kernel -> Spec.params -> float
-
 val measure :
   ?sigma:float -> ?seed:int -> ?rep:int ->
   Spec.app -> Machine.t -> params:Spec.params -> mode:Instrument.mode -> run

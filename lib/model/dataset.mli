@@ -15,7 +15,6 @@ val create : string list -> point list -> t
 val of_rows : string list -> ((string * float) list * float list) list -> t
 
 val mean : float list -> float
-val stddev : float list -> float
 
 val cov : point -> float
 (** Coefficient of variation of one point's repetitions. *)

@@ -6,7 +6,6 @@ type fit = (float * float) list
 
 val mean : float list -> float
 val rss : fit -> float
-val tss : fit -> float
 
 val r_squared : fit -> float
 (** 1 = perfect; negative = worse than predicting the mean. *)

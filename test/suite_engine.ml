@@ -2,7 +2,8 @@
     corner cases through the Taint policy ("$never" joins, nested
     branches sharing an immediate postdominator), Taint/Plain agreement
     with control-flow taint disabled, Coverage hit counts, the step
-    budget under Plain, and the counter-name table in
+    budget under Plain, the compiled tier's per-callpath state against
+    the interpreter, and the counter-name table in
     [doc/OBSERVABILITY.md] staying in sync with
     {!Interp.Engine.instr_counters}. *)
 
@@ -379,6 +380,122 @@ let test_custom_policy () =
   Alcotest.(check int) "five stores counted" 5
     (Stores.policy_state m).Store_count.stores
 
+(* -- per-callpath state of the compiled tier --------------------------------
+   The compiled tier resolves loop records, exit-sink targets and
+   loop-context memos once per callpath and keeps them across calls.
+   [spin]'s loop has a tainted exit test.  [main] reaches it through the
+   callpath main/spin before its loop, from inside it (so the enclosing
+   context gains a key between two zero-trip calls) and after it; through
+   main/via/spin with a bound tainted by another source; and at
+   recursion depth 2 (main/spin/spin/spin). *)
+
+let callpath_program =
+  Ir.Parser.parse
+    {|; program callpaths (entry @main)
+func @main(a, b) {
+entry:
+  %ta = prim !taint:a(%a)
+  %tb = prim !taint:b(%b)
+  %z = sub %ta, %ta
+  %r = call @spin(%z, 0)
+  %i = 0
+  jump outer.header
+outer.header:
+  %c = lt %i, 2
+  br %c ? outer.body : outer.exit
+outer.body:
+  %r = call @spin(%z, 0)
+  %i = add %i, 1
+  jump outer.header
+outer.exit:
+  %r = call @spin(%ta, 0)
+  %r = call @via(%tb)
+  %r = call @spin(%ta, 2)
+  ret %r
+}
+
+func @via(n) {
+entry:
+  %r = call @spin(%n, 0)
+  ret %r
+}
+
+func @spin(n, d) {
+entry:
+  %j = 0
+  %acc = 0
+  jump loop.header
+loop.header:
+  %c = lt %j, %n
+  br %c ? loop.body : loop.exit
+loop.body:
+  %k = gt %d, 0
+  br %k ? recur : next
+recur:
+  %d1 = sub %d, 1
+  %r = call @spin(%n, %d1)
+  %acc = add %acc, %r
+  jump next
+next:
+  %j = add %j, 1
+  jump loop.header
+loop.exit:
+  %acc = add %acc, %j
+  ret %acc
+}
+|}
+
+(* One run's value, steps and every loop and branch record, one line
+   each, sorted by key; [lo_enclosing] keeps its recorded order. *)
+let callpath_record (type a) (module E : Interp.Engine.S with type t = a) =
+  let m = E.create callpath_program in
+  let v, l = E.run m [ VInt 3; VInt 2 ] in
+  let names l = String.concat "," (Taint.Label.names (E.label_table m) l) in
+  let key (cp, b) = cp ^ ":" ^ b in
+  let obs = E.observations m in
+  let loops =
+    List.map
+      (fun lo ->
+        Printf.sprintf "loop %s iters %d entries %d dep [%s] enclosing [%s]"
+          (key (Obs.callpath_key lo.Obs.lo_callpath, lo.Obs.lo_header))
+          lo.Obs.lo_iters lo.Obs.lo_entries (names lo.Obs.lo_dep)
+          (String.concat " " (List.map key lo.Obs.lo_enclosing)))
+      (Obs.loop_list obs)
+  and branches =
+    List.map
+      (fun bo ->
+        Printf.sprintf "branch %s taken %d not %d dep [%s]"
+          (key (Obs.callpath_key bo.Obs.br_callpath, bo.Obs.br_block))
+          bo.Obs.br_taken bo.Obs.br_not_taken (names bo.Obs.br_dep))
+      (Obs.branch_list obs)
+  in
+  Printf.sprintf "value %s label [%s] steps %d"
+    (Fmt.str "%a" Ir.Pp.pp_value v) (names l) (E.steps_executed m)
+  :: List.sort compare loops
+  @ List.sort compare branches
+
+let test_per_callpath_state () =
+  let taint = callpath_record (module M) in
+  Alcotest.(check (list string))
+    "Compiled.Taint = Machine" taint
+    (callpath_record (module Interp.Compiled.Taint));
+  Alcotest.(check (list string))
+    "Compiled.Plain = Plain"
+    (callpath_record (module P))
+    (callpath_record (module Interp.Compiled.Plain));
+  (* The reference itself exercises what the test is about. *)
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) ("reference records " ^ row) true
+        (List.mem row taint))
+    [
+      "loop main/spin:loop.header iters 6 entries 5 dep [a] enclosing \
+       [main:outer.header]";
+      "loop main/via/spin:loop.header iters 2 entries 1 dep [b] enclosing []";
+      "loop main/spin/spin/spin:loop.header iters 27 entries 9 dep [a] \
+       enclosing [main/spin:loop.header main/spin/spin:loop.header]";
+    ]
+
 (* -- documentation drift ----------------------------------------------------- *)
 
 let read_file path =
@@ -437,5 +554,7 @@ let tests =
       test_one_scope_per_join;
     Alcotest.test_case "tainted words per step flat in input size" `Quick
       test_taint_words_per_step_flat;
+    Alcotest.test_case "per-callpath state = reference on every callpath"
+      `Quick test_per_callpath_state;
     Seeded.to_alcotest prop_scopes_match_model;
   ]
