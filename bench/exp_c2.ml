@@ -13,14 +13,10 @@ let analyze_at p =
 
 let fit_gather ~p_values =
   let d =
-    {
-      Measure.Experiment.grid =
-        [ ("p", p_values); ("size", [ 128. ]); ("r", [ 8. ]) ];
-      reps = 5;
+    { Measure.Experiment.default_design with
+      grid = [ ("p", p_values); ("size", [ 128. ]); ("r", [ 8. ]) ];
       mode = Measure.Instrument.Selective (Lazy.force Exp_common.milc_selective);
-      sigma = 0.02;
-      seed = 11;
-    }
+      seed = 11 }
   in
   let runs =
     Measure.Experiment.run_design Apps.Milc_spec.app Exp_common.machine d

@@ -3,28 +3,16 @@
     engineer actually consumes (Extra-P's per-function output), plus the
     JSON export exercised end to end. *)
 
-let catalog name (t : Perf_taint.Pipeline.t) app ~selective ~designf
-    ~model_params ~aliases ~config =
-  let design = designf ~mode:(Measure.Instrument.Selective selective) in
-  let runs = Measure.Experiment.run_design app Exp_common.machine design in
+let catalog (row : Apps.Registry.t) t ~selective =
+  let runs = Perf_taint.Study.campaign row selective in
   let entries =
     List.filter_map
       (fun fname ->
-        let data =
-          Measure.Experiment.kernel_dataset runs ~params:model_params
-            ~kernel:fname
-        in
-        if data.Model.Dataset.points = [] then None
-        else
-          let c =
-            Perf_taint.Modeling.constraints_aliased t
-              Perf_taint.Modeling.Tainted ~model_params ~aliases fname
-          in
-          let r = Model.Search.multi ~config ~constraints:c data in
-          Some (fname, r, data))
+        Perf_taint.Study.fit row t Perf_taint.Modeling.Tainted runs fname
+        |> Option.map (fun (r, data) -> (fname, r, data)))
       (Measure.Instrument.SSet.elements selective)
   in
-  Fmt.pr "  %s (%d functions):@." name (List.length entries);
+  Fmt.pr "  %s (%d functions):@." row.name (List.length entries);
   List.iter
     (fun (fname, (r : Model.Search.result), data) ->
       let st = Model.Stats.summarize r.Model.Search.model data in
@@ -48,20 +36,14 @@ let catalog name (t : Perf_taint.Pipeline.t) app ~selective ~designf
 let run () =
   Exp_common.section "Model catalog: every fitted hybrid model";
   let l_funcs, l_bytes, l_smape =
-    catalog "lulesh"
+    catalog (Exp_common.app "lulesh")
       (Lazy.force Exp_common.lulesh_analysis)
-      Apps.Lulesh_spec.app
       ~selective:(Lazy.force Exp_common.lulesh_selective)
-      ~designf:Exp_common.lulesh_design ~model_params:[ "p"; "size" ]
-      ~aliases:[] ~config:Model.Search.default_config
   in
   let m_funcs, m_bytes, m_smape =
-    catalog "milc"
+    catalog (Exp_common.app "milc")
       (Lazy.force Exp_common.milc_analysis)
-      Apps.Milc_spec.app
       ~selective:(Lazy.force Exp_common.milc_selective)
-      ~designf:Exp_common.milc_design ~model_params:[ "p"; "size" ]
-      ~aliases:Exp_common.milc_aliases ~config:Model.Search.extended_config
   in
   let module J = Obs_json in
   let app name funcs bytes smape =

@@ -16,8 +16,8 @@ let milc_analysis =
     (Perf_taint.Pipeline.analyze ~world:Apps.Milc.taint_world
        Apps.Milc.program ~args:Apps.Milc.taint_args)
 
-let milc_aliases =
-  (Option.get (Apps.Registry.find "milc")).Apps.Registry.aliases
+let app name = Option.get (Apps.Registry.find name)
+let milc_aliases = (app "milc").Apps.Registry.aliases
 
 (* Taint-derived instrumentation selections over every parameter. *)
 let lulesh_selective =
@@ -32,16 +32,16 @@ let milc_selective =
 
 (* -- experiment designs ---------------------------------------------------- *)
 
-(** A measured app's default grid from the app table — the paper's 5x5
+(** A measured app's campaign design from the workflow
+    ({!Perf_taint.Study.design}): the app table's grid — the paper's 5x5
     grid with ranks-per-node pinned to 8, so that hardware contention
     stays constant across the design (the paper notes models are
     hardware-independent only at such saturation levels) — with 5
     repetitions. *)
-let design ?(reps = 5) ?(sigma = 0.02) ?(seed = 42) ~mode name =
-  match Apps.Registry.find name with
-  | Some { Apps.Registry.measured = Some m; _ } ->
-    { Measure.Experiment.grid = m.grid; reps; mode; sigma; seed }
-  | _ -> invalid_arg name
+let design ?(sigma = Measure.Experiment.default_design.sigma) ?seed ~mode name
+    =
+  { (Perf_taint.Study.design ?seed (app name) mode) with
+    Measure.Experiment.sigma }
 
 let lulesh_design ~mode = design ~mode "lulesh"
 let milc_design ~mode = design ~mode "milc"
@@ -77,14 +77,9 @@ let geomean = function
     exp (List.fold_left (fun a x -> a +. Float.log (Float.max 1e-12 x)) 0. xs
          /. float_of_int (List.length xs))
 
-(** Run an experiment design and return runs plus per-kernel datasets. *)
+(** Run an experiment design and return the per-kernel datasets it
+    measured. *)
 let run_and_collect app design ~params ~kernels =
-  let runs = Measure.Experiment.run_design app machine design in
-  let datasets =
-    List.filter_map
-      (fun k ->
-        let d = Measure.Experiment.kernel_dataset runs ~params ~kernel:k in
-        if d.Model.Dataset.points = [] then None else Some (k, d))
-      kernels
-  in
-  (runs, datasets)
+  Perf_taint.Study.datasets
+    (Measure.Experiment.run_design app machine design)
+    ~params kernels

@@ -7,18 +7,6 @@
 
 module E = Model.Expr
 
-let r_values = [ 2.; 4.; 6.; 8.; 10.; 12.; 14.; 16.; 18. ]
-
-let design ~mode =
-  {
-    Measure.Experiment.grid =
-      [ ("p", [ 64. ]); ("size", [ 30. ]); ("r", r_values) ];
-    reps = 5;
-    mode;
-    sigma = 0.02;
-    seed = 7;
-  }
-
 let run () =
   Exp_common.section "Figure 5 / C1: detecting hardware contention";
   Exp_common.paper_vs
@@ -26,10 +14,9 @@ let run () =
      2.86*log2^2(r) + 127; 31 of 73 functions show an increasing model \
      although taint proves they cannot depend on the rank placement";
   let t = Lazy.force Exp_common.lulesh_analysis in
-  let selective = Lazy.force Exp_common.lulesh_selective in
-  let d = design ~mode:(Measure.Instrument.Selective selective) in
-  let runs =
-    Measure.Experiment.run_design Apps.Lulesh_spec.app Exp_common.machine d
+  let runs, measured, findings =
+    Perf_taint.Study.contention (Exp_common.app "lulesh") t
+      (Lazy.force Exp_common.lulesh_selective)
   in
   (* Whole-application model over r. *)
   let total = Measure.Experiment.total_dataset runs ~params:[ "r" ] in
@@ -40,21 +27,10 @@ let run () =
     (100. *. (at 18. -. at 2.) /. at 2.);
   Exp_common.measured "whole-application model: %s"
     (E.to_string total_fit.Model.Search.model);
-  (* Per-function datasets over r; contention detection via the taint
-     contradiction. *)
-  let kernels = Measure.Instrument.SSet.elements selective in
-  let datasets =
-    List.filter_map
-      (fun k ->
-        let data = Measure.Experiment.kernel_dataset runs ~params:[ "r" ] ~kernel:k in
-        if data.Model.Dataset.points = [] then None else Some (k, data))
-      kernels
-  in
-  let findings = Perf_taint.Validation.detect_contention t datasets in
   Exp_common.measured
     "%d of %d measured functions have a statistically sound increasing \
      model although taint excludes a dependency on r -> contention detected"
-    (List.length findings) (List.length datasets);
+    (List.length findings) measured;
   List.iter
     (fun (f : Perf_taint.Validation.contention_finding) ->
       Fmt.pr "    %-36s %s@." f.cf_func (E.to_string f.cf_model))
@@ -69,5 +45,5 @@ let run () =
       ("growth_pct", J.Float (100. *. (at 18. -. at 2.) /. at 2.));
       ("total_model", J.Str (E.to_string total_fit.Model.Search.model));
       ("contention_findings", J.Int (List.length findings));
-      ("measured_functions", J.Int (List.length datasets));
+      ("measured_functions", J.Int measured);
     ]

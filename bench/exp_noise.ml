@@ -12,7 +12,7 @@ let accuracy_at sigma =
       "lulesh"
   in
   let kernels = Measure.Instrument.SSet.elements selective in
-  let _, datasets =
+  let datasets =
     Exp_common.run_and_collect Apps.Lulesh_spec.app design
       ~params:[ "p"; "size" ] ~kernels
   in

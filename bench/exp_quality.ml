@@ -75,7 +75,7 @@ let campaign ?config (t : Perf_taint.Pipeline.t) app ~selective ~designf
     ~model_params ~aliases =
   let design = designf ~mode:(Measure.Instrument.Selective selective) in
   let kernels = Measure.Instrument.SSet.elements selective in
-  let _, datasets =
+  let datasets =
     Exp_common.run_and_collect app design ~params:model_params ~kernels
   in
   let verdicts = evaluate ~aliases ?config t app ~model_params datasets in

@@ -10,28 +10,13 @@ let run () =
     "Extension: scalability-bug hunt with the fitted models";
   let t = Lazy.force Exp_common.lulesh_analysis in
   let selective = Lazy.force Exp_common.lulesh_selective in
-  let design =
-    Exp_common.lulesh_design ~mode:(Measure.Instrument.Selective selective)
-  in
-  let runs =
-    Measure.Experiment.run_design Apps.Lulesh_spec.app Exp_common.machine
-      design
-  in
+  let lulesh = Exp_common.app "lulesh" in
+  let runs = Perf_taint.Study.campaign lulesh selective in
   let models =
     List.filter_map
       (fun fname ->
-        let data =
-          Measure.Experiment.kernel_dataset runs ~params:[ "p"; "size" ]
-            ~kernel:fname
-        in
-        if data.Model.Dataset.points = [] then None
-        else
-          let c =
-            Perf_taint.Modeling.constraints t Perf_taint.Modeling.Tainted
-              ~model_params:[ "p"; "size" ] fname
-          in
-          let r = Model.Search.multi ~constraints:c data in
-          Some (fname, r.Model.Search.model))
+        Perf_taint.Study.fit lulesh t Perf_taint.Modeling.Tainted runs fname
+        |> Option.map (fun ((r : Model.Search.result), _) -> (fname, r.model)))
       (Measure.Instrument.SSet.elements selective)
   in
   let baseline = [ ("p", 64.); ("size", 30.) ] in

@@ -39,6 +39,13 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+let reps_arg =
+  let doc = "Repetitions per configuration." in
+  Arg.(
+    value
+    & opt int Measure.Experiment.default_design.reps
+    & info [ "reps" ] ~doc)
+
 (* Every command maps the pipeline's expected failure modes — bad paths,
    malformed .pir files, runtime errors in user programs, exhausted step
    budgets — to a one-line stderr message and a nonzero exit, never an
@@ -101,7 +108,7 @@ let target ?(set = true) ?(ranks = true) () =
   Term.(ret (const resolve $ app_arg $ ranks_arg $ params_arg))
 
 (* The measurement facts of a simulated app; the other targets have
-   none. *)
+   none, and asking for them is one error line and exit 2. *)
 let measured (t : Apps.Registry.t) =
   match t.measured with
   | Some m -> m
@@ -381,40 +388,21 @@ let model_cmd =
     error_guard @@ fun () ->
     Par.Pool.with_pool ~jobs @@ fun pool ->
     with_events events @@ fun events ->
-    let m = measured t in
-    let fit_params = m.spec.Measure.Spec.model_params in
+    ignore (measured t);
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     check_func t ~calls:(Perf_taint.Pipeline.mpi_routines_used a)
       "neither defines nor calls it" func;
     let selective =
       Perf_taint.Pipeline.selection a ~model_params:t.model_params
     in
-    let design =
-      { Measure.Experiment.grid = m.grid; reps = 5;
-        mode = Measure.Instrument.Selective selective; sigma = 0.02; seed = 42 }
-    in
-    let runs =
-      Measure.Experiment.run_design ~pool m.spec
-        Mpi_sim.Machine.skylake_cluster design
-    in
-    let config = { m.search with Model.Search.pool = Some pool; events } in
+    let runs = Perf_taint.Study.campaign ~pool t selective in
     let fit fname =
-      let data =
-        Measure.Experiment.kernel_dataset runs ~params:fit_params
-          ~kernel:fname
-      in
-      if data.Model.Dataset.points = [] then
-        Fmt.pr "  %-36s (not measured)@." fname
-      else begin
-        let c =
-          Perf_taint.Modeling.constraints_aliased a mode
-            ~model_params:fit_params ~aliases:t.aliases fname
-        in
-        let r = Model.Search.multi ~config ~constraints:c data in
+      match Perf_taint.Study.fit ~pool ~events t a mode runs fname with
+      | None -> Fmt.pr "  %-36s (not measured)@." fname
+      | Some (r, _) ->
         Fmt.pr "  %-36s %s  (SMAPE %.1f%%)@." fname
           (Model.Expr.to_string r.Model.Search.model)
           r.Model.Search.error
-      end
     in
     Fmt.pr "%s models (%s mode):@." t.name
       (Perf_taint.Modeling.mode_name mode);
@@ -532,41 +520,16 @@ let stats_cmd =
 let contention_cmd =
   let run (t : Apps.Registry.t) trace max_steps =
     error_guard @@ fun () ->
-    let m = measured t in
+    ignore (measured t);
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
     let selective =
       Perf_taint.Pipeline.selection a ~model_params:t.model_params
     in
-    let size, at = m.size_axis in
-    let design =
-      {
-        Measure.Experiment.grid =
-          [ ("p", [ 64. ]); (size, [ at ]);
-            ("r", [ 2.; 4.; 6.; 8.; 10.; 12.; 14.; 16.; 18. ]) ];
-        reps = 5;
-        mode = Measure.Instrument.Selective selective;
-        sigma = 0.02;
-        seed = 7;
-      }
-    in
-    let runs =
-      Measure.Experiment.run_design m.spec Mpi_sim.Machine.skylake_cluster
-        design
-    in
-    let datasets =
-      List.filter_map
-        (fun k ->
-          let d =
-            Measure.Experiment.kernel_dataset runs ~params:[ "r" ] ~kernel:k
-          in
-          if d.Model.Dataset.points = [] then None else Some (k, d))
-        (Ir.Cfg.SSet.elements selective)
-    in
-    let findings = Perf_taint.Validation.detect_contention a datasets in
+    let _, count, findings = Perf_taint.Study.contention t a selective in
     Fmt.pr
       "%d of %d measured functions grow with ranks-per-node although taint \
        proves they cannot:@."
-      (List.length findings) (List.length datasets);
+      (List.length findings) count;
     List.iter
       (fun (f : Perf_taint.Validation.contention_finding) ->
         Fmt.pr "  %-36s %s@." f.cf_func (Model.Expr.to_string f.cf_model))
@@ -579,10 +542,6 @@ let contention_cmd =
     Term.(ret (const run $ target () $ trace_arg $ max_steps_arg))
 
 let design_cmd =
-  let reps_arg =
-    let doc = "Repetitions per configuration." in
-    Arg.(value & opt int 5 & info [ "reps" ] ~doc)
-  in
   let run (t : Apps.Registry.t) reps trace max_steps =
     error_guard @@ fun () ->
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
@@ -683,17 +642,19 @@ let campaign_cmd =
     in
     Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"FILE" ~doc)
   in
-  let reps_arg =
-    let doc = "Repetitions per configuration." in
-    Arg.(value & opt int 5 & info [ "reps" ] ~doc)
-  in
   let sigma_arg =
     let doc = "Relative measurement noise level." in
-    Arg.(value & opt float 0.02 & info [ "sigma" ] ~doc)
+    Arg.(
+      value
+      & opt float Measure.Experiment.default_design.sigma
+      & info [ "sigma" ] ~doc)
   in
   let seed_arg =
     let doc = "Measurement-noise seed of the design." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt int Measure.Experiment.default_design.seed
+      & info [ "seed" ] ~docv:"N" ~doc)
   in
   let shards_arg =
     let doc =
@@ -811,18 +772,13 @@ let campaign_cmd =
       with_trace trace @@ fun trace ->
       match (shards, journal) with
       | Some m, Some j ->
-        (* Coordinator mode: spawn one worker per shard (same binary,
-           same campaign flags), supervise/restart them, then merge the
-           shard journals into [j] in global design order. *)
+        (* Coordinator mode: one worker process per shard (same binary,
+           same campaign flags), merged into [j] in global design order. *)
         let header =
           Measure.Campaign.header_line ~app_name:spec.Measure.Spec.aname
             ~plan ~retry design
         in
         let argv ~shard ~journal:jpath ~resume =
-          let opt flag = function
-            | None -> []
-            | Some v -> [ flag; v ]
-          in
           Array.of_list
             ([ Sys.executable_name; "campaign"; t.name;
                "--faults"; faults;
@@ -834,38 +790,20 @@ let campaign_cmd =
                "--jobs"; string_of_int jobs;
                "--shard"; Measure.Shard.spec_of shard;
                "--journal"; jpath ]
-            @ (if resume then [ "--resume" ] else [])
-            @ (if resume then []
-               else
-                 opt "--max-runs"
-                   (Option.map string_of_int
-                      (List.assoc_opt shard.Measure.Shard.sh_index
-                         kill_shards)))
-            )
+            @
+            if resume then [ "--resume" ]
+            else
+              match List.assoc_opt shard.Measure.Shard.sh_index kill_shards with
+              | Some n -> [ "--max-runs"; string_of_int n ]
+              | None -> [])
         in
         (match
-           Measure.Shard.run_workers ~events
-             ~mode:design.Measure.Experiment.mode ~expected_header:header
-             ~design ~shards:m ~journal:j ~timeout_s:shard_timeout
-             ~max_restarts:shard_restarts ~argv ()
-         with
-        | Ok () -> ()
-        | Error msg -> failwith msg);
-        let paths = List.init m (Measure.Shard.journal_path ~journal:j) in
-        (match
-           Measure.Shard.merge_journals ~events
-             ~mode:design.Measure.Experiment.mode ~expected_header:header
-             ~design paths
+           Measure.Shard.coordinate ~events ~header ~design ~shards:m
+             ~journal:j ~timeout_s:shard_timeout ~max_restarts:shard_restarts
+             (Measure.Shard.process argv)
          with
         | Error msg -> failwith msg
         | Ok mg ->
-          if mg.Measure.Shard.mg_missing <> [] then
-            failwith
-              (Printf.sprintf
-                 "shard merge left %d coordinate(s) unmeasured"
-                 (List.length mg.Measure.Shard.mg_missing));
-          Measure.Campaign.write_journal ~header mg.Measure.Shard.mg_records
-            j;
           Fmt.epr "shards: %d journal(s) merged into %s (%d duplicate \
                    record(s) dropped, %d torn line(s) skipped)@."
             mg.Measure.Shard.mg_journals j mg.Measure.Shard.mg_duplicates

@@ -47,14 +47,9 @@ let () =
   (* Show the fit-quality consequence. *)
   let fit p_values =
     let design =
-      {
-        Measure.Experiment.grid =
-          [ ("p", p_values); ("size", [ 128. ]); ("r", [ 8. ]) ];
-        reps = 5;
-        mode = Measure.Instrument.Full;
-        sigma = 0.02;
-        seed = 5;
-      }
+      { Measure.Experiment.default_design with
+        grid = [ ("p", p_values); ("size", [ 128. ]); ("r", [ 8. ]) ];
+        seed = 5 }
     in
     let runs =
       Measure.Experiment.run_design Apps.Milc_spec.app

@@ -8,8 +8,6 @@
 
    Run with: dune exec examples/finding_contention.exe *)
 
-let machine = Mpi_sim.Machine.skylake_cluster
-
 let () =
   let t =
     Perf_taint.Pipeline.analyze ~world:Apps.Lulesh.taint_world
@@ -18,19 +16,13 @@ let () =
   let selective =
     Perf_taint.Pipeline.selection t ~model_params:Apps.Lulesh.model_params
   in
-  (* The r-sweep: p and size fixed, placement varies. *)
-  let design =
-    {
-      Measure.Experiment.grid =
-        [ ("p", [ 64. ]); ("size", [ 30. ]);
-          ("r", [ 2.; 4.; 6.; 8.; 10.; 12.; 14.; 16.; 18. ]) ];
-      reps = 5;
-      mode = Measure.Instrument.Selective selective;
-      sigma = 0.02;
-      seed = 3;
-    }
+  (* The r-sweep at fixed p and size, placement varies; contention
+     detection fits the models that contradict the taint analysis. *)
+  let runs, measured, findings =
+    Perf_taint.Study.contention
+      (Option.get (Apps.Registry.find "lulesh"))
+      t selective
   in
-  let runs = Measure.Experiment.run_design Apps.Lulesh_spec.app machine design in
 
   Fmt.pr "== application wall time vs ranks per node ==@.";
   let total = Measure.Experiment.total_dataset runs ~params:[ "r" ] in
@@ -43,18 +35,9 @@ let () =
   let fit = Model.Search.multi total in
   Fmt.pr "  model: %s@.@." (Model.Expr.to_string fit.Model.Search.model);
 
-  (* Contention detection: models contradicting the taint analysis. *)
-  let datasets =
-    List.filter_map
-      (fun k ->
-        let d = Measure.Experiment.kernel_dataset runs ~params:[ "r" ] ~kernel:k in
-        if d.Model.Dataset.points = [] then None else Some (k, d))
-      (Measure.Instrument.SSet.elements selective)
-  in
-  let findings = Perf_taint.Validation.detect_contention t datasets in
   Fmt.pr "== contention findings ==@.";
   Fmt.pr "%d of %d functions depend on r empirically but not in the code:@."
-    (List.length findings) (List.length datasets);
+    (List.length findings) measured;
   List.iter
     (fun (f : Perf_taint.Validation.contention_finding) ->
       Fmt.pr "  %-36s %s@." f.cf_func (Model.Expr.to_string f.cf_model))

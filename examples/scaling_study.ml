@@ -32,21 +32,12 @@ let () =
     (List.length relevant)
     (List.length Apps.Lulesh.program.Ir.Types.funcs);
 
-  (* 4. Cost of the measurement campaign. *)
-  let design mode =
-    {
-      Measure.Experiment.grid =
-        [ ("p", Apps.Lulesh_spec.p_values);
-          ("size", Apps.Lulesh_spec.size_values); ("r", [ 8. ]) ];
-      reps = 5;
-      mode;
-      sigma = 0.02;
-      seed = 42;
-    }
-  in
+  (* 4. Cost of the measurement campaign, on the app table's grid. *)
+  let lulesh = Option.get (Apps.Registry.find "lulesh") in
   let cost mode =
     Measure.Experiment.core_hours
-      (Measure.Experiment.run_design Apps.Lulesh_spec.app machine (design mode))
+      (Measure.Experiment.run_design Apps.Lulesh_spec.app machine
+         (Perf_taint.Study.design lulesh mode))
   in
   Fmt.pr "== campaign cost ==@.";
   Fmt.pr "  full instrumentation:      %8.0f core-hours@."
@@ -54,22 +45,18 @@ let () =
   Fmt.pr "  taint-based instrumentation: %6.0f core-hours@.@."
     (cost (Measure.Instrument.Selective selective));
 
-  (* 5. Models of the hottest kernels from the selective campaign. *)
-  let runs =
-    Measure.Experiment.run_design Apps.Lulesh_spec.app machine
-      (design (Measure.Instrument.Selective selective))
-  in
+  (* 5. Models of the hottest kernels from the selective campaign.  The
+     campaign varies only p and size, so a kernel that depends on
+     neither is never measured. *)
+  let runs = Perf_taint.Study.campaign lulesh selective in
   Fmt.pr "== hybrid models (per-invocation time) ==@.";
   List.iter
     (fun kernel ->
-      let data =
-        Measure.Experiment.kernel_dataset runs ~params:model_params ~kernel
-      in
-      let constraints =
-        Perf_taint.Modeling.constraints t Perf_taint.Modeling.Tainted
-          ~model_params kernel
-      in
-      let r = Model.Search.multi ~constraints data in
-      Fmt.pr "  %-36s %s@." kernel (Model.Expr.to_string r.Model.Search.model))
+      match
+        Perf_taint.Study.fit lulesh t Perf_taint.Modeling.Tainted runs kernel
+      with
+      | Some (r, _) ->
+        Fmt.pr "  %-36s %s@." kernel (Model.Expr.to_string r.Model.Search.model)
+      | None -> Fmt.pr "  %-36s (not measured)@." kernel)
     [ "integrate_stress_for_elems"; "calc_q_for_elems"; "comm_reduce_dt";
       "calc_force_for_nodes"; "eval_eos_for_elems" ]

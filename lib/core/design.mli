@@ -23,7 +23,6 @@ type plan = {
 }
 
 val is_global_factor : Pipeline.t -> string -> bool
-val all_mult_pairs : Pipeline.t -> (string * string) list
 
 val propose : Pipeline.t -> axes:axis list -> reps:int -> plan
 

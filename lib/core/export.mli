@@ -3,13 +3,9 @@
 
 val model_json : Model.Expr.model -> Obs_json.t
 val dataset_json : Model.Dataset.t -> Obs_json.t
-val func_deps_json : Deps.func_deps -> Obs_json.t
 
 val analysis_json : Pipeline.t -> model_params:string list -> Obs_json.t
 (** Program summary, per-function classification/dependencies, warnings. *)
-
-val snapshot_json : Obs_metrics.snapshot -> Obs_json.t
-(** Counters, gauges, and histograms keyed by metric name. *)
 
 val stats_json : Pipeline.t -> Obs_json.t
 (** Self-profile of one analysis: phase durations, instruction counts by

@@ -32,8 +32,6 @@ type design_finding = {
       (** taint-run configuration -> observed behavior *)
 }
 
-val branch_behavior : Pipeline.t -> fname:string -> block:string -> branch_behavior
-
 val validate_design :
   model_params:string list -> Pipeline.t list -> design_finding list
 (** Compare branch coverage across tainted runs; report parameter-tainted

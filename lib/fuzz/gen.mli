@@ -40,12 +40,6 @@ type prog = {
   main : stmt;
 }
 
-val shared_slots : int
-val param_name : int -> string
-
-val helper_name : int -> string
-(** Function name of helper [i] ("h0", "h1", ...). *)
-
 val to_program : ?name:string -> prog -> Ir.Types.program
 (** Emit the AST as a well-formed PIR program.  The entry function
     "main" marks each parameter with the [taint:<name>] primitive;

@@ -48,7 +48,7 @@ type loop = {
   l_iters : int;
   l_entries : int;
   l_labels : string list;
-  l_enclosing : (string * string) list;  (* sorted keys *)
+  l_enclosing : (string * string) list;  (* keys in merge order *)
 }
 
 type branch = {
@@ -114,7 +114,7 @@ let run (type a s) ?metrics ?trace ?profile ?(hits = fun _ -> ([], []))
                l_iters = lo.lo_iters;
                l_entries = lo.lo_entries;
                l_labels = names lo.lo_dep;
-               l_enclosing = List.sort compare lo.lo_enclosing;
+               l_enclosing = lo.lo_enclosing;
              })
            (O.loop_list obs));
     branches =
@@ -608,16 +608,16 @@ let par_identity =
   in
   { name = "par-identity"; check }
 
-(* Sharded-vs-single bit-identity: the same faulty campaign split over
-   M journal-writing shards (in-process workers, each narrowed to its
-   [Shard.owns] subset) and merged back must reproduce the single
-   serial campaign exactly — records, merged journal bytes, every
-   [campaign.*] counter, and the event stream (which the merge replays
-   in design order, followed by one [shard.merge] summary).  A second
-   variant kills one worker mid-shard — stops it early and tears its
-   journal's trailing line, the on-disk state a SIGKILL mid-write
-   leaves — and the restart/resume/merge path must converge on the
-   same bytes. *)
+(* Sharded-vs-single bit-identity: the same faulty campaign run by
+   [Shard.coordinate], the coordinator of [campaign --shards], over M
+   in-process journal-writing workers, each narrowed to its [Shard.owns]
+   subset, must reproduce the single serial campaign exactly — records,
+   merged journal bytes, every [campaign.*] counter, and the event
+   stream (which the merge replays in design order, followed by one
+   [shard.merge] summary).  A second variant kills one worker on its
+   first launch — stops it early and tears its journal's trailing line,
+   the on-disk state a SIGKILL mid-write leaves — and the coordinator's
+   restart/resume/merge path must converge on the same bytes. *)
 let shard_identity =
   let module Shd = Measure.Shard in
   (* Tear the journal's trailing line: keep a strict nonempty prefix of
@@ -635,6 +635,23 @@ let shard_identity =
     let oc = open_out_bin path in
     output_string oc (String.sub content 0 keep);
     close_out oc
+  in
+  (* The event stream without the coordinator's supervision events,
+     which depend on timing and sit outside the identity contract, and
+     without the sequence numbers they take. *)
+  let unsupervised lines =
+    List.filter_map
+      (fun line ->
+        match Obs_json.parse line with
+        | Ok (Obs_json.Obj fields) -> (
+          match List.assoc_opt "event" fields with
+          | Some
+              (Obs_json.Str ("shard.spawn" | "shard.death" | "shard.restart"))
+            ->
+            None
+          | _ -> Some (Obs_json.Obj (List.remove_assoc "seq" fields)))
+        | _ -> Some (Obs_json.Str line))
+      lines
   in
   let check _ p =
     let app, machine, design, h = campaign_fixture p in
@@ -662,44 +679,36 @@ let shard_identity =
           (journal :: shard_paths))
     @@ fun () ->
     let run_variant ~kill =
-      List.iteri
-        (fun k path ->
-          if Sys.file_exists path then Sys.remove path;
-          let t = { Shd.sh_index = k; sh_count = shards } in
-          let keep params rep = Shd.owns t ~params ~rep in
-          let full ~resume =
-            ignore
-              (Camp.run_journaled ~plan ~retry ~keep ~journal:path ~resume
-                 app machine design)
-          in
-          let own = List.length (Shd.coordinates t design) in
-          if kill && k = h mod shards && own >= 2 then begin
-            (* Worker dies after [cut] coordinates, torn mid-write. *)
-            let cut = 1 + (h mod (own - 1)) in
-            ignore
-              (Camp.run_journaled ~plan ~retry ~keep ~limit:cut
-                 ~journal:path ~resume:false app machine design);
-            tear_trailing_line path;
-            full ~resume:true
-          end
-          else full ~resume:false)
-        shard_paths;
+      (* A worker in this domain; with [kill], shard [h mod shards] dies
+         after [cut] coordinates on its first launch, torn mid-write. *)
+      let launch ~shard ~journal ~resume =
+        let keep params rep = Shd.owns shard ~params ~rep in
+        let own = List.length (Shd.coordinates shard design) in
+        let killed =
+          kill && (not resume) && shard.Shd.sh_index = h mod shards && own >= 2
+        in
+        let limit = if killed then Some (1 + (h mod (own - 1))) else None in
+        ignore
+          (Camp.run_journaled ~plan ~retry ~keep ?limit ~journal ~resume app
+             machine design);
+        if killed then tear_trailing_line journal;
+        Shd.Returned
+      in
       let metrics = Obs_metrics.create () in
       let events = Obs_events.create ~ts:false () in
       match
-        Shd.merge_journals ~metrics ~events ~mode:design.Exp.mode
-          ~expected_header:header ~design shard_paths
+        Shd.coordinate ~metrics ~events ~header ~design ~shards ~journal
+          ~timeout_s:infinity ~max_restarts:1 launch
       with
       | Error e -> Error e
       | Ok mg ->
-        Camp.write_journal ~header mg.Shd.mg_records journal;
         let ic = open_in_bin journal in
         let bytes = really_input_string ic (in_channel_length ic) in
         close_in ic;
         Ok (mg, bytes, Obs_metrics.snapshot metrics, Obs_events.lines events)
     in
     let check_variant label = function
-      | Error e -> Fail (Printf.sprintf "%s: merge failed: %s" label e)
+      | Error e -> Fail (Printf.sprintf "%s: coordinator failed: %s" label e)
       | Ok (mg, bytes, snap, lines) ->
         if compare mg.Shd.mg_records baseline.Camp.cp_records <> 0 then
           Fail (label ^ ": merged records differ from the serial campaign")
@@ -719,11 +728,12 @@ let shard_identity =
             Fail (Printf.sprintf "%s: counter %s diverged (%d vs %d)" label n
                     (value snap n) (value base_snap n))
           | None ->
-            let base_lines = Obs_events.lines base_events in
-            let nb = List.length base_lines in
+            let base = unsupervised (Obs_events.lines base_events) in
+            let merged = unsupervised lines in
+            let nb = List.length base in
             if
-              List.filteri (fun i _ -> i < nb) lines <> base_lines
-              || List.length lines <> nb + 1
+              compare (List.filteri (fun i _ -> i < nb) merged) base <> 0
+              || List.length merged <> nb + 1
             then
               Fail (label ^ ": merged event stream is not the serial stream \
                              plus one shard.merge event")

@@ -96,12 +96,13 @@ val par_identity : t
     with identical error and candidate count. *)
 
 val shard_identity : t
-(** Sharded-vs-single bit-identity: the fixture campaign split over
-    2–4 journal-writing shards and merged back through
-    {!Measure.Shard.merge_journals} must reproduce the serial campaign
-    exactly — records, merged journal bytes, [campaign.*] counters, and
-    event stream — both on the clean path and with one worker killed
-    mid-shard (journal torn mid-line, restarted with resume). *)
+(** Sharded-vs-single bit-identity: the fixture campaign run by
+    {!Measure.Shard.coordinate} over 2–4 in-process journal-writing
+    workers must reproduce the serial campaign exactly — records, merged
+    journal bytes, [campaign.*] counters, and event stream without the
+    supervision events — both on the clean path and with one worker
+    killed mid-shard (journal torn mid-line, restarted with resume by
+    the coordinator). *)
 
 val serve_identity : t
 (** Served-model identity: the fixture campaign's fit, memoized through

@@ -8,10 +8,6 @@ val float_literal : float -> string
 
 val pp_value : Types.value Fmt.t
 val pp_operand : Types.operand Fmt.t
-val binop_name : Types.binop -> string
-val unop_name : Types.unop -> string
 val pp_instr : Types.instr Fmt.t
-val pp_terminator : Types.terminator Fmt.t
-val pp_block : Types.block Fmt.t
 val pp_program : Types.program Fmt.t
 val program_to_string : Types.program -> string

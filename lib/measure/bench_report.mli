@@ -3,10 +3,6 @@
     merged markdown report (bench results + campaign journal + metrics
     snapshot) with baseline deltas. *)
 
-val default_tolerance : float
-(** Relative tolerance for numeric comparisons (0.05).  A baseline file
-    may override it for itself with a top-level ["tolerance"] key. *)
-
 val flatten : Obs_json.t -> (string * Obs_json.t) list
 (** Scalar leaves as (dotted path, value) pairs in document order; list
     elements index as [path[i]]. *)
@@ -36,9 +32,10 @@ type check = {
 val check_baseline :
   ?tolerance:float -> baseline:string -> actual:string -> unit ->
   (check, string) result
-(** Compare one baseline file against the actual results file.  A
-    missing actual file is a failing check (not an error); an unparsable
-    file is an [Error]. *)
+(** Compare one baseline file against the actual results file, within
+    the baseline's top-level ["tolerance"] key if it has one, else
+    [tolerance] (default 0.05).  A missing actual file is a failing
+    check (not an error); an unparsable file is an [Error]. *)
 
 val check_dir :
   ?tolerance:float -> dir:string -> actual_dir:string -> unit ->

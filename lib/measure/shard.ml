@@ -61,7 +61,7 @@ let journal_path ~journal k = Printf.sprintf "%s.shard%d" journal k
    (a drift test compares). *)
 let counters =
   [
-    ("shard.spawned", "worker processes spawned by the shard coordinator");
+    ("shard.spawned", "workers launched by the shard coordinator");
     ("shard.deaths", "workers that died, timed out, or stopped short");
     ("shard.restarts", "dead workers restarted on their journal with resume");
     ("shard.merged", "per-shard journals merged into one campaign");
@@ -69,7 +69,7 @@ let counters =
 
 let event_names =
   [
-    ("shard.spawn", "the coordinator spawned a worker process for one shard");
+    ("shard.spawn", "the coordinator launched the worker of one shard");
     ("shard.death", "a worker died, timed out, or left its shard incomplete");
     ("shard.restart", "a dead worker was restarted to resume its journal");
     ("shard.merge", "per-shard journals were merged in global design order");
@@ -182,75 +182,84 @@ let merge_journals ?metrics ?(events = Obs_events.disabled) ~mode
         }
     end
 
-(* -- worker supervision ----------------------------------------------------- *)
+(* -- coordinator ----------------------------------------------------------- *)
 
-(* A shard is complete when its journal parses against the campaign
-   header and covers every coordinate the shard owns.  A worker that
-   exits cleanly but short (an injected --max-runs kill, an interrupted
-   wave) is treated exactly like a crash: death, then restart with
-   resume. *)
-let complete ~mode ~expected_header ~design shard path =
-  Sys.file_exists path
-  && (match Campaign.load_journal ~mode ~expected_header path with
-     | Error _ -> false
-     | Ok (records, _) ->
-       let have = Hashtbl.create 64 in
-       List.iter
-         (fun (r : Campaign.record) ->
-           Hashtbl.replace have (r.Campaign.rc_params, r.Campaign.rc_rep) ())
-         records;
-       List.for_all
-         (fun c -> Hashtbl.mem have c)
-         (coordinates shard design))
+type launched = Spawned of int | Returned
+
+type launcher = shard:t -> journal:string -> resume:bool -> launched
+
+let process argv ~shard ~journal ~resume =
+  let av = argv ~shard ~journal ~resume in
+  (* Worker stdout/stderr go to a per-shard log (appended across
+     restarts): the coordinator's own report stays clean and the logs
+     survive as artifacts for a post-mortem. *)
+  let log =
+    Unix.openfile (journal ^ ".log")
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
+      0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close log)
+    (fun () -> Spawned (Unix.create_process av.(0) av Unix.stdin log log))
 
 type wstate =
   | Running of { pid : int; deadline : float }
+  | Ended of string  (* returned or reaped; why it died if its shard is short *)
   | Done
   | Failed of string
 
-let run_workers ?metrics ?(events = Obs_events.disabled) ~mode
-    ~expected_header ~design ~shards ~journal ~timeout_s ~max_restarts ~argv
-    () =
+let coordinate ?metrics ?(events = Obs_events.disabled) ~header ~design
+    ~shards ~journal ~timeout_s ~max_restarts (launch : launcher) =
+  let mode = design.Experiment.mode in
   let counter name =
     Option.map (fun reg -> Obs_metrics.counter reg name) metrics
   in
-  let bump ?(n = 1) c =
-    match c with None -> () | Some c -> Obs_metrics.add c n
-  in
+  let bump c = Option.iter (fun c -> Obs_metrics.add c 1) c in
   let spawned_c = counter "shard.spawned" in
   let deaths_c = counter "shard.deaths" in
   let restarts_c = counter "shard.restarts" in
+  let shard k = { sh_index = k; sh_count = shards } in
+  (* A shard is complete when its journal parses against the campaign
+     header and covers every coordinate the shard owns.  A worker that
+     ends cleanly but short (an injected --max-runs kill, an interrupted
+     wave) is treated exactly like a crash: death, then restart with
+     resume. *)
+  let complete k =
+    let path = journal_path ~journal k in
+    Sys.file_exists path
+    &&
+    match Campaign.load_journal ~mode ~expected_header:header path with
+    | Error _ -> false
+    | Ok (records, _) ->
+      let have = Hashtbl.create 64 in
+      List.iter
+        (fun (r : Campaign.record) ->
+          Hashtbl.replace have (r.Campaign.rc_params, r.Campaign.rc_rep) ())
+        records;
+      List.for_all (Hashtbl.mem have) (coordinates (shard k) design)
+  in
   let emit ?severity name k extra =
     if Obs_events.enabled events then
       Obs_events.emit events ?severity ~component:"shard"
-        ~fields:
-          (( "shard",
-             Obs_events.Str (spec_of { sh_index = k; sh_count = shards }) )
-          :: extra)
+        ~fields:(("shard", Obs_events.Str (spec_of (shard k))) :: extra)
         name
   in
   let states = Array.make shards Done in
   let restarts = Array.make shards 0 in
   let spawn k ~resume =
-    let path = journal_path ~journal k in
-    let av = argv ~shard:{ sh_index = k; sh_count = shards } ~journal:path ~resume in
-    (* Worker stdout/stderr go to a per-shard log (appended across
-       restarts): the coordinator's own report stays clean and the logs
-       survive as artifacts for a post-mortem. *)
-    let log =
-      Unix.openfile (path ^ ".log")
-        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-        0o644
-    in
-    let pid =
-      Fun.protect
-        ~finally:(fun () -> Unix.close log)
-        (fun () -> Unix.create_process av.(0) av Unix.stdin log log)
+    let launched =
+      launch ~shard:(shard k) ~journal:(journal_path ~journal k) ~resume
     in
     bump spawned_c;
-    emit "shard.spawn" k
-      [ ("pid", Obs_events.Int pid); ("resume", Obs_events.Bool resume) ];
-    states.(k) <- Running { pid; deadline = Unix.gettimeofday () +. timeout_s }
+    let pid, state =
+      match launched with
+      | Spawned pid ->
+        ( [ ("pid", Obs_events.Int pid) ],
+          Running { pid; deadline = Unix.gettimeofday () +. timeout_s } )
+      | Returned -> ([], Ended "returned with an incomplete shard")
+    in
+    emit "shard.spawn" k (pid @ [ ("resume", Obs_events.Bool resume) ]);
+    states.(k) <- state
   in
   let death k ~reason =
     bump deaths_c;
@@ -264,54 +273,64 @@ let run_workers ?metrics ?(events = Obs_events.disabled) ~mode
     else begin
       restarts.(k) <- restarts.(k) + 1;
       bump restarts_c;
-      emit "shard.restart" k
-        [ ("attempt", Obs_events.Int restarts.(k)) ];
+      emit "shard.restart" k [ ("attempt", Obs_events.Int restarts.(k)) ];
       spawn k ~resume:true
     end
   in
+  (* One look at shard [k]; true when its state changed. *)
   let check k =
     match states.(k) with
-    | Done | Failed _ -> ()
+    | Done | Failed _ -> false
+    | Ended reason ->
+      if complete k then states.(k) <- Done else death k ~reason;
+      true
     | Running { pid; deadline } -> (
       match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-        if Unix.gettimeofday () > deadline then begin
-          (* Past the wall-clock budget: kill, reap, and treat as a
-             death (the journal keeps everything flushed so far). *)
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] pid);
-          death k ~reason:(Printf.sprintf "timed out after %.0fs" timeout_s)
-        end
+      | 0, _ when Unix.gettimeofday () > deadline ->
+        (* Past the wall-clock budget: kill, reap, and treat as a
+           death (the journal keeps everything flushed so far). *)
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid);
+        death k ~reason:(Printf.sprintf "timed out after %.0fs" timeout_s);
+        true
+      | 0, _ -> false
       | _, status ->
-        if complete ~mode ~expected_header ~design
-             { sh_index = k; sh_count = shards }
-             (journal_path ~journal k)
-        then states.(k) <- Done
-        else
-          death k
-            ~reason:
-              (match status with
-              | Unix.WEXITED 0 -> "exited with an incomplete shard"
-              | Unix.WEXITED n -> Printf.sprintf "exited with code %d" n
-              | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
-              | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s))
+        states.(k) <-
+          Ended
+            (match status with
+            | Unix.WEXITED 0 -> "exited with an incomplete shard"
+            | Unix.WEXITED n -> Printf.sprintf "exited with code %d" n
+            | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
+            | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s);
+        true)
   in
   for k = 0 to shards - 1 do
     spawn k ~resume:false
   done;
-  let running () =
-    Array.exists (function Running _ -> true | _ -> false) states
+  let pending () =
+    Array.exists (function Running _ | Ended _ -> true | _ -> false) states
   in
-  while running () do
+  (* Sleep only after a round in which no worker changed state, so a
+     worker that returns within its launch costs no wait. *)
+  while pending () do
+    let changed = ref false in
     for k = 0 to shards - 1 do
-      check k
+      if check k then changed := true
     done;
-    if running () then Unix.sleepf 0.05
+    if not !changed then Unix.sleepf 0.05
   done;
-  let failures =
-    Array.to_list states
-    |> List.filter_map (function Failed msg -> Some msg | _ -> None)
-  in
-  match failures with
-  | [] -> Ok ()
-  | msg :: _ -> Error msg
+  match Array.find_map (function Failed m -> Some m | _ -> None) states with
+  | Some msg -> Error msg
+  | None -> (
+    match
+      merge_journals ?metrics ~events ~mode ~expected_header:header ~design
+        (List.init shards (journal_path ~journal))
+    with
+    | Error _ as e -> e
+    | Ok mg when mg.mg_missing <> [] ->
+      Error
+        (Printf.sprintf "shard merge left %d coordinate(s) unmeasured"
+           (List.length mg.mg_missing))
+    | Ok mg ->
+      Campaign.write_journal ~header mg.mg_records journal;
+      Ok mg)

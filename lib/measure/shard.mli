@@ -4,9 +4,10 @@
     per-shard checkpoint journals back into one campaign.
 
     The identity contract, enforced by the [shard-identity] fuzz
-    oracle: 1 shard ≡ M shards ≡ M shards with injected worker kills —
-    bit-identical records, journal bytes, [campaign.*] counters, and
-    event stream. *)
+    oracle on {!coordinate}: 1 shard ≡ M shards ≡ M shards with
+    injected worker kills — bit-identical records, journal bytes,
+    [campaign.*] counters, and event stream but for the supervision
+    events. *)
 
 type t = { sh_index : int; sh_count : int }
 (** Shard [sh_index] of [sh_count], with [0 <= sh_index < sh_count]. *)
@@ -78,36 +79,42 @@ val merge_journals :
     summary event.  {!Campaign.write_journal} of the records is
     byte-identical to a single-process campaign's journal. *)
 
-(** {1 Worker supervision} *)
+(** {1 Coordinator} *)
 
-val complete :
-  mode:Instrument.mode ->
-  expected_header:string ->
-  design:Experiment.design ->
-  t -> string -> bool
-(** Does the journal at [path] parse against the campaign header and
-    cover every coordinate the shard owns? *)
+type launched =
+  | Spawned of int  (** a worker process, by pid, still to be reaped *)
+  | Returned  (** a worker that ran to its end within the launch *)
 
-val run_workers :
+type launcher = shard:t -> journal:string -> resume:bool -> launched
+(** Start the worker of [shard], journaling to [journal]; [resume] is
+    set on every restart. *)
+
+val process : (shard:t -> journal:string -> resume:bool -> string array) ->
+  launcher
+(** One worker process per launch, running the command line the function
+    builds, with its stdout and stderr appended to ["<journal>.log"]. *)
+
+val coordinate :
   ?metrics:Obs_metrics.t ->
   ?events:Obs_events.sink ->
-  mode:Instrument.mode ->
-  expected_header:string ->
+  header:string ->
   design:Experiment.design ->
   shards:int ->
   journal:string ->
   timeout_s:float ->
   max_restarts:int ->
-  argv:(shard:t -> journal:string -> resume:bool -> string array) ->
-  unit ->
-  (unit, string) result
-(** Spawn one worker process per shard ([argv] builds each command
-    line; workers write to {!journal_path} and log to
-    ["<shard journal>.log"]) and supervise them: a worker that dies, is
-    killed by its [timeout_s] wall-clock budget, or exits leaving its
-    shard incomplete is restarted with [resume:true] up to
-    [max_restarts] times, re-executing only unjournaled coordinates.
-    Returns [Error] with a one-line message when a shard exhausts its
-    restarts.  Spawn/death/restart are counted in the [shard.*]
-    counters and reported as [shard.*] events (supervision events are
-    timing-dependent — determinism lives in the journals, not here). *)
+  launcher ->
+  (merge, string) result
+(** Run a campaign over [shards] workers and merge it into [journal].
+    Launches one worker per shard, journaling to {!journal_path}, and
+    supervises them: a worker that dies, outlives its [timeout_s]
+    wall-clock budget (a process is killed) or ends with its shard
+    incomplete is restarted with [resume:true] up to [max_restarts]
+    times, re-executing only unjournaled coordinates.  Then
+    {!merge_journals} against the campaign [header], and
+    {!Campaign.write_journal} of the merged records to [journal].
+    [Error] is one line: a shard that exhausted its restarts, a failed
+    merge, or a merge that left coordinates unmeasured.
+    Spawn/death/restart are counted in the [shard.*] counters and
+    reported as [shard.*] events; they depend on timing and sit outside
+    the identity contract, the merge's counters and events inside it. *)

@@ -14,8 +14,6 @@
 
 type severity = Debug | Info | Warn | Error
 
-val severity_name : severity -> string
-
 type value = Obs_json.t =
   | Null
   | Bool of bool

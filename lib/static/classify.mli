@@ -24,7 +24,6 @@ val classify :
 (** [relevant_prim] marks performance-relevant primitives (the MPI library
     database supplies it). *)
 
-val func_class : report -> string -> func_class
 val is_pruned : report -> string -> bool
 
 val surviving : report -> string list

@@ -21,6 +21,3 @@ val analyze_program : Ir.Types.program -> loop_summary list
 
 val is_constant : trip -> bool
 
-val closed_form : init:int -> step:int -> bound:int -> Ir.Types.binop -> trip
-(** Trip count of [for (i = init; i <cmp> bound; i += step)]; [Unknown]
-    for unsupported comparison/step combinations. *)

@@ -140,10 +140,39 @@ let test_model_minicg () =
   Alcotest.(check int) (Printf.sprintf "exit 0, stderr %S" errs) 0 code;
   Alcotest.(check bool) "spmv fitted" true (contains out "spmv")
 
+(* perfbench/golden.txt's digest of the lines the benchmark's model-e2e
+   workload prints for [group] at [seed] (read here, never written). *)
+let golden ~seed group =
+  [ "../perfbench/golden.txt"; "perfbench/golden.txt" ]
+  |> List.find Sys.file_exists |> read_file |> String.split_on_char '\n'
+  |> List.find_map (fun l ->
+         match String.split_on_char ' ' l with
+         | [ "model-e2e"; s; g; md5 ] when s = string_of_int seed && g = group
+           ->
+           Some md5
+         | _ -> None)
+
+(* The digest CI's golden steps take of a command's stdout: without its
+   header line and its trailing newlines, as `$(cmd | tail -n +2)`
+   leaves it. *)
+let body_md5 out =
+  let body =
+    match String.index_opt out '\n' with
+    | Some i -> String.sub out (i + 1) (String.length out - i - 1)
+    | None -> ""
+  in
+  let n = ref (String.length body) in
+  while !n > 0 && body.[!n - 1] = '\n' do
+    decr n
+  done;
+  Digest.to_hex (Digest.string (String.sub body 0 !n))
+
 (* The event log of `model APP --events F`, at --jobs 1 and 2, must
    hash to the MD5 and line count test/model_events.md5 pins: a search
    change that moves a candidate, its order, a counter or a fitted bit
-   shows here, not only as a difference between job counts. *)
+   shows here, not only as a difference between job counts.  The fit
+   lines on stdout must hash to the seed-42 model-e2e golden digest, at
+   --jobs 2 through the domain pool as well. *)
 let test_model_events_pinned () =
   let pins =
     List.find Sys.file_exists [ "model_events.md5"; "test/model_events.md5" ]
@@ -164,7 +193,7 @@ let test_model_events_pinned () =
             ~finally:(fun () -> try Sys.remove log with Sys_error _ -> ())
             (fun () ->
               let what = Printf.sprintf "model %s --jobs %d" app jobs in
-              let code, _, errs =
+              let code, out, errs =
                 run_cli
                   [ "model"; app; "--jobs"; string_of_int jobs;
                     "--events"; log ]
@@ -175,9 +204,27 @@ let test_model_events_pinned () =
               let text = read_file log in
               Alcotest.(check (pair string int))
                 (what ^ ": events MD5 and lines") (md5, lines)
-                (Digest.to_hex (Digest.string text), line_count text)))
+                (Digest.to_hex (Digest.string text), line_count text);
+              Alcotest.(check (option string))
+                (what ^ ": fit lines match the model-e2e golden digest")
+                (golden ~seed:42 app) (Some (body_md5 out))))
         [ 1; 2 ])
     pins
+
+(* The findings of `contention APP` (noise seed 7) hash to the seed-7
+   APP.contention digests of the benchmark's model-e2e workload. *)
+let test_contention_golden () =
+  List.iter
+    (fun app ->
+      let code, out, errs = run_cli [ "contention"; app ] in
+      Alcotest.(check int)
+        (Printf.sprintf "contention %s: exit 0, stderr %S" app errs)
+        0 code;
+      Alcotest.(check (option string))
+        (Printf.sprintf "contention %s matches the model-e2e golden digest" app)
+        (golden ~seed:7 (app ^ ".contention"))
+        (Some (body_md5 out)))
+    [ "lulesh"; "milc"; "minicg" ]
 
 let test_resume_needs_journal () =
   check_failure ~expect:"--journal" [ "campaign"; "lulesh"; "--resume" ]
@@ -245,6 +292,45 @@ let test_shard_flag_validation () =
   check_failure ~expect:"--resume cannot be combined with --shards"
     [ "campaign"; "minicg"; "--shards"; "2"; "--resume"; "--journal";
       "/tmp/x.jsonl" ]
+
+(* The coordinator over worker processes: three workers, shard 1's
+   first launch stopped after 5 coordinates and relaunched with
+   --resume.  The merged journal and the dumped dataset must equal the
+   single-process run's, byte for byte. *)
+let test_sharded_campaign () =
+  let tmp suffix = Filename.temp_file "cli_shard" suffix in
+  let single = tmp ".jsonl" and single_dump = tmp ".dump" in
+  let sharded = tmp ".jsonl" and sharded_dump = tmp ".dump" in
+  let worker k = Measure.Shard.journal_path ~journal:sharded k in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        ([ single; single_dump; sharded; sharded_dump ]
+        @ List.concat_map (fun k -> [ worker k; worker k ^ ".log" ]) [ 0; 1; 2 ]
+        ))
+  @@ fun () ->
+  let campaign extra =
+    let args =
+      [ "campaign"; "minicg"; "--faults"; "crash=0.06,hang=0.04,seed=11";
+        "--retries"; "3" ]
+      @ extra
+    in
+    let code, _, errs = run_cli args in
+    Alcotest.(check int)
+      (Printf.sprintf "%s: exit 0, stderr %S" (String.concat " " args) errs)
+      0 code
+  in
+  campaign [ "--journal"; single; "--dump"; single_dump ];
+  campaign
+    [ "--shards"; "3"; "--kill-shard"; "1=5"; "--journal"; sharded;
+      "--dump"; sharded_dump ];
+  Alcotest.(check bool) "shard 1 relaunched on its 5 journaled records" true
+    (contains (read_file (worker 1 ^ ".log")) "(5 resumed)");
+  Alcotest.(check bool) "merged journal = single-process journal" true
+    (String.equal (read_file single) (read_file sharded));
+  Alcotest.(check bool) "sharded dump = single-process dump" true
+    (String.equal (read_file single_dump) (read_file sharded_dump))
 
 (* -- the executor's traps -----------------------------------------------------
    Programs run on the compiled tier only.  Its lowering pass resolves
@@ -576,4 +662,8 @@ let tests =
     Alcotest.test_case "--func must name a function" `Quick test_unknown_func;
     Alcotest.test_case "model --events logs match their pinned MD5s" `Quick
       test_model_events_pinned;
+    Alcotest.test_case "contention findings match the golden digests" `Quick
+      test_contention_golden;
+    Alcotest.test_case "sharded campaign = single-process run" `Quick
+      test_sharded_campaign;
   ]
